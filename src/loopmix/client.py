@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Deque, List, Optional, Tuple
 
 from . import crypto, packet as pkt
+from .mixnode import LoopTracker
 from .packet import HopFlags
 from .topology import Topology, path_to_packet_hops, sample_forward_path
 from .transport import PULL_ITEM_LEN
@@ -28,8 +29,6 @@ from .transport import PULL_ITEM_LEN
 ENVELOPE_LEN = PULL_ITEM_LEN
 _SEALED_PLAIN_LEN = ENVELOPE_LEN - crypto.GROUP_ELEMENT_LEN - crypto.AEAD_OVERHEAD
 USER_MESSAGE_CAPACITY = _SEALED_PLAIN_LEN - 4
-
-_LOOP_MARKER = b"CLILOOP1"
 
 PACKET_REAL = "REAL"
 PACKET_LOOP = "LOOP"
@@ -104,15 +103,15 @@ class ClientConfig:
 
 
 class Client:
+    loops_sent = property(lambda self: self.loops.sent)
+    loops_returned = property(lambda self: self.loops.returned)
+
     def __init__(self, cfg: ClientConfig):
         self.cfg = cfg
         self.buffer: Deque[Tuple[str, bytes]] = deque()
-        self.outstanding_loops: dict[bytes, float] = {}
-        self.loop_latencies: List[float] = []
+        self.loops = LoopTracker(b"CLILOOP1")
         self.sent_real = 0
         self.sent_payload_cover = 0
-        self.loops_sent = 0
-        self.loops_returned = 0
         self.drops_sent = 0
         self.received_real = 0
         self.received_dummy = 0
@@ -171,18 +170,11 @@ class Client:
         self._check_depth(topology)
         own = topology.provider_of(self.cfg.client_id)
         descriptors = self._mix_path(topology, own.id, rng)
-        nonce = rng.randbytes(16)
-        marker = _LOOP_MARKER + nonce + struct.pack(">d", now)
         me = topology.client(self.cfg.client_id)
-        body = seal_envelope(me.pubkey, marker, rng)
+        body = seal_envelope(me.pubkey, self.loops.emit(rng, now), rng)
         packet = self._build(
             descriptors, self.cfg.client_id, body, HopFlags.FINAL, rng
         )
-        self.outstanding_loops[nonce] = now
-        if len(self.outstanding_loops) > 10_000:
-            oldest = min(self.outstanding_loops, key=self.outstanding_loops.get)
-            del self.outstanding_loops[oldest]
-        self.loops_sent += 1
         return packet, now + rng.expovariate(self.cfg.rates.lambda_L)
 
     def drop_tick(self, topology: Topology, rng, now: float):
@@ -208,13 +200,7 @@ class Client:
             if plain is None:
                 self.received_dummy += 1
                 continue
-            if plain.startswith(_LOOP_MARKER) and len(plain) == len(_LOOP_MARKER) + 24:
-                nonce = plain[len(_LOOP_MARKER) : len(_LOOP_MARKER) + 16]
-                (emitted,) = struct.unpack(">d", plain[-8:])
-                if nonce in self.outstanding_loops:
-                    del self.outstanding_loops[nonce]
-                    self.loops_returned += 1
-                    self.loop_latencies.append(now - emitted)
+            if self.loops.absorb(plain, now) is not None:
                 continue
             self.received_real += 1
             messages.append(plain)

@@ -11,19 +11,20 @@ from __future__ import annotations
 import heapq
 import json
 import struct
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from . import crypto, packet as pkt
-from .packet import HopFlags, HopSpec, SphinxPacket
-from .topology import Topology, path_to_packet_hops
+from .packet import HopFlags, SphinxPacket
+from .topology import ProviderDescriptor, Topology, path_to_packet_hops
 
 HEALTHY = "HEALTHY"
 UNDER_ATTACK = "UNDER_ATTACK"
 
 REPLAY_HORIZON_S = 3600.0
 
-_LOOP_MAGIC = b"MIXLOOP1"
+LOOP_CAP = 10_000
 
 
 class TopologyTooSmall(Exception):
@@ -32,28 +33,18 @@ class TopologyTooSmall(Exception):
 
 @dataclass
 class MixPool:
-    """Pending messages keyed by release time, plus replay and size history.
+    """Pending messages keyed by release time, plus the replay cache."""
 
-    record_history is off by default for the live node; the simulator and the
-    queue-law tests switch it on to integrate pool size over time.
-    """
-
-    record_history: bool = False
     pending: list = field(default_factory=list)
     replay_cache: dict = field(default_factory=dict)
-    size_history: list = field(default_factory=list)
     _seq: int = 0
 
     def __len__(self) -> int:
         return len(self.pending)
 
-    def add(self, release_time: float, item: Any, now: Optional[float] = None) -> None:
+    def add(self, release_time: float, item: Any) -> None:
         heapq.heappush(self.pending, (release_time, self._seq, item))
         self._seq += 1
-        if self.record_history:
-            self.size_history.append(
-                (release_time if now is None else now, len(self.pending))
-            )
 
     def peek_time(self) -> Optional[float]:
         return self.pending[0][0] if self.pending else None
@@ -63,8 +54,6 @@ class MixPool:
         if not self.pending or self.pending[0][0] > now:
             return None
         release_time, _, item = heapq.heappop(self.pending)
-        if self.record_history:
-            self.size_history.append((release_time, len(self.pending)))
         return release_time, item
 
     def seen_replay(self, tag: bytes, now: float) -> bool:
@@ -107,34 +96,61 @@ def loop_health(window_loops_sent: int, window_loops_returned: int, r: float) ->
     return HEALTHY if window_loops_returned / window_loops_sent >= r else UNDER_ATTACK
 
 
-def encode_loop_payload(nonce: bytes, emitted_at: float) -> bytes:
-    return _LOOP_MAGIC + nonce + struct.pack(">d", emitted_at)
+class LoopTracker:
+    """Outstanding self-loops of one mix or client, and their round trips.
 
+    A loop plaintext is marker | 16-byte nonce | emission time (">d"); the
+    marker names the role (MIXLOOP1 for mixes, CLILOOP1 for clients). Past
+    LOOP_CAP outstanding loops the oldest is forgotten: emission times only
+    grow, so insertion order is age order. Only the latest LOOP_CAP round-trip
+    times are kept.
+    """
 
-def decode_loop_payload(plain: bytes) -> Optional[tuple[bytes, float]]:
-    if len(plain) != len(_LOOP_MAGIC) + 16 + 8 or not plain.startswith(_LOOP_MAGIC):
-        return None
-    nonce = plain[len(_LOOP_MAGIC) : len(_LOOP_MAGIC) + 16]
-    (emitted,) = struct.unpack(">d", plain[-8:])
-    return nonce, emitted
+    def __init__(self, marker: bytes):
+        self.marker = marker
+        self.outstanding: dict[bytes, float] = {}
+        self.latencies: deque[float] = deque(maxlen=LOOP_CAP)
+        self.sent = 0
+        self.returned = 0
+
+    def emit(self, rng, at: float) -> bytes:
+        """Register a fresh loop emitted at `at`; returns its plaintext."""
+        nonce = rng.randbytes(16)
+        self.outstanding[nonce] = at
+        if len(self.outstanding) > LOOP_CAP:
+            del self.outstanding[next(iter(self.outstanding))]
+        self.sent += 1
+        return self.marker + nonce + struct.pack(">d", at)
+
+    def absorb(self, plain: bytes, now: float) -> Optional[bool]:
+        """None unless plain is a loop plaintext with our marker; otherwise
+        whether it closed an outstanding loop, which then counts as returned."""
+        if len(plain) != len(self.marker) + 24 or not plain.startswith(self.marker):
+            return None
+        emitted = self.outstanding.pop(plain[len(self.marker) : -8], None)
+        if emitted is None:
+            return False
+        self.returned += 1
+        self.latencies.append(now - emitted)
+        return True
 
 
 class MixNode:
     """Processing node: verifies, deduplicates, pools, and emits loops."""
 
-    def __init__(self, cfg: MixConfig, record_history: bool = False):
+    loops_sent = property(lambda self: self.loops.sent)
+    loops_returned = property(lambda self: self.loops.returned)
+
+    def __init__(self, cfg: MixConfig):
         self.cfg = cfg
-        self.pool = MixPool(record_history=record_history)
-        self.outstanding_loops: dict[bytes, float] = {}
-        self.loop_latencies: list[float] = []
+        self.pool = MixPool()
+        self.loops = LoopTracker(b"MIXLOOP1")
         self.last_loop_first_hop = ""
         self.received = 0
         self.forwarded = 0
         self.dropped_replay = 0
         self.dropped_mac = 0
         self.dropped_overflow = 0
-        self.loops_sent = 0
-        self.loops_returned = 0
         # Providers install a handler for Deliver/Drop results; a plain mix
         # treats terminal packets (other than its own returning loops) as junk.
         self.terminal_handler: Optional[Callable[[pkt.ProcessResult, float], None]] = None
@@ -154,7 +170,7 @@ class MixNode:
             if len(self.pool) >= self.cfg.queue_high_watermark:
                 self.dropped_overflow += 1
                 return None
-            self.pool.add(now + result.next.delay_s, result, now=now)
+            self.pool.add(now + result.next.delay_s, result)
             return result
         if isinstance(result, pkt.Deliver) and result.recipient_id == self.cfg.node_id:
             if self._absorb_loop(result.payload, now):
@@ -170,16 +186,7 @@ class MixNode:
             plain = crypto.e2e_open(self.cfg.secret_key, body)
         except crypto.GroupError:
             return False
-        decoded = decode_loop_payload(plain)
-        if decoded is None:
-            return False
-        nonce, emitted = decoded
-        if nonce in self.outstanding_loops:
-            del self.outstanding_loops[nonce]
-            self.loops_returned += 1
-            self.loop_latencies.append(now - emitted)
-            return True
-        return False
+        return bool(self.loops.absorb(plain, now))
 
     def next_release(self, now: float):
         """Earliest due (release_time, packet, next) or None; counts it sent."""
@@ -191,8 +198,10 @@ class MixNode:
         return release_time, relay.packet, relay.next
 
     def generate_mix_loop(self, topology: Topology, rng, now: float):
-        """Build one self-loop: remaining layers, a provider, back to self.
+        """Build one self-loop over links that client traffic also uses.
 
+        A mix in layer i goes through layers i+1.., a provider, layers ..i-1
+        and back to itself; a provider goes through every layer and back.
         Returns (send_time, packet) with send_time = now + Exp(lambda_M).
         """
         if self.cfg.lambda_M <= 0:
@@ -202,29 +211,23 @@ class MixNode:
         if topology.n_layers + 1 > pkt.MAX_HOPS:
             raise TopologyTooSmall("loop path exceeds the packet hop budget")
 
-        descriptors = []
-        for layer in range(self.cfg.layer_index + 1, topology.n_layers):
-            nodes = topology.layers[layer]
-            descriptors.append(nodes[rng.randrange(len(nodes))])
-        descriptors.append(topology.providers[rng.randrange(len(topology.providers))])
-        for layer in range(0, self.cfg.layer_index):
-            nodes = topology.layers[layer]
-            descriptors.append(nodes[rng.randrange(len(nodes))])
         me = topology.node(self.cfg.node_id)
+        i = self.cfg.layer_index
+        if isinstance(me, ProviderDescriptor):
+            route = range(topology.n_layers)
+        else:  # None stands for the provider between the last and first layer
+            route = [*range(i + 1, topology.n_layers), None, *range(i)]
+        descriptors = []
+        for layer in route:
+            nodes = topology.providers if layer is None else topology.layers[layer]
+            descriptors.append(nodes[rng.randrange(len(nodes))])
         descriptors.append(me)
 
         send_time = now + rng.expovariate(self.cfg.lambda_M)
-        nonce = rng.randbytes(16)
-        body = crypto.e2e_seal(me.pubkey, encode_loop_payload(nonce, send_time), rng)
+        body = crypto.e2e_seal(me.pubkey, self.loops.emit(rng, send_time), rng)
         delays = [rng.expovariate(self.cfg.mu) for _ in descriptors]
         hops = path_to_packet_hops(descriptors, delays, self.cfg.addr, HopFlags.FINAL)
         loop_packet = pkt.create_packet(hops, self.cfg.node_id, body, rng)
-
-        self.outstanding_loops[nonce] = send_time
-        if len(self.outstanding_loops) > 10_000:
-            oldest = min(self.outstanding_loops, key=self.outstanding_loops.get)
-            del self.outstanding_loops[oldest]
-        self.loops_sent += 1
         self.last_loop_first_hop = descriptors[0].addr
         return send_time, loop_packet
 

@@ -135,14 +135,6 @@ class SenderTrace:
     shared_secrets: list[bytes]
 
 
-def packet_length_constants() -> dict:
-    return {
-        "header_len": HEADER_LEN,
-        "payload_len": PAYLOAD_LEN,
-        "max_hops": MAX_HOPS,
-    }
-
-
 def _encode_addr(addr: str) -> bytes:
     raw = addr.encode()
     return bytes([len(raw)]) + raw + b"\x00" * (ADDR_LEN - 1 - len(raw))

@@ -116,16 +116,16 @@ class ProviderConfig:
     mix: MixConfig
     pull_max_items: int = DEFAULT_PULL_MAX_ITEMS
     inbox_capacity: int = DEFAULT_INBOX_CAPACITY
-    # client_id -> (pull auth token, registered flag)
+    # client_id -> pull auth token
     client_tokens: Dict[str, bytes] = field(default_factory=dict)
 
 
 class Provider:
     """A mix node augmented with inbox storage and pull handling."""
 
-    def __init__(self, cfg: ProviderConfig, record_history: bool = False):
+    def __init__(self, cfg: ProviderConfig):
         self.cfg = cfg
-        self.node = MixNode(cfg.mix, record_history=record_history)
+        self.node = MixNode(cfg.mix)
         self.node.terminal_handler = self._on_terminal
         self.inboxes: Inboxes = {cid: deque() for cid in cfg.client_tokens}
         self.counters: dict = {}

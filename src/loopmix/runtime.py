@@ -1,10 +1,12 @@
 """Asyncio UDP runners for mixes, providers, and clients.
 
 Every node speaks the framed datagram protocol from transport.py on a single
-UDP socket. Relayed packets sit in the node's pool and are transmitted when
-their sender-chosen delay expires; loop and client streams are driven by
-call_later timers with exponential gaps, so emission times form the intended
-Poisson processes in wall-clock time.
+UDP socket. Each node or client holds one timer per stream, armed at that
+stream's next event. A node's release timer sits at its pool head and sends
+every packet whose sender-chosen delay has expired; its loop timer sits at
+the next self-loop. A client's payload, loop and drop timers are re-armed
+with exponential gaps, so emissions form Poisson processes in wall-clock
+time, and a fourth timer drives its pulls.
 """
 
 from __future__ import annotations
@@ -74,7 +76,8 @@ class NodeRuntime:
         self.processing_times: list[float] = []
         self._endpoint: Optional[_Endpoint] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._timers: list[asyncio.TimerHandle] = []
+        self._release: Optional[asyncio.TimerHandle] = None
+        self._loop_timer: Optional[asyncio.TimerHandle] = None
         self.addr = ""
 
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> str:
@@ -90,9 +93,8 @@ class NodeRuntime:
         return self.addr
 
     def stop(self) -> None:
-        for t in self._timers:
-            t.cancel()
-        self._timers.clear()
+        for timer in filter(None, (self._release, self._loop_timer)):
+            timer.cancel()
         if self._endpoint and self._endpoint.transport:
             self._endpoint.transport.close()
 
@@ -113,23 +115,29 @@ class NodeRuntime:
             if self.record_timing:
                 self.processing_times.append(time.perf_counter() - started)
             if isinstance(result, pkt.Relay):
-                self._timers.append(
-                    self._loop.call_at(now + result.next.delay_s, self._drain)
-                )
+                self._arm_release()
         elif kind == transport.KIND_PULL_REQ and self.provider is not None:
             self._on_pull(body, source)
         else:
             log.debug("ignoring frame kind %d", kind)
 
+    def _arm_release(self) -> None:
+        """Point the release timer at the pool head unless it fires no later."""
+        due = self.mix.pool.peek_time()
+        if due is None or (self._release is not None and self._release.when() <= due):
+            return
+        if self._release is not None:
+            self._release.cancel()
+        self._release = self._loop.call_at(due, self._drain)
+
     def _drain(self) -> None:
+        self._release = None
         now = self._loop.time()
         handler = self.provider or self.mix
-        while True:
-            due = handler.next_release(now)
-            if due is None:
-                break
+        while (due := handler.next_release(now)) is not None:
             _, packet, hop = due
             self.sendto(transport.frame(transport.KIND_PACKET, packet.to_bytes()), hop.next_addr)
+        self._arm_release()
 
     def _on_pull(self, body: bytes, source) -> None:
         try:
@@ -155,7 +163,7 @@ class NodeRuntime:
             self.sendto(transport.frame(transport.KIND_PACKET, packet.to_bytes()), first_addr)
             self._schedule_loop(send_time)
 
-        self._timers.append(self._loop.call_at(send_time, fire))
+        self._loop_timer = self._loop.call_at(send_time, fire)
 
 
 class ClientRuntime:
@@ -169,7 +177,8 @@ class ClientRuntime:
         self.received_messages: list[bytes] = []
         self._endpoint: Optional[_Endpoint] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._timers: list[asyncio.TimerHandle] = []
+        # one handle per stream: each tick method, and "pull"
+        self._timers: dict = {}
 
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> str:
         self._loop = asyncio.get_running_loop()
@@ -178,25 +187,25 @@ class ClientRuntime:
         )
         now = self._loop.time()
         rates = self.client.cfg.rates
-        if rates.lambda_P > 0:
-            self._arm(now + self.rng.expovariate(rates.lambda_P), self._payload)
-        if rates.lambda_L > 0:
-            self._arm(now + self.rng.expovariate(rates.lambda_L), self._cover_loop)
-        if rates.lambda_D > 0:
-            self._arm(now + self.rng.expovariate(rates.lambda_D), self._drop)
-        self._arm(now + self.client.cfg.pull_interval_s, self._pull)
+        for rate, tick in (
+            (rates.lambda_P, self.client.payload_tick),
+            (rates.lambda_L, self.client.loop_tick),
+            (rates.lambda_D, self.client.drop_tick),
+        ):
+            if rate > 0:
+                self._arm(tick, now + self.rng.expovariate(rate), self._emit, tick)
+        self._arm("pull", now + self.client.cfg.pull_interval_s, self._pull)
         bound = self._endpoint.transport.get_extra_info("sockname")
         return f"{bound[0]}:{bound[1]}"
 
     def stop(self) -> None:
-        for t in self._timers:
-            t.cancel()
-        self._timers.clear()
+        for timer in self._timers.values():
+            timer.cancel()
         if self._endpoint and self._endpoint.transport:
             self._endpoint.transport.close()
 
-    def _arm(self, at: float, fn) -> None:
-        self._timers.append(self._loop.call_at(at, fn))
+    def _arm(self, stream, at: float, fn, *args) -> None:
+        self._timers[stream] = self._loop.call_at(at, fn, *args)
 
     def _send_packet(self, packet) -> None:
         self._endpoint.transport.sendto(
@@ -204,23 +213,11 @@ class ClientRuntime:
             resolve_addr(self.provider_addr),
         )
 
-    def _payload(self) -> None:
-        now = self._loop.time()
-        packet, _, next_at = self.client.payload_tick(self.topology, self.rng, now)
-        self._send_packet(packet)
-        self._arm(next_at, self._payload)
-
-    def _cover_loop(self) -> None:
-        now = self._loop.time()
-        packet, next_at = self.client.loop_tick(self.topology, self.rng, now)
-        self._send_packet(packet)
-        self._arm(next_at, self._cover_loop)
-
-    def _drop(self) -> None:
-        now = self._loop.time()
-        packet, next_at = self.client.drop_tick(self.topology, self.rng, now)
-        self._send_packet(packet)
-        self._arm(next_at, self._drop)
+    def _emit(self, tick) -> None:
+        """Send one packet of a stream; a tick returns (packet, ..., next_tick_time)."""
+        emitted = tick(self.topology, self.rng, self._loop.time())
+        self._send_packet(emitted[0])
+        self._arm(tick, emitted[-1], self._emit, tick)
 
     def _pull(self) -> None:
         nonce = self.rng.randbytes(transport.NONCE_LEN)
@@ -231,7 +228,7 @@ class ClientRuntime:
             transport.frame(transport.KIND_PULL_REQ, body),
             resolve_addr(self.provider_addr),
         )
-        self._arm(self._loop.time() + self.client.cfg.pull_interval_s, self._pull)
+        self._arm("pull", self._loop.time() + self.client.cfg.pull_interval_s, self._pull)
 
     def on_datagram(self, kind: int, body: bytes, source) -> None:
         if kind != transport.KIND_PULL_ITEM:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import List, Tuple
 
 from ..analysis.pools import entropy_step
-from ..mixnode import MixPool
+from .queues import DEPARTURE, pool_events
 
 
 @dataclass
@@ -40,29 +40,19 @@ def run_entropy_experiment(
     if duration <= 0:
         raise ValueError("duration must be positive")
 
-    rng = random.Random(seed)
-    pool = MixPool()
-    next_arrival = rng.expovariate(lambda_in)
     entropy = 0.0
     fresh = 0
     held = 0
     series: List[Tuple[float, float]] = []
 
-    while True:
-        release = pool.peek_time()
-        t_next = next_arrival if release is None else min(next_arrival, release)
-        if t_next > duration:
-            break
-        if release is not None and release <= next_arrival:
-            pool.next_release(release)
+    for t, kind, _ in pool_events(lambda_in, mu, duration, random.Random(seed)):
+        if kind == DEPARTURE:
             entropy = entropy_step(entropy, fresh, held)
-            series.append((release, entropy))
+            series.append((t, entropy))
             held = fresh + held - 1
             fresh = 0
         else:
-            pool.add(t_next + rng.expovariate(mu), None, now=t_next)
             fresh += 1
-            next_arrival = t_next + rng.expovariate(lambda_in)
 
     tail = [h for (t, h) in series if t >= duration / 2]
     steady = sum(tail) / len(tail) if tail else 0.0

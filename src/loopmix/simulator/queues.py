@@ -11,9 +11,38 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List
+from typing import Iterator, List, Tuple
 
 from ..mixnode import MixPool
+
+ARRIVAL = "arrival"
+DEPARTURE = "departure"
+
+
+def pool_events(
+    lambda_in: float, mu: float, duration: float, rng
+) -> Iterator[Tuple[float, str, int]]:
+    """Yield (time, ARRIVAL or DEPARTURE, pool size after it) for one MixPool.
+
+    Arrivals are Poisson(lambda_in) and each holds for Exp(mu); the stream ends
+    before the first event past duration. A departure wins a tie with an
+    arrival. Each arrival draws its holding time, then the next arrival gap.
+    """
+    pool = MixPool()
+    next_arrival = rng.expovariate(lambda_in)
+    while True:
+        release = pool.peek_time()
+        departs = release is not None and release <= next_arrival
+        t = release if departs else next_arrival
+        if t > duration:
+            return
+        if departs:
+            pool.next_release(t)
+            yield t, DEPARTURE, len(pool)
+        else:
+            pool.add(t + rng.expovariate(mu), None)
+            next_arrival = t + rng.expovariate(lambda_in)
+            yield t, ARRIVAL, len(pool)
 
 
 @dataclass
@@ -45,36 +74,26 @@ def run_pool_experiment(
     if duration <= 0 or sample_every <= 0:
         raise ValueError("duration and sample_every must be positive")
 
-    rng = random.Random(seed)
-    pool = MixPool()
     area = 0.0
     last_t = 0.0
+    size = 0
     next_sample = sample_every
-    next_arrival = rng.expovariate(lambda_in)
     sizes: List[int] = []
     departures: List[float] = []
 
-    while True:
-        release = pool.peek_time()
-        t_next = next_arrival if release is None else min(next_arrival, release)
-        if t_next > duration:
-            break
-        while next_sample <= t_next:
-            sizes.append(len(pool))
+    for t, kind, after in pool_events(lambda_in, mu, duration, random.Random(seed)):
+        while next_sample <= t:
+            sizes.append(size)
             next_sample += sample_every
-        area += len(pool) * (t_next - last_t)
-        last_t = t_next
-        if release is not None and release <= next_arrival:
-            pool.next_release(release)
-            departures.append(release)
-        else:
-            pool.add(t_next + rng.expovariate(mu), None, now=t_next)
-            next_arrival = t_next + rng.expovariate(lambda_in)
+        area += size * (t - last_t)
+        last_t, size = t, after
+        if kind == DEPARTURE:
+            departures.append(t)
 
     while next_sample <= duration:
-        sizes.append(len(pool))
+        sizes.append(size)
         next_sample += sample_every
-    area += len(pool) * (duration - last_t)
+    area += size * (duration - last_t)
 
     return PoolRun(
         lambda_in=lambda_in,

@@ -247,7 +247,7 @@ def test_client_loop_round_trip(network):
     mail = client.process_pull_items([i.blob for i in response.items], now=3.5)
     assert mail == []
     assert client.loops_returned == 1
-    assert client.loop_latencies == [pytest.approx(3.5)]
+    assert list(client.loops.latencies) == [pytest.approx(3.5)]
     assert client.received_dummy == len(response.items) - 1
 
 

@@ -9,7 +9,9 @@ import scipy.stats as stats
 from loopmix import crypto
 from loopmix.mixnode import (
     HEALTHY,
+    LOOP_CAP,
     UNDER_ATTACK,
+    LoopTracker,
     MixConfig,
     MixNode,
     MixPool,
@@ -17,7 +19,9 @@ from loopmix.mixnode import (
     loop_health,
 )
 from loopmix.packet import Deliver, HopFlags, HopSpec, Relay, create_packet
+from loopmix.provider import Provider
 from loopmix.simulator.queues import run_pool_experiment
+from loopmix.topology import sample_forward_path
 
 from conftest import build_network
 
@@ -195,8 +199,76 @@ def test_returned_loop_recognized(network):
     result = network.route(packet, first_id, now=send_time)
     assert isinstance(result, Deliver)
     assert node.loops_returned == 1
-    assert node.loop_latencies[0] > 0
+    assert node.loops.latencies[0] > 0
     assert node.health() == HEALTHY
+
+
+def _walk_loop(net, emitter_id, packet, first_addr, now):
+    """Route a loop hop by hop; returns the node ids it visits after the emitter."""
+    visited = []
+    node = net.node_for_addr(first_addr)
+    while True:
+        node_id = node.node.cfg.node_id if isinstance(node, Provider) else node.cfg.node_id
+        visited.append(node_id)
+        result = node.on_receive(packet, now)
+        if not isinstance(result, Relay):
+            assert isinstance(result, Deliver) and node_id == emitter_id
+            return visited
+        now += result.next.delay_s + 1e-9
+        _, packet, hop = node.next_release(now)
+        node = net.node_for_addr(hop.next_addr)
+
+
+def test_every_loop_hop_is_a_link_client_traffic_uses():
+    net = build_network()
+    rng = random.Random(21)
+    traffic_links = set()
+    for _ in range(500):
+        ends = [rng.choice(net.topology.providers) for _ in range(2)]
+        ids = [d.id for d in sample_forward_path(net.topology, *ends, rng)]
+        traffic_links.update(zip(ids, ids[1:]))
+
+    nodes = list(net.mixes.values()) + [p.node for p in net.providers.values()]
+    for node in nodes:
+        node.cfg.lambda_M = 1.0
+        now = 0.0
+        for _ in range(25):
+            now, packet = node.generate_mix_loop(net.topology, rng, now)
+            ids = [node.cfg.node_id] + _walk_loop(
+                net, node.cfg.node_id, packet, node.last_loop_first_hop, now
+            )
+            assert len(ids) == net.topology.n_layers + 2
+            assert set(zip(ids, ids[1:])) <= traffic_links, ids
+        assert node.loops_returned == node.loops_sent == 25
+
+
+def test_loop_tracker_evicts_exactly_the_oldest():
+    tracker, rng = LoopTracker(b"TESTLOOP"), random.Random(1)
+    plains = [tracker.emit(rng, float(i)) for i in range(LOOP_CAP + 7)]
+    assert len(tracker.outstanding) == LOOP_CAP
+    assert [tracker.absorb(p, 1e6) for p in plains[:7]] == [False] * 7
+    assert all(tracker.absorb(p, 1e6) for p in plains[7:])
+    assert tracker.returned == LOOP_CAP and tracker.sent == LOOP_CAP + 7
+
+
+def test_loop_tracker_counts_each_known_loop_once():
+    tracker, rng = LoopTracker(b"TESTLOOP"), random.Random(2)
+    plain = tracker.emit(rng, 1.0)
+    unknown = LoopTracker(b"TESTLOOP").emit(rng, 1.0)
+    assert tracker.absorb(unknown, 2.0) is False
+    assert tracker.absorb(b"OTHRLOOP" + plain[8:], 2.0) is None
+    assert tracker.absorb(plain[:-1], 2.0) is None
+    assert tracker.absorb(plain, 3.5) is True
+    assert tracker.absorb(plain, 4.0) is False
+    assert tracker.returned == 1 and list(tracker.latencies) == [2.5]
+
+
+def test_loop_tracker_latency_record_is_bounded():
+    tracker, rng = LoopTracker(b"TESTLOOP"), random.Random(3)
+    for i in range(LOOP_CAP + 50):
+        assert tracker.absorb(tracker.emit(rng, float(i)), i + 0.5)
+    assert len(tracker.latencies) == LOOP_CAP
+    assert tracker.returned == LOOP_CAP + 50
 
 
 def test_lambda_m_zero_never_builds_loops(network):
