@@ -385,6 +385,7 @@ def sim_epsilon(users, lambda_p, mu, layers, per_layer, reps, seed, corrupt_frac
             "std_eps": batch.std,
             "reps": reps,
             "finite_reps": batch.n_finite,
+            "inf_reps": batch.n_inf,
         }
     )
 

@@ -17,6 +17,7 @@ import math
 import struct
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Deque, List, Optional, Tuple
 
 from . import crypto, packet as pkt
@@ -48,7 +49,7 @@ def seal_envelope(recipient_pub: crypto.GroupElement, message: bytes, rng) -> by
     return crypto.e2e_seal(recipient_pub, plain, rng)
 
 
-def open_envelope(secret_key: bytes, blob: bytes) -> Optional[bytes]:
+def open_envelope(secret_key: crypto.Scalar, blob: bytes) -> Optional[bytes]:
     """Decrypt a pull item; None when it is a dummy or not addressed to us."""
     if len(blob) != ENVELOPE_LEN:
         return None
@@ -98,6 +99,8 @@ class ClientConfig:
     pull_max_items: int = 5
 
     def __post_init__(self):
+        if len(self.secret_key) != crypto.SECRET_KEY_LEN:
+            raise ValueError("secret_key must be %d bytes" % crypto.SECRET_KEY_LEN)
         if self.pull_interval_s <= 0:
             raise ValueError("pull_interval_s must be positive")
 
@@ -115,6 +118,12 @@ class Client:
         self.drops_sent = 0
         self.received_real = 0
         self.received_dummy = 0
+
+    @cached_property
+    def key(self) -> crypto.X25519PrivateKey:
+        """The client's long-term key object, built from cfg.secret_key on
+        first use, like MixNode.key."""
+        return crypto.private_key(self.cfg.secret_key)
 
     def enqueue_message(self, recipient_id: str, message: bytes) -> None:
         if len(message) > USER_MESSAGE_CAPACITY:
@@ -196,7 +205,7 @@ class Client:
         """Sort pull items into real mail, returned loops, and dummies."""
         messages: List[bytes] = []
         for blob in blobs:
-            plain = open_envelope(self.cfg.secret_key, blob)
+            plain = open_envelope(self.key, blob)
             if plain is None:
                 self.received_dummy += 1
                 continue

@@ -27,6 +27,10 @@ TAG_LEN = 16
 AEAD_OVERHEAD = 16
 
 
+# A secret scalar: its 32 bytes, or the key object private_key builds from them.
+Scalar = bytes | X25519PrivateKey
+
+
 class GroupError(Exception):
     """A group operation failed (bad length or degenerate element)."""
 
@@ -56,26 +60,35 @@ def generate_keypair(rng=None) -> tuple[bytes, GroupElement]:
         raw = sk.private_bytes_raw()
     else:
         raw = rng.randbytes(SECRET_KEY_LEN)
-        sk = X25519PrivateKey.from_private_bytes(raw)
-    pub = sk.public_key().public_bytes_raw()
-    return raw, GroupElement(pub)
+        sk = private_key(raw)
+    return raw, public_key(sk)
 
 
-def public_key(secret: bytes) -> GroupElement:
-    return GroupElement(
-        X25519PrivateKey.from_private_bytes(secret).public_key().public_bytes_raw()
-    )
+def private_key(secret: Scalar) -> X25519PrivateKey:
+    """The key object of a 32-byte clamped scalar; a key object passes through.
+
+    Building one also derives its public key, a base-point multiplication
+    that costs about as much as an exchange, so a scalar used more than once
+    should be built once and the key object passed instead of the bytes.
+    """
+    if isinstance(secret, X25519PrivateKey):
+        return secret
+    if len(secret) != SECRET_KEY_LEN:
+        raise GroupError("secret scalar must be 32 bytes")
+    return X25519PrivateKey.from_private_bytes(secret)
 
 
-def exchange(secret: bytes, element: GroupElement) -> bytes:
+def public_key(secret: Scalar) -> GroupElement:
+    return GroupElement(private_key(secret).public_key().public_bytes_raw())
+
+
+def exchange(secret: Scalar, element: GroupElement) -> bytes:
     """Scalar-multiply `element` by the clamped scalar `secret`.
 
     Raises GroupError on the all-zero result produced by low-order inputs;
     callers treat that the same as an integrity failure.
     """
-    if len(secret) != SECRET_KEY_LEN:
-        raise GroupError("secret scalar must be 32 bytes")
-    sk = X25519PrivateKey.from_private_bytes(secret)
+    sk = private_key(secret)
     try:
         return sk.exchange(X25519PublicKey.from_public_bytes(element.data))
     except ValueError as exc:
@@ -153,23 +166,22 @@ def deliver_open(shared: bytes, blob: bytes) -> bytes:
 
 def e2e_seal(recipient_pub: GroupElement, plaintext: bytes, rng) -> bytes:
     """Authenticated public-key encryption: [eph pub 32][AEAD ct+tag]."""
-    eph_secret = rng.randbytes(SECRET_KEY_LEN)
-    eph_pub = public_key(eph_secret)
-    shared = exchange(eph_secret, recipient_pub)
+    eph = private_key(rng.randbytes(SECRET_KEY_LEN))
+    eph_pub = public_key(eph)
+    shared = exchange(eph, recipient_pub)
     key = _h(b"loopmix-e2e", shared, eph_pub.data, recipient_pub.data)
     ct = ChaCha20Poly1305(key).encrypt(b"\x00" * 12, plaintext, None)
     return eph_pub.data + ct
 
 
-def e2e_open(recipient_secret: bytes, blob: bytes) -> bytes:
+def e2e_open(recipient_secret: Scalar, blob: bytes) -> bytes:
     """Inverse of e2e_seal. Raises GroupError when authentication fails."""
     if len(blob) < GROUP_ELEMENT_LEN + AEAD_OVERHEAD:
         raise GroupError("blob too short")
+    sk = private_key(recipient_secret)
     eph_pub = GroupElement(blob[:GROUP_ELEMENT_LEN])
-    shared = exchange(recipient_secret, eph_pub)
-    key = _h(
-        b"loopmix-e2e", shared, eph_pub.data, public_key(recipient_secret).data
-    )
+    shared = exchange(sk, eph_pub)
+    key = _h(b"loopmix-e2e", shared, eph_pub.data, public_key(sk).data)
     try:
         return ChaCha20Poly1305(key).decrypt(
             b"\x00" * 12, blob[GROUP_ELEMENT_LEN:], None

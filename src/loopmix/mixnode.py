@@ -13,6 +13,7 @@ import json
 import struct
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Optional
 
 from . import crypto, packet as pkt
@@ -80,6 +81,8 @@ class MixConfig:
     loop_return_fraction_r: float = 0.8
 
     def __post_init__(self):
+        if len(self.secret_key) != crypto.SECRET_KEY_LEN:
+            raise ValueError("secret_key must be %d bytes" % crypto.SECRET_KEY_LEN)
         if self.mu <= 0:
             raise ValueError("mu must be positive")
         if self.lambda_M < 0:
@@ -159,7 +162,7 @@ class MixNode:
         """Process one packet; returns the ProcessResult or None if dropped."""
         self.received += 1
         try:
-            result = pkt.process_packet(self.cfg.secret_key, packet)
+            result = pkt.process_packet(self.key, packet)
         except (pkt.MacMismatch, pkt.MalformedPacket):
             self.dropped_mac += 1
             return None
@@ -181,9 +184,16 @@ class MixNode:
         self.dropped_mac += 1
         return None
 
+    @cached_property
+    def key(self) -> crypto.X25519PrivateKey:
+        """The node's long-term key object, built from cfg.secret_key on first
+        use: building costs a base-point multiplication, which a set-up of
+        many nodes that never receive should not pay."""
+        return crypto.private_key(self.cfg.secret_key)
+
     def _absorb_loop(self, body: bytes, now: float) -> bool:
         try:
-            plain = crypto.e2e_open(self.cfg.secret_key, body)
+            plain = crypto.e2e_open(self.key, body)
         except crypto.GroupError:
             return False
         return bool(self.loops.absorb(plain, now))

@@ -173,18 +173,21 @@ def _shared_secret_chain(
 
     alpha_0 = g^x; each hop blinds it, so the sender reproduces hop i's secret
     by running the exchange once with x and once per earlier blinding factor.
+    x and each blinding factor are built into a key object once and reused
+    by every later hop.
     """
     alphas: list[GroupElement] = []
     secrets: list[bytes] = []
-    blinds: list[bytes] = []
-    alpha = crypto.public_key(x)
+    blinds: list[crypto.X25519PrivateKey] = []
+    x_key = crypto.private_key(x)
+    alpha = crypto.public_key(x_key)
     for pub in path_keys:
         alphas.append(alpha)
-        sh = crypto.exchange(x, pub)
+        sh = crypto.exchange(x_key, pub)
         for b in blinds:
             sh = crypto.exchange(b, GroupElement(sh))
         secrets.append(sh)
-        b_i = crypto.blinding_scalar(alpha, sh)
+        b_i = crypto.private_key(crypto.blinding_scalar(alpha, sh))
         blinds.append(b_i)
         alpha = GroupElement(crypto.exchange(b_i, alpha))
     return alphas, secrets
@@ -254,8 +257,11 @@ def create_packet(
     return packet
 
 
-def process_packet(secret_key: bytes, packet: SphinxPacket) -> ProcessResult:
+def process_packet(secret_key: crypto.Scalar, packet: SphinxPacket) -> ProcessResult:
     """Strip one onion layer: verify, decrypt, blind, re-pad.
+
+    secret_key is the node's scalar as bytes or, for a node that holds it,
+    as its key object (crypto.private_key).
 
     Raises MacMismatch on any integrity failure (callers drop silently) and
     MalformedPacket on shape violations.

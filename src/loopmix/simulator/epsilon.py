@@ -254,6 +254,7 @@ class EpsilonBatch:
     mean: float
     std: float
     n_finite: int
+    n_inf: int
     values: List[float] = field(repr=False)
 
 
@@ -262,7 +263,8 @@ def run_epsilon_batch(cfg: SimConfig, reps: int) -> EpsilonBatch:
 
     A repetition whose final pool lacks one of the labels entirely yields an
     infinite epsilon and is excluded from the moments, like the nan from an
-    empty candidate pool; n_finite reports how many repetitions counted.
+    empty candidate pool; n_finite reports how many repetitions counted and
+    n_inf how many were infinite, the adversary's best case.
     """
     values = []
     for i in range(reps):
@@ -282,8 +284,9 @@ def run_epsilon_batch(cfg: SimConfig, reps: int) -> EpsilonBatch:
             )
         )
     finite = [v for v in values if math.isfinite(v)]
+    n_inf = sum(map(math.isinf, values))
     if not finite:
-        return EpsilonBatch(math.nan, math.nan, 0, values)
+        return EpsilonBatch(math.nan, math.nan, 0, n_inf, values)
     mean = sum(finite) / len(finite)
     var = sum((v - mean) ** 2 for v in finite) / max(len(finite) - 1, 1)
-    return EpsilonBatch(mean, math.sqrt(var), len(finite), values)
+    return EpsilonBatch(mean, math.sqrt(var), len(finite), n_inf, values)

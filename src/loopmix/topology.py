@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, field
 
 from .crypto import GroupElement
-from .packet import HopFlags, HopSpec
+from .packet import ADDR_LEN, HopFlags, HopSpec
 
 
 class ParseError(Exception):
@@ -109,6 +109,15 @@ class Topology:
         return self.node(self.client(client_id).provider_id)
 
 
+def _descriptor_name(entry: dict, key: str, location: str) -> str:
+    """entry[key] as text that fits the id and address fields of packets and
+    pull requests: 31 UTF-8 bytes behind a length byte."""
+    value = str(entry[key])
+    if len(value.encode()) > ADDR_LEN - 1:
+        raise ParseError(f"{location}: {key} too long")
+    return value
+
+
 def _descriptor_pubkey(entry: dict, location: str) -> GroupElement:
     try:
         return GroupElement.from_hex(entry["pubkey"])
@@ -139,8 +148,8 @@ def loads_directory(text: str) -> Topology:
             try:
                 layer.append(
                     MixDescriptor(
-                        id=str(entry["id"]),
-                        addr=str(entry["addr"]),
+                        id=_descriptor_name(entry, "id", loc),
+                        addr=_descriptor_name(entry, "addr", loc),
                         pubkey=_descriptor_pubkey(entry, loc),
                         layer=i,
                     )
@@ -155,8 +164,8 @@ def loads_directory(text: str) -> Topology:
         try:
             providers.append(
                 ProviderDescriptor(
-                    id=str(entry["id"]),
-                    addr=str(entry["addr"]),
+                    id=_descriptor_name(entry, "id", loc),
+                    addr=_descriptor_name(entry, "addr", loc),
                     pubkey=_descriptor_pubkey(entry, loc),
                 )
             )
@@ -169,7 +178,7 @@ def loads_directory(text: str) -> Topology:
         try:
             clients.append(
                 ClientDescriptor(
-                    id=str(entry["id"]),
+                    id=_descriptor_name(entry, "id", loc),
                     provider_id=str(entry["provider_id"]),
                     pubkey=_descriptor_pubkey(entry, loc),
                     token=bytes.fromhex(entry.get("token", "00" * 16)),

@@ -230,8 +230,11 @@ def test_sim_epsilon(runner, tmp_path):
         "--burn-in", "2", "--run-time", "8", "--out", str(csv),
     ]
     out = run_json(runner, args)
-    assert set(out) == {"param", "mean_eps", "std_eps", "reps", "finite_reps"}
+    assert set(out) == {
+        "param", "mean_eps", "std_eps", "reps", "finite_reps", "inf_reps"
+    }
     assert out["reps"] == 3
+    assert 0 <= out["inf_reps"] <= out["reps"] - out["finite_reps"]
     lines = csv.read_text().splitlines()
     assert lines[0] == "param,mean_eps,std"
     assert len(lines) == 2

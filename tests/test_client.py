@@ -306,3 +306,14 @@ def test_pull_interval_must_be_positive():
             rates=Rates(1, 1, 1, 0, 1),
             pull_interval_s=0.0,
         )
+
+
+def test_secret_key_must_be_32_bytes():
+    with pytest.raises(ValueError):
+        ClientConfig(
+            client_id="a",
+            secret_key=b"\x01" * 31,
+            provider_id="p",
+            token=b"\x02" * 16,
+            rates=Rates(1, 1, 1, 0, 1),
+        )

@@ -1,0 +1,116 @@
+"""X25519 key objects: how often each scalar is built, and that a held key
+gives the same results as its bytes."""
+
+import random
+
+import pytest
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
+
+from loopmix import crypto
+from loopmix.mixnode import MixConfig, MixNode
+from loopmix.packet import Relay, build_packet, process_packet
+
+from test_mixnode import relay_packet
+from test_packet import make_path, walk
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Records every X25519 key object built from scalar bytes."""
+    calls = []
+    original = X25519PrivateKey.from_private_bytes
+
+    def counting(data):
+        calls.append(bytes(data))
+        return original(data)
+
+    monkeypatch.setattr(X25519PrivateKey, "from_private_bytes", staticmethod(counting))
+    return calls
+
+
+# Points of small order: the exchange with any scalar yields all zeros.
+LOW_ORDER = [bytes(32), (1).to_bytes(32, "little")]
+
+
+def test_five_hop_build_makes_one_key_per_scalar(builds):
+    rng = random.Random(1)
+    secrets, path = make_path(rng, 5)
+    builds.clear()
+    packet, _ = build_packet(path, "rcpt", b"hello", rng)
+    # x, then one blinding scalar per hop
+    assert len(builds) == 6
+    _, terminal = walk(secrets, packet)
+    assert terminal.payload == b"hello"
+
+
+def test_seal_builds_one_key_and_held_open_builds_none(builds):
+    rng = random.Random(2)
+    sk, pub = crypto.generate_keypair(rng)
+    key = crypto.private_key(sk)
+    builds.clear()
+    blob = crypto.e2e_seal(pub, b"m" * 40, rng)
+    assert len(builds) == 1
+    builds.clear()
+    assert crypto.e2e_open(key, blob) == b"m" * 40
+    assert builds == []
+
+
+def test_mix_node_builds_one_key_per_relayed_packet(builds):
+    rng = random.Random(3)
+    sk, pub = crypto.generate_keypair(rng)
+    node = MixNode(MixConfig(sk, "m0", "127.0.0.1:9001", 0))
+    packets = [relay_packet(pub, 0.5, rng) for _ in range(6)]
+    builds.clear()
+    assert isinstance(node.on_receive(packets[0], now=0.0), Relay)
+    assert len(builds) == 2  # the held key, then the packet's blinding scalar
+    for i, packet in enumerate(packets[1:], start=1):
+        builds.clear()
+        assert isinstance(node.on_receive(packet, now=float(i)), Relay)
+        assert len(builds) == 1
+
+
+def test_node_set_up_builds_no_key(builds):
+    sk, _ = crypto.generate_keypair(random.Random(4))
+    builds.clear()
+    MixNode(MixConfig(sk, "m0", "127.0.0.1:9001", 0))
+    assert builds == []
+
+
+def test_bytes_and_held_keys_agree():
+    rng = random.Random(5)
+    for _ in range(20):
+        sk, pub = crypto.generate_keypair(rng)
+        key = crypto.private_key(sk)
+        assert crypto.public_key(key) == crypto.public_key(sk) == pub
+        _, other = crypto.generate_keypair(rng)
+        assert crypto.exchange(sk, other) == crypto.exchange(key, other)
+        blob = crypto.e2e_seal(pub, rng.randbytes(64), rng)
+        assert crypto.e2e_open(sk, blob) == crypto.e2e_open(key, blob)
+        stranger = crypto.private_key(crypto.generate_keypair(rng)[0])
+        with pytest.raises(crypto.GroupError):
+            crypto.e2e_open(stranger, blob)
+
+    secrets, path = make_path(rng, 3)
+    packet, _ = build_packet(path, "rcpt", b"x", rng)
+    assert process_packet(secrets[0], packet) == process_packet(
+        crypto.private_key(secrets[0]), packet
+    )
+
+
+@pytest.mark.parametrize("point", LOW_ORDER, ids=["zero", "one"])
+def test_low_order_element_rejected_on_both_paths(point):
+    sk, _ = crypto.generate_keypair(random.Random(6))
+    element = crypto.GroupElement(point)
+    for secret in (sk, crypto.private_key(sk)):
+        with pytest.raises(crypto.GroupError):
+            crypto.exchange(secret, element)
+        with pytest.raises(crypto.GroupError):
+            crypto.e2e_open(secret, point + bytes(crypto.AEAD_OVERHEAD + 8))
+
+
+def test_bad_scalar_length_is_a_group_error():
+    for bad in (b"", bytes(31), bytes(33)):
+        with pytest.raises(crypto.GroupError):
+            crypto.private_key(bad)
+        with pytest.raises(crypto.GroupError):
+            crypto.exchange(bad, crypto.public_key(bytes(32)))

@@ -306,6 +306,8 @@ def test_config_validation():
         MixConfig(**base, loop_return_fraction_r=0.0)
     with pytest.raises(ValueError):
         MixConfig(**base, loop_return_fraction_r=1.5)
+    with pytest.raises(ValueError):
+        MixConfig(**{**base, "secret_key": sk[:31]})
 
 
 def test_metrics_line_schema():

@@ -18,6 +18,7 @@ from loopmix.simulator import (
     run_pool_experiment,
     run_trace_experiment,
 )
+from loopmix.simulator import epsilon
 from loopmix.simulator.epsilon import simulate_label_flow
 from loopmix.analysis.traces import validate_trace
 
@@ -130,6 +131,15 @@ def test_epsilon_batch_summary():
     assert batch.n_finite == len(finite)
     assert batch.mean == pytest.approx(float(np.mean(finite)))
     assert batch.std == pytest.approx(float(np.std(finite, ddof=1)))
+
+
+def test_epsilon_batch_counts_infinite_repetitions(monkeypatch):
+    values = iter([1.0, math.inf, math.nan])
+    monkeypatch.setattr(epsilon, "run_epsilon_experiment", lambda cfg: next(values))
+    batch = run_epsilon_batch(small_cfg(), reps=3)
+    assert batch.n_finite == 1
+    assert batch.n_inf == 1
+    assert batch.mean == 1.0
 
 
 def test_latency_single_hop_is_exponential():

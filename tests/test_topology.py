@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -59,6 +60,35 @@ def test_bad_json_and_bad_key_rejected(example_directory):
     doc = json.loads(json.dumps(example_directory))
     doc["layers"][0][0]["pubkey"] = "zz"
     with pytest.raises(ParseError):
+        loads_directory(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "section, index, key, location",
+    [
+        ("layers", (0, 1), "id", "layers[0][1]"),
+        ("layers", (2, 0), "addr", "layers[2][0]"),
+        ("providers", (1,), "id", "providers[1]"),
+        ("providers", (0,), "addr", "providers[0]"),
+        ("clients", (3,), "id", "clients[3]"),
+    ],
+)
+def test_overlong_id_or_address_rejected(example_directory, section, index, key, location):
+    doc = json.loads(json.dumps(example_directory))
+    entry = doc[section]
+    for i in index:
+        entry = entry[i]
+
+    def rename(value):
+        for client in doc["clients"]:  # keep references to a renamed provider
+            if client["provider_id"] == entry[key]:
+                client["provider_id"] = value
+        entry[key] = value
+
+    rename("x" * 31)
+    loads_directory(json.dumps(doc))
+    rename("é" * 16)  # 32 UTF-8 bytes in 16 characters
+    with pytest.raises(ParseError, match=rf"^{re.escape(location)}: {key} too long$"):
         loads_directory(json.dumps(doc))
 
 
