@@ -109,8 +109,7 @@ def main() -> None:
 @click.option("--listen", default="127.0.0.1:0", show_default=True, help="Bind address.")
 @click.option("--lambda-m", type=float, default=0.0, show_default=True, help="Loop rate per second.")
 @click.option("--mu", type=float, default=1.0, show_default=True, help="Delay parameter for own loops.")
-@click.option("--seed", type=int, default=None, help="RNG seed (stochastic loop stream).")
-def mix(directory_path, node_id, key_file, listen, lambda_m, mu, seed):
+def mix(directory_path, node_id, key_file, listen, lambda_m, mu):
     """Run a mix node."""
     topology = _topology(directory_path)
     secret = _secret_key(key_file)
@@ -134,7 +133,7 @@ def mix(directory_path, node_id, key_file, listen, lambda_m, mu, seed):
         )
     except ValueError as exc:
         _fail(str(exc))
-    runtime = NodeRuntime(MixNode(cfg), topology=topology, rng=random.Random(seed))
+    runtime = NodeRuntime(MixNode(cfg), topology=topology, rng=random.SystemRandom())
     try:
         asyncio.run(_serve(runtime, listen))
     except KeyboardInterrupt:
@@ -150,8 +149,7 @@ def mix(directory_path, node_id, key_file, listen, lambda_m, mu, seed):
 @click.option("--inbox-capacity", type=int, default=10_000, show_default=True)
 @click.option("--lambda-m", type=float, default=0.0, show_default=True, help="Loop rate per second.")
 @click.option("--mu", type=float, default=1.0, show_default=True)
-@click.option("--seed", type=int, default=None, help="RNG seed (pull padding, loops).")
-def provider(directory_path, node_id, key_file, listen, pull_max, inbox_capacity, lambda_m, mu, seed):
+def provider(directory_path, node_id, key_file, listen, pull_max, inbox_capacity, lambda_m, mu):
     """Run a provider."""
     topology = _topology(directory_path)
     secret = _secret_key(key_file)
@@ -177,7 +175,7 @@ def provider(directory_path, node_id, key_file, listen, pull_max, inbox_capacity
         )
     except ValueError as exc:
         _fail(str(exc))
-    runtime = NodeRuntime(Provider(cfg), topology=topology, rng=random.Random(seed))
+    runtime = NodeRuntime(Provider(cfg), topology=topology, rng=random.SystemRandom())
     try:
         asyncio.run(_serve(runtime, listen))
     except KeyboardInterrupt:
@@ -207,9 +205,8 @@ async def _run_client(runtime: ClientRuntime, listen: str):
 @click.option("--pull-interval", type=float, default=10.0, show_default=True, help="Seconds between pulls.")
 @click.option("--pull-max", type=int, default=5, show_default=True, help="Items per pull response.")
 @click.option("--send", multiple=True, help="recipient_id:text message to enqueue at start.")
-@click.option("--seed", type=int, default=None, help="RNG seed (all three streams).")
 def client(directory_path, client_id, key_file, listen, lambda_p, lambda_l, lambda_d, mu,
-           pull_interval, pull_max, send, seed):
+           pull_interval, pull_max, send):
     """Run a client: cover streams, queued payloads, periodic pulls."""
     topology = _topology(directory_path)
     secret = _secret_key(key_file)
@@ -237,7 +234,7 @@ def client(directory_path, client_id, key_file, listen, lambda_p, lambda_l, lamb
             node.enqueue_message(recipient, text.encode())
         except Exception as exc:
             _fail(f"cannot enqueue {spec!r}: {exc}")
-    runtime = ClientRuntime(node, topology, random.Random(seed))
+    runtime = ClientRuntime(node, topology, random.SystemRandom())
     try:
         asyncio.run(_run_client(runtime, listen))
     except KeyboardInterrupt:

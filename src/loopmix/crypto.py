@@ -2,9 +2,9 @@
 
 The mix group is Curve25519 with clamped scalars (X25519). Clamping keeps every
 honest element inside the prime-order subgroup generated by the base point, and
-scalar multiplication commutes, so blinding chains computed hop by hop on the
-sender side agree with the single exchange a node performs. Elements are opaque
-32-byte strings that round-trip bit-exactly.
+scalar multiplication commutes, so a sender can multiply a packet's blinding
+factors together mod the group order and reach each hop's element with one
+exchange. Elements are opaque 32-byte strings that round-trip bit-exactly.
 """
 
 from __future__ import annotations
@@ -25,6 +25,9 @@ SECRET_KEY_LEN = 32
 MAC_LEN = 16
 TAG_LEN = 16
 AEAD_OVERHEAD = 16
+# Order of the prime-order subgroup the base point generates (RFC 7748 §4.1).
+GROUP_ORDER = 2**252 + 27742317777372353535851937790883648493
+_INV8 = pow(8, -1, GROUP_ORDER)
 
 
 # A secret scalar: its 32 bytes, or the key object private_key builds from them.
@@ -82,6 +85,27 @@ def public_key(secret: Scalar) -> GroupElement:
     return GroupElement(private_key(secret).public_key().public_bytes_raw())
 
 
+def clamp(secret: bytes) -> int:
+    """The integer X25519 multiplies by for a 32-byte scalar (RFC 7748 §5)."""
+    n = int.from_bytes(secret, "little")
+    return (n & ~7 & ((1 << 255) - 1)) | (1 << 254)
+
+
+def scalar_for(c: int) -> bytes | None:
+    """A 32-byte scalar that acts on the base point's subgroup as c mod the order.
+
+    Clamped scalars are 2^254 + 8k with k < 2^251, about half of the residues
+    mod the order. X25519 keeps only the x-coordinate, which c and -c share,
+    so whichever of the two fits is taken. Neither fits with probability
+    about 2^-126; the caller then starts again from fresh randomness.
+    """
+    for v in (c, GROUP_ORDER - c):
+        k = (v - (1 << 254)) * _INV8 % GROUP_ORDER
+        if k < 1 << 251:
+            return ((1 << 254) + 8 * k).to_bytes(SECRET_KEY_LEN, "little")
+    return None
+
+
 def exchange(secret: Scalar, element: GroupElement) -> bytes:
     """Scalar-multiply `element` by the clamped scalar `secret`.
 
@@ -124,30 +148,22 @@ def macs_equal(a: bytes, b: bytes) -> bool:
     return _hmac.compare_digest(a, b)
 
 
-def _chacha_stream(key: bytes, nonce: bytes, n: int) -> bytes:
-    enc = Cipher(algorithms.ChaCha20(key, nonce), mode=None).encryptor()
-    return enc.update(b"\x00" * n)
+def _chacha(key: bytes, nonce: bytes, data: bytes) -> bytes:
+    return Cipher(algorithms.ChaCha20(key, nonce), mode=None).encryptor().update(data)
 
 
-def beta_stream(shared: bytes, n: int) -> bytes:
-    return _chacha_stream(
-        _h(b"loopmix-beta", shared), _h(b"loopmix-beta-nonce", shared)[:16], n
+def beta_stream(shared: bytes, data: bytes) -> bytes:
+    """data masked with the header keystream of a hop secret (an involution)."""
+    return _chacha(
+        _h(b"loopmix-beta", shared), _h(b"loopmix-beta-nonce", shared)[:16], data
     )
 
 
-def payload_stream(shared: bytes, n: int) -> bytes:
-    return _chacha_stream(
-        _h(b"loopmix-rho", shared), _h(b"loopmix-rho-nonce", shared)[:16], n
+def payload_stream(shared: bytes, data: bytes) -> bytes:
+    """data masked with the payload keystream of a hop secret (an involution)."""
+    return _chacha(
+        _h(b"loopmix-rho", shared), _h(b"loopmix-rho-nonce", shared)[:16], data
     )
-
-
-def xor_bytes(a: bytes, b: bytes) -> bytes:
-    if len(a) != len(b):
-        raise ValueError("xor operands must have equal length")
-    n = len(a)
-    return (
-        int.from_bytes(a, "little") ^ int.from_bytes(b, "little")
-    ).to_bytes(n, "little")
 
 
 def deliver_seal(shared: bytes, plaintext: bytes) -> bytes:

@@ -168,28 +168,32 @@ def _decode_block(block: bytes) -> tuple[HopSpec, bytes]:
 
 def _shared_secret_chain(
     path_keys: list[GroupElement], x: bytes
-) -> tuple[list[GroupElement], list[bytes]]:
-    """Alphas seen by each hop and the secrets they will derive.
+) -> tuple[list[GroupElement], list[bytes]] | None:
+    """Alphas seen by each hop and the secrets they will derive, or None.
 
-    alpha_0 = g^x; each hop blinds it, so the sender reproduces hop i's secret
-    by running the exchange once with x and once per earlier blinding factor.
-    x and each blinding factor are built into a key object once and reused
-    by every later hop.
+    alpha_0 = g^x and each hop blinds its alpha by b_i = h(alpha_i, sh_i), so
+    hop i sees g^c with c the product of x and the earlier blinding factors.
+    The sender keeps c mod the group order and builds one key object per hop:
+    its public key is alpha_i and one exchange with the hop's key gives sh_i.
+    None when a product has no clamped scalar (crypto.scalar_for); the caller
+    then draws a fresh x.
     """
     alphas: list[GroupElement] = []
     secrets: list[bytes] = []
-    blinds: list[crypto.X25519PrivateKey] = []
-    x_key = crypto.private_key(x)
-    alpha = crypto.public_key(x_key)
-    for pub in path_keys:
+    c = crypto.clamp(x)
+    key = crypto.private_key(x)
+    for i, pub in enumerate(path_keys):
+        alpha = crypto.public_key(key)
+        sh = crypto.exchange(key, pub)
         alphas.append(alpha)
-        sh = crypto.exchange(x_key, pub)
-        for b in blinds:
-            sh = crypto.exchange(b, GroupElement(sh))
         secrets.append(sh)
-        b_i = crypto.private_key(crypto.blinding_scalar(alpha, sh))
-        blinds.append(b_i)
-        alpha = GroupElement(crypto.exchange(b_i, alpha))
+        if i == len(path_keys) - 1:
+            break
+        c = c * crypto.clamp(crypto.blinding_scalar(alpha, sh)) % crypto.GROUP_ORDER
+        scalar = crypto.scalar_for(c)
+        if scalar is None:
+            return None
+        key = crypto.private_key(scalar)
     return alphas, secrets
 
 
@@ -208,30 +212,31 @@ def build_packet(
     if len(recipient_id.encode()) > _ID_FIELD_LEN - 1:
         raise MessageTooLarge("recipient id exceeds %d bytes" % (_ID_FIELD_LEN - 1))
 
-    x = rng.randbytes(crypto.SECRET_KEY_LEN)
-    alphas, secrets = _shared_secret_chain([pk for pk, _ in path], x)
-    streams = [crypto.beta_stream(sh, (MAX_HOPS + 1) * BLOCK_LEN) for sh in secrets]
+    chain = None
+    while chain is None:
+        x = rng.randbytes(crypto.SECRET_KEY_LEN)
+        chain = _shared_secret_chain([pk for pk, _ in path], x)
+    alphas, secrets = chain
 
-    # Filler: the residue previous hops' XOR layers leave in beta's tail. After
-    # hop i processes, the last (i+1) blocks of beta are stream residue, so the
-    # final hop's beta must be built with that residue already in place.
+    # Filler: the residue previous hops' masks leave in beta's tail. After hop
+    # i processes, the last (i+1) blocks of beta are its keystream at offset
+    # (MAX_HOPS - i) blocks, so the final hop's beta must be built with that
+    # residue already in place.
     phi = b""
     for i in range(nu - 1):
-        tail = streams[i][(MAX_HOPS - i) * BLOCK_LEN :]
-        phi = crypto.xor_bytes(phi + b"\x00" * BLOCK_LEN, tail)
+        skip = (MAX_HOPS - i) * BLOCK_LEN
+        phi = crypto.beta_stream(
+            secrets[i], bytes(skip) + phi + bytes(BLOCK_LEN)
+        )[skip:]
 
     final_block = _encode_block(path[nu - 1][1], b"\x00" * crypto.MAC_LEN)
     pad = rng.randbytes((MAX_HOPS - nu) * BLOCK_LEN)
-    head = crypto.xor_bytes(
-        final_block + pad, streams[nu - 1][: (MAX_HOPS - nu + 1) * BLOCK_LEN]
-    )
-    beta = head + phi
+    beta = crypto.beta_stream(secrets[nu - 1], final_block + pad) + phi
     mac = crypto.header_mac(crypto.mac_key(secrets[nu - 1]), beta)
     for i in range(nu - 2, -1, -1):
         block = _encode_block(path[i][1], mac)
-        beta = crypto.xor_bytes(
-            block + beta[: (MAX_HOPS - 1) * BLOCK_LEN],
-            streams[i][: MAX_HOPS * BLOCK_LEN],
+        beta = crypto.beta_stream(
+            secrets[i], block + beta[: (MAX_HOPS - 1) * BLOCK_LEN]
         )
         mac = crypto.header_mac(crypto.mac_key(secrets[i]), beta)
 
@@ -239,9 +244,7 @@ def build_packet(
     plain += b"\x00" * (PAYLOAD_LEN - crypto.AEAD_OVERHEAD - len(plain))
     payload = crypto.deliver_seal(secrets[nu - 1], plain)
     for i in range(nu - 1, -1, -1):
-        payload = crypto.xor_bytes(
-            payload, crypto.payload_stream(secrets[i], PAYLOAD_LEN)
-        )
+        payload = crypto.payload_stream(secrets[i], payload)
 
     packet = SphinxPacket(SphinxHeader(alphas[0], beta, mac), payload)
     return packet, SenderTrace(alphas, secrets)
@@ -282,14 +285,9 @@ def process_packet(secret_key: crypto.Scalar, packet: SphinxPacket) -> ProcessRe
         raise MacMismatch("header authentication failed")
 
     tag = crypto.replay_tag(shared)
-    expanded = crypto.xor_bytes(
-        packet.header.beta + b"\x00" * BLOCK_LEN,
-        crypto.beta_stream(shared, (MAX_HOPS + 1) * BLOCK_LEN),
-    )
+    expanded = crypto.beta_stream(shared, packet.header.beta + bytes(BLOCK_LEN))
     hop, next_mac = _decode_block(expanded[:BLOCK_LEN])
-    payload = crypto.xor_bytes(
-        packet.payload, crypto.payload_stream(shared, PAYLOAD_LEN)
-    )
+    payload = crypto.payload_stream(shared, packet.payload)
 
     if HopFlags.DROP in hop.flags:
         return Drop(replay_tag=tag)

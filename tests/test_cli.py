@@ -2,10 +2,12 @@
 
 import json
 import math
+import random
 
 import pytest
 from click.testing import CliRunner
 
+from loopmix import cli
 from loopmix.cli import main
 
 from conftest import DATA_DIR
@@ -280,3 +282,72 @@ def test_node_commands_fail_cleanly_on_bad_config(runner, tmp_path):
     )
     assert result.exit_code == 1
     assert "key" in result.output.lower()
+
+
+def _untemper(y):
+    """Invert MT19937's output tempering, giving back one word of its state."""
+    y ^= y >> 18
+    y ^= (y << 15) & 0xEFC60000
+    x = y
+    for _ in range(5):
+        x = y ^ ((x << 7) & 0x9D2C5680)
+    y = x & 0xFFFFFFFF
+    x = y
+    for _ in range(3):
+        x = y ^ (x >> 11)
+    return x
+
+
+def predict_next_randbytes(observed: bytes) -> bytes:
+    """Clone a Mersenne Twister from 624 words of its randbytes output and
+    return what its next randbytes(32) would be."""
+    words = [int.from_bytes(observed[i : i + 4], "little") for i in range(0, 624 * 4, 4)]
+    clone = random.Random()
+    clone.setstate((3, tuple(_untemper(w) for w in words) + (624,), None))
+    return clone.randbytes(32)
+
+
+def test_mt_state_recovery_predicts_a_seeded_rng():
+    rng = random.Random(12345)
+    observed = rng.randbytes(624 * 4)
+    assert predict_next_randbytes(observed) == rng.randbytes(32)
+
+
+class _Captured(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "command, node_id, runtime_class",
+    [("mix", "mix-1-0", "NodeRuntime"), ("provider", "prov-0", "NodeRuntime"),
+     ("client", "client-0", "ClientRuntime")],
+)
+def test_daemon_rng_resists_mt_state_recovery(
+    runner, tmp_path, monkeypatch, command, node_id, runtime_class
+):
+    # Sender secrets, header padding and pull dummies all come from this rng,
+    # so seeing its output must not tell an observer what it draws next.
+    captured = []
+
+    def capture(*args, **kwargs):
+        captured.append(kwargs.get("rng", args[-1]))
+        raise _Captured
+
+    monkeypatch.setattr(cli, runtime_class, capture)
+    secrets = json.loads((DATA_DIR / "secrets_example.json").read_text())
+    key_file = tmp_path / "node.key"
+    key_file.write_text(secrets[node_id])
+    result = runner.invoke(
+        main, [command, "--directory", DIRECTORY, "--id", node_id, "--key-file", str(key_file)]
+    )
+    assert isinstance(result.exception, _Captured), result.output
+    (rng,) = captured
+    observed = rng.randbytes(624 * 4)
+    assert predict_next_randbytes(observed) != rng.randbytes(32)
+
+
+@pytest.mark.parametrize("command", ["mix", "provider", "client"])
+def test_daemon_commands_take_no_seed(runner, command):
+    result = runner.invoke(main, [command, "--help"])
+    assert result.exit_code == 0
+    assert "--seed" not in result.output

@@ -32,15 +32,51 @@ def builds(monkeypatch):
 LOW_ORDER = [bytes(32), (1).to_bytes(32, "little")]
 
 
-def test_five_hop_build_makes_one_key_per_scalar(builds):
+def test_five_hop_build_makes_one_key_per_scalar(builds, monkeypatch):
     rng = random.Random(1)
     secrets, path = make_path(rng, 5)
+    exchanges = []
+    original = crypto.exchange
+
+    def counting(secret, element):
+        exchanges.append(element)
+        return original(secret, element)
+
+    monkeypatch.setattr(crypto, "exchange", counting)
     builds.clear()
     packet, _ = build_packet(path, "rcpt", b"hello", rng)
-    # x, then one blinding scalar per hop
-    assert len(builds) == 6
+    # x for hop 0, then the running product of blinds for each later hop;
+    # each key meets only its own hop's public key
+    assert len(builds) == 5
+    assert exchanges == [pub for pub, _ in path]
     _, terminal = walk(secrets, packet)
     assert terminal.payload == b"hello"
+
+
+def test_scalar_for_is_clamped_and_acts_as_the_residue():
+    rng = random.Random(7)
+    g = crypto.public_key(crypto.scalar_for(1))
+    for _ in range(50):
+        c = rng.randrange(1, crypto.GROUP_ORDER)
+        scalar = crypto.scalar_for(c)
+        assert crypto.clamp(scalar) == int.from_bytes(scalar, "little")
+        assert crypto.clamp(scalar) % crypto.GROUP_ORDER in (c, crypto.GROUP_ORDER - c)
+        # the same element as multiplying by c in two steps
+        a = rng.randrange(1, crypto.GROUP_ORDER)
+        b = c * pow(a, -1, crypto.GROUP_ORDER) % crypto.GROUP_ORDER
+        step = crypto.scalar_for(a), crypto.scalar_for(b)
+        if None not in step:
+            two_step = crypto.exchange(step[1], crypto.public_key(step[0]))
+            assert crypto.exchange(scalar, g) == two_step
+
+
+def test_scalar_for_gives_none_when_neither_sign_fits():
+    # k for c and for -c sum to l - 2^252 (mod l); with k = 2^251 + that sum
+    # for c, -c gets l - 2^251, and both are out of range.
+    delta = crypto.GROUP_ORDER - 2**252
+    c = (2**254 + 8 * (2**251 + delta)) % crypto.GROUP_ORDER
+    assert crypto.scalar_for(c) is None
+    assert crypto.scalar_for(crypto.GROUP_ORDER - c) is None
 
 
 def test_seal_builds_one_key_and_held_open_builds_none(builds):

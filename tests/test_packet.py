@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loopmix import crypto
+from loopmix.crypto import GroupElement
 from loopmix.packet import (
     BETA_LEN,
     HEADER_LEN,
@@ -23,6 +24,7 @@ from loopmix.packet import (
     PathTooLong,
     Relay,
     SphinxPacket,
+    _shared_secret_chain,
     build_packet,
     create_packet,
     process_packet,
@@ -196,6 +198,59 @@ def test_blinding_chain_matches_sender_trace():
         if isinstance(result, Relay):
             current = result.packet
     assert len({a.data for a in trace.alphas}) == MAX_HOPS
+
+
+def hop_by_hop_chain(path_keys, x):
+    """The sender chain as each hop sees it: x, then every earlier blinding
+    factor applied in turn, one exchange each."""
+    alphas, secrets, blinds = [], [], []
+    alpha = crypto.public_key(x)
+    for pub in path_keys:
+        alphas.append(alpha)
+        sh = crypto.exchange(x, pub)
+        for b in blinds:
+            sh = crypto.exchange(b, GroupElement(sh))
+        secrets.append(sh)
+        blinds.append(crypto.blinding_scalar(alpha, sh))
+        alpha = GroupElement(crypto.exchange(blinds[-1], alpha))
+    return alphas, secrets
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    nu=st.integers(min_value=1, max_value=MAX_HOPS),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_product_chain_matches_hop_by_hop_chain(nu, seed):
+    rng = random.Random(seed)
+    keys = [pub for pub, _ in make_path(rng, nu)[1]]
+    x = rng.randbytes(crypto.SECRET_KEY_LEN)
+    assert _shared_secret_chain(keys, x) == hop_by_hop_chain(keys, x)
+
+
+def test_failed_scalar_encoding_draws_a_fresh_x(monkeypatch):
+    rng = random.Random(21)
+    secrets, path = make_path(rng, 4)
+    draws = random.Random()
+    draws.setstate(rng.getstate())
+    first_x, second_x = draws.randbytes(32), draws.randbytes(32)
+    failures = []
+    original = crypto.scalar_for
+
+    def fail_once(c):
+        if not failures:
+            failures.append(c)
+            return None
+        return original(c)
+
+    monkeypatch.setattr(crypto, "scalar_for", fail_once)
+    packet, trace = build_packet(path, "rcpt", b"again", rng)
+    assert len(failures) == 1
+    assert trace.alphas[0] == crypto.public_key(second_x) != crypto.public_key(first_x)
+    assert packet.header.alpha == trace.alphas[0]
+    seen, terminal = walk(secrets, packet)
+    assert [hop for _, hop in path[:-1]] == seen
+    assert isinstance(terminal, Deliver) and terminal.payload == b"again"
 
 
 def test_relayed_bytes_look_uniform():
