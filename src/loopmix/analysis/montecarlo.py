@@ -25,22 +25,10 @@ def pool_race_estimate(
     Simulates n residents with iid Exp(mu) delays, observes once n-k of them
     have left, resamples the survivors' remaining clocks (memoryless) along
     with l fresh arrivals, and races everyone. The tracked original is slot 0;
-    it can only win if it outlived the observation point.
+    it can only win if it outlived the observation point. This is
+    pool_race_estimate_with_loops with no loop stream, on the same draws.
     """
-    if not 1 <= k <= n or l < 0 or k + l < 1:
-        raise ValueError("need 1 <= k <= n and a non-empty race")
-    delays = rng.exponential(1.0 / mu, size=(trials, n))
-    if k == n:
-        observe_at = np.zeros(trials)
-    else:
-        observe_at = np.partition(delays, n - k - 1, axis=1)[:, n - k - 1]
-    target_survives = delays[:, 0] > observe_at
-
-    clocks = rng.exponential(1.0 / mu, size=(trials, k + l))
-    winner = np.argmin(clocks, axis=1)
-    p_initial = float(np.mean(target_survives & (winner == 0)))
-    p_late = float(np.mean(winner == k)) if l > 0 else math.nan
-    return p_initial, p_late
+    return pool_race_estimate_with_loops(n, k, l, mu, 0.0, trials, rng)[:2]
 
 
 def pool_race_estimate_with_loops(
@@ -54,8 +42,8 @@ def pool_race_estimate_with_loops(
 ) -> Tuple[float, float, float]:
     """Empirical (p_initial, p_late, p_loop) with the mix's loop stream racing.
 
-    Same construction as pool_race_estimate plus one Exp(lambda_M) clock for
-    the mix's next self-loop emission.
+    The construction of pool_race_estimate plus one Exp(lambda_M) clock for
+    the mix's next self-loop emission, which never wins when lambda_M is 0.
     """
     if not 1 <= k <= n or l < 0:
         raise ValueError("need 1 <= k <= n and l >= 0")

@@ -81,12 +81,7 @@ def trace_join(tr_x: Sequence[Transmission], tr_y: Sequence[Transmission], i: in
     validate_trace(tr_y)
     if not 1 <= i < min(len(tr_x), len(tr_y)):
         raise IndexOutOfRange(f"hop {i} has no successor in both traces")
-    x_i, y_i = tr_x[i - 1], tr_y[i - 1]
-    return (
-        x_i.recipient == y_i.recipient
-        and x_i.time < tr_y[i].time
-        and y_i.time < tr_x[i].time
-    )
+    return _join_ok(tr_x, tr_y, i)
 
 
 def _join_ok(tr_x: Trace, tr_y: Trace, i: int) -> bool:

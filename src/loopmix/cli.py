@@ -40,10 +40,8 @@ from .analysis.pools import (
     steady_pool_size,
 )
 from .analysis.traces import Trace, Transmission, anonymity_condition_holds, trace_join
-from .client import Client, ClientConfig, Rates
-from .mixnode import MixConfig, MixNode
-from .provider import Provider, ProviderConfig
-from .runtime import ClientRuntime, NodeRuntime, configure_logging, resolve_addr
+from .client import Rates
+from .runtime import ClientRuntime, NodeRuntime, build_node, configure_logging, resolve_addr
 from .simulator import (
     SimConfig,
     TraceSimConfig,
@@ -53,7 +51,7 @@ from .simulator import (
     run_pool_experiment,
     run_trace_experiment,
 )
-from .topology import Topology, load_directory
+from .topology import MixDescriptor, ProviderDescriptor, Topology, load_directory
 
 
 def _fail(message: str) -> None:
@@ -88,6 +86,13 @@ def _check_keypair(secret: bytes, descriptor) -> None:
         _fail(f"key file does not match directory entry for {descriptor.id}")
 
 
+def _listed(topology: Topology, node_id: str, kind, role: str):
+    descriptor = next((d for d in topology.all_nodes() if d.id == node_id), None)
+    if not isinstance(descriptor, kind):
+        _fail(f"{node_id!r} is not a {role} in the directory")
+    return descriptor
+
+
 async def _serve(runtime, listen: str, metrics_every: float = 10.0):
     host, port = resolve_addr(listen)
     await runtime.start(host, port)
@@ -95,6 +100,13 @@ async def _serve(runtime, listen: str, metrics_every: float = 10.0):
     while True:
         await asyncio.sleep(metrics_every)
         click.echo(runtime.mix.metrics_line(loop.time()))
+
+
+def _run_until_interrupted(main_coroutine) -> None:
+    try:
+        asyncio.run(main_coroutine)
+    except KeyboardInterrupt:
+        pass
 
 
 @click.group()
@@ -113,31 +125,13 @@ def mix(directory_path, node_id, key_file, listen, lambda_m, mu):
     """Run a mix node."""
     topology = _topology(directory_path)
     secret = _secret_key(key_file)
-    layer_index = None
-    descriptor = None
-    for i, layer in enumerate(topology.layers):
-        for m in layer:
-            if m.id == node_id:
-                layer_index, descriptor = i, m
-    if descriptor is None:
-        _fail(f"{node_id!r} is not a mix in the directory")
-    _check_keypair(secret, descriptor)
+    _check_keypair(secret, _listed(topology, node_id, MixDescriptor, "mix"))
     try:
-        cfg = MixConfig(
-            secret_key=secret,
-            node_id=node_id,
-            addr=descriptor.addr,
-            layer_index=layer_index,
-            lambda_M=lambda_m,
-            mu=mu,
-        )
+        node = build_node(topology, node_id, secret, lambda_M=lambda_m, mu=mu)
     except ValueError as exc:
         _fail(str(exc))
-    runtime = NodeRuntime(MixNode(cfg), topology=topology, rng=random.SystemRandom())
-    try:
-        asyncio.run(_serve(runtime, listen))
-    except KeyboardInterrupt:
-        pass
+    runtime = NodeRuntime(node, topology=topology, rng=random.SystemRandom())
+    _run_until_interrupted(_serve(runtime, listen))
 
 
 @main.command()
@@ -153,33 +147,21 @@ def provider(directory_path, node_id, key_file, listen, pull_max, inbox_capacity
     """Run a provider."""
     topology = _topology(directory_path)
     secret = _secret_key(key_file)
-    descriptor = next((p for p in topology.providers if p.id == node_id), None)
-    if descriptor is None:
-        _fail(f"{node_id!r} is not a provider in the directory")
-    _check_keypair(secret, descriptor)
+    _check_keypair(secret, _listed(topology, node_id, ProviderDescriptor, "provider"))
     try:
-        cfg = ProviderConfig(
-            mix=MixConfig(
-                secret_key=secret,
-                node_id=node_id,
-                addr=descriptor.addr,
-                layer_index=0,
-                lambda_M=lambda_m,
-                mu=mu,
-            ),
+        node = build_node(
+            topology,
+            node_id,
+            secret,
+            lambda_M=lambda_m,
+            mu=mu,
             pull_max_items=pull_max,
             inbox_capacity=inbox_capacity,
-            client_tokens={
-                c.id: c.token for c in topology.clients if c.provider_id == node_id
-            },
         )
     except ValueError as exc:
         _fail(str(exc))
-    runtime = NodeRuntime(Provider(cfg), topology=topology, rng=random.SystemRandom())
-    try:
-        asyncio.run(_serve(runtime, listen))
-    except KeyboardInterrupt:
-        pass
+    runtime = NodeRuntime(node, topology=topology, rng=random.SystemRandom())
+    _run_until_interrupted(_serve(runtime, listen))
 
 
 async def _run_client(runtime: ClientRuntime, listen: str):
@@ -216,18 +198,16 @@ def client(directory_path, client_id, key_file, listen, lambda_p, lambda_l, lamb
         _fail(str(exc))
     _check_keypair(secret, descriptor)
     try:
-        cfg = ClientConfig(
-            client_id=client_id,
-            secret_key=secret,
-            provider_id=descriptor.provider_id,
-            token=descriptor.token,
+        node = build_node(
+            topology,
+            client_id,
+            secret,
             rates=Rates(lambda_p, lambda_l, lambda_d, 0.0, mu),
             pull_interval_s=pull_interval,
             pull_max_items=pull_max,
         )
     except ValueError as exc:
         _fail(str(exc))
-    node = Client(cfg)
     for spec in send:
         recipient, _, text = spec.partition(":")
         try:
@@ -235,10 +215,7 @@ def client(directory_path, client_id, key_file, listen, lambda_p, lambda_l, lamb
         except Exception as exc:
             _fail(f"cannot enqueue {spec!r}: {exc}")
     runtime = ClientRuntime(node, topology, random.SystemRandom())
-    try:
-        asyncio.run(_run_client(runtime, listen))
-    except KeyboardInterrupt:
-        pass
+    _run_until_interrupted(_run_client(runtime, listen))
 
 
 @main.group()
@@ -262,7 +239,7 @@ def sim_pool(lambda_in, mu, duration, seed, out):
         with open(out, "w", encoding="utf-8") as fh:
             fh.write("time,size\n")
             for i, size in enumerate(run.sampled_sizes):
-                fh.write(f"{i * 1.0},{size}\n")
+                fh.write(f"{(i + 1) * 1.0},{size}\n")
     _emit(
         {
             "lambda": lambda_in,

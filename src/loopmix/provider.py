@@ -131,10 +131,6 @@ class Provider:
         self.counters: dict = {}
         self.pulls_served = 0
 
-    def register_client(self, client_id: str, token: bytes) -> None:
-        self.cfg.client_tokens[client_id] = token
-        self.inboxes.setdefault(client_id, deque())
-
     def _on_terminal(self, result: pkt.ProcessResult, now: float) -> None:
         on_packet_result(
             result,

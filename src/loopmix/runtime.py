@@ -1,12 +1,18 @@
-"""Asyncio UDP runners for mixes, providers, and clients.
+"""Runners for mixes, providers and clients, and the builder behind them.
 
-Every node speaks the framed datagram protocol from transport.py on a single
-UDP socket. Each node or client holds one timer per stream, armed at that
-stream's next event. A node's release timer sits at its pool head and sends
-every packet whose sender-chosen delay has expired; its loop timer sits at
-the next self-loop. A client's payload, loop and drop timers are re-armed
-with exponential gaps, so emissions form Poisson processes in wall-clock
-time, and a fourth timer drives its pulls.
+Every node speaks the framed datagram protocol from transport.py. A runtime
+is attached to a clock (time() and call_at(), whose handles offer when(),
+cancel() and cancelled()) and to a datagram transport (sendto() and close()),
+then armed. start() attaches it to the running asyncio loop and a bound UDP
+socket; netsim.Net supplies a virtual clock and an in-memory network instead,
+so the same scheduling runs on both.
+
+Each node or client holds one timer per stream, armed at that stream's next
+event. A node's release timer sits at its pool head and sends every packet
+whose sender-chosen delay has expired; its loop timer sits at the next
+self-loop. A client's payload, loop and drop timers are re-armed with
+exponential gaps, so emissions form Poisson processes, and a fourth timer
+drives its pulls.
 """
 
 from __future__ import annotations
@@ -14,14 +20,13 @@ from __future__ import annotations
 import asyncio
 import logging
 import os
-import time
-from typing import Optional, Tuple
+from typing import Tuple, Union
 
 from . import packet as pkt, transport
-from .client import Client
-from .mixnode import MixNode
-from .provider import BadToken, Provider, UnknownClient
-from .topology import Topology
+from .client import Client, ClientConfig
+from .mixnode import MixConfig, MixNode
+from .provider import BadToken, Provider, ProviderConfig, UnknownClient
+from .topology import ClientDescriptor, MixDescriptor, Topology
 
 log = logging.getLogger("loopmix")
 
@@ -41,13 +46,31 @@ def resolve_addr(addr: str) -> Tuple[str, int]:
     return host, int(port)
 
 
+def build_node(
+    topology: Topology, node_id: str, secret: bytes, **settings
+) -> Union[MixNode, Provider, Client]:
+    """The MixNode, Provider or Client that topology lists as node_id.
+
+    The directory fixes the id, address, layer, home provider and pull token,
+    and a provider's client tokens; settings name the remaining config
+    fields: lambda_M and mu for a mix; those and pull_max_items and
+    inbox_capacity for a provider; rates, pull_interval_s and pull_max_items
+    for a client. Bad settings raise ValueError.
+    """
+    desc = topology.node(node_id)
+    if isinstance(desc, ClientDescriptor):
+        return Client(ClientConfig(desc.id, secret, desc.provider_id, desc.token, **settings))
+    if isinstance(desc, MixDescriptor):
+        return MixNode(MixConfig(secret, desc.id, desc.addr, desc.layer, **settings))
+    inbox = {k: settings.pop(k) for k in ("pull_max_items", "inbox_capacity") if k in settings}
+    tokens = {c.id: c.token for c in topology.clients if c.provider_id == desc.id}
+    mix = MixConfig(secret, desc.id, desc.addr, 0, **settings)
+    return Provider(ProviderConfig(mix, client_tokens=tokens, **inbox))
+
+
 class _Endpoint(asyncio.DatagramProtocol):
     def __init__(self, runtime):
         self.runtime = runtime
-        self.transport: Optional[asyncio.DatagramTransport] = None
-
-    def connection_made(self, transport):
-        self.transport = transport
 
     def datagram_received(self, data, source):
         try:
@@ -58,63 +81,63 @@ class _Endpoint(asyncio.DatagramProtocol):
         self.runtime.on_datagram(kind, body, source)
 
 
-class NodeRuntime:
-    """Runs one mix or provider on a UDP socket."""
+async def _start_udp(runtime, host: str, port: int) -> str:
+    """Bind a UDP socket, attach runtime to it and the running loop, arm it;
+    returns the bound host:port."""
+    loop = asyncio.get_running_loop()
+    udp, _ = await loop.create_datagram_endpoint(
+        lambda: _Endpoint(runtime), local_addr=(host, port)
+    )
+    runtime.attach(loop, udp)
+    runtime.arm()
+    bound = udp.get_extra_info("sockname")
+    return f"{bound[0]}:{bound[1]}"
 
-    def __init__(
-        self,
-        node,
-        topology: Optional[Topology] = None,
-        rng=None,
-        record_timing: bool = False,
-    ):
+
+class NodeRuntime:
+    """Runs one mix or provider."""
+
+    def __init__(self, node, topology: Topology | None = None, rng=None):
         self.provider = node if isinstance(node, Provider) else None
         self.mix: MixNode = node.node if self.provider else node
         self.topology = topology
         self.rng = rng
-        self.record_timing = record_timing
-        self.processing_times: list[float] = []
-        self._endpoint: Optional[_Endpoint] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._release: Optional[asyncio.TimerHandle] = None
-        self._loop_timer: Optional[asyncio.TimerHandle] = None
-        self.addr = ""
+        self._clock = None
+        self._transport = None
+        self._release = None
+        self._loop_timer = None
 
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> str:
-        self._loop = asyncio.get_running_loop()
-        _, self._endpoint = await self._loop.create_datagram_endpoint(
-            lambda: _Endpoint(self), local_addr=(host, port)
-        )
-        bound = self._endpoint.transport.get_extra_info("sockname")
-        self.addr = f"{bound[0]}:{bound[1]}"
-        if self.topology is not None and self.mix.cfg.lambda_M > 0:
-            self._schedule_loop(self._loop.time())
-        log.info("node %s listening on %s", self.mix.cfg.node_id, self.addr)
-        return self.addr
+        addr = await _start_udp(self, host, port)
+        log.info("node %s listening on %s", self.mix.cfg.node_id, addr)
+        return addr
+
+    def attach(self, clock, datagrams) -> None:
+        """Take time and timers from clock, and send through datagrams."""
+        self._clock, self._transport = clock, datagrams
+
+    def arm(self) -> None:
+        """Start the loop stream; each relay arms the release timer."""
+        self._schedule_loop(self._clock.time())
 
     def stop(self) -> None:
         for timer in filter(None, (self._release, self._loop_timer)):
             timer.cancel()
-        if self._endpoint and self._endpoint.transport:
-            self._endpoint.transport.close()
+        if self._transport is not None:
+            self._transport.close()
 
     def sendto(self, data: bytes, addr: str) -> None:
-        self._endpoint.transport.sendto(data, resolve_addr(addr))
+        self._transport.sendto(data, resolve_addr(addr))
 
     def on_datagram(self, kind: int, body: bytes, source) -> None:
-        now = self._loop.time()
         if kind == transport.KIND_PACKET:
-            started = time.perf_counter()
             try:
                 packet = pkt.SphinxPacket.from_bytes(body)
             except pkt.MalformedPacket:
                 self.mix.dropped_mac += 1
                 return
             handler = self.provider or self.mix
-            result = handler.on_receive(packet, now)
-            if self.record_timing:
-                self.processing_times.append(time.perf_counter() - started)
-            if isinstance(result, pkt.Relay):
+            if isinstance(handler.on_receive(packet, self._clock.time()), pkt.Relay):
                 self._arm_release()
         elif kind == transport.KIND_PULL_REQ and self.provider is not None:
             self._on_pull(body, source)
@@ -128,11 +151,11 @@ class NodeRuntime:
             return
         if self._release is not None:
             self._release.cancel()
-        self._release = self._loop.call_at(due, self._drain)
+        self._release = self._clock.call_at(due, self._drain)
 
     def _drain(self) -> None:
         self._release = None
-        now = self._loop.time()
+        now = self._clock.time()
         handler = self.provider or self.mix
         while (due := handler.next_release(now)) is not None:
             _, packet, hop = due
@@ -147,11 +170,13 @@ class NodeRuntime:
             log.debug("rejecting pull: %s", exc)
             return
         for item in response.items:
-            self._endpoint.transport.sendto(
-                transport.frame(transport.KIND_PULL_ITEM, item.blob), source
-            )
+            self._transport.sendto(transport.frame(transport.KIND_PULL_ITEM, item.blob), source)
 
     def _schedule_loop(self, now: float) -> None:
+        """Build the next self-loop and arm its send; nothing without a
+        topology or while lambda_M is zero."""
+        if self.topology is None or self.mix.cfg.lambda_M <= 0:
+            return
         try:
             send_time, packet = self.mix.generate_mix_loop(self.topology, self.rng, now)
         except Exception as exc:
@@ -163,7 +188,7 @@ class NodeRuntime:
             self.sendto(transport.frame(transport.KIND_PACKET, packet.to_bytes()), first_addr)
             self._schedule_loop(send_time)
 
-        self._loop_timer = self._loop.call_at(send_time, fire)
+        self._loop_timer = self._clock.call_at(send_time, fire)
 
 
 class ClientRuntime:
@@ -175,17 +200,22 @@ class ClientRuntime:
         self.rng = rng
         self.provider_addr = topology.provider_of(client.cfg.client_id).addr
         self.received_messages: list[bytes] = []
-        self._endpoint: Optional[_Endpoint] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._clock = None
+        self._transport = None
         # one handle per stream: each tick method, and "pull"
         self._timers: dict = {}
 
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> str:
-        self._loop = asyncio.get_running_loop()
-        _, self._endpoint = await self._loop.create_datagram_endpoint(
-            lambda: _Endpoint(self), local_addr=(host, port)
-        )
-        now = self._loop.time()
+        return await _start_udp(self, host, port)
+
+    def attach(self, clock, datagrams) -> None:
+        """Take time and timers from clock, and send through datagrams."""
+        self._clock, self._transport = clock, datagrams
+
+    def arm(self) -> None:
+        """Arm each stream with a positive rate at an exponential gap, and
+        the first pull one interval away."""
+        now = self._clock.time()
         rates = self.client.cfg.rates
         for rate, tick in (
             (rates.lambda_P, self.client.payload_tick),
@@ -195,28 +225,23 @@ class ClientRuntime:
             if rate > 0:
                 self._arm(tick, now + self.rng.expovariate(rate), self._emit, tick)
         self._arm("pull", now + self.client.cfg.pull_interval_s, self._pull)
-        bound = self._endpoint.transport.get_extra_info("sockname")
-        return f"{bound[0]}:{bound[1]}"
 
     def stop(self) -> None:
         for timer in self._timers.values():
             timer.cancel()
-        if self._endpoint and self._endpoint.transport:
-            self._endpoint.transport.close()
+        if self._transport is not None:
+            self._transport.close()
 
     def _arm(self, stream, at: float, fn, *args) -> None:
-        self._timers[stream] = self._loop.call_at(at, fn, *args)
+        self._timers[stream] = self._clock.call_at(at, fn, *args)
 
-    def _send_packet(self, packet) -> None:
-        self._endpoint.transport.sendto(
-            transport.frame(transport.KIND_PACKET, packet.to_bytes()),
-            resolve_addr(self.provider_addr),
-        )
+    def _send(self, kind: int, body: bytes) -> None:
+        self._transport.sendto(transport.frame(kind, body), resolve_addr(self.provider_addr))
 
     def _emit(self, tick) -> None:
         """Send one packet of a stream; a tick returns (packet, ..., next_tick_time)."""
-        emitted = tick(self.topology, self.rng, self._loop.time())
-        self._send_packet(emitted[0])
+        emitted = tick(self.topology, self.rng, self._clock.time())
+        self._send(transport.KIND_PACKET, emitted[0].to_bytes())
         self._arm(tick, emitted[-1], self._emit, tick)
 
     def _pull(self) -> None:
@@ -224,14 +249,11 @@ class ClientRuntime:
         body = transport.encode_pull_request(
             self.client.cfg.client_id, self.client.cfg.token, nonce
         )
-        self._endpoint.transport.sendto(
-            transport.frame(transport.KIND_PULL_REQ, body),
-            resolve_addr(self.provider_addr),
-        )
-        self._arm("pull", self._loop.time() + self.client.cfg.pull_interval_s, self._pull)
+        self._send(transport.KIND_PULL_REQ, body)
+        self._arm("pull", self._clock.time() + self.client.cfg.pull_interval_s, self._pull)
 
     def on_datagram(self, kind: int, body: bytes, source) -> None:
         if kind != transport.KIND_PULL_ITEM:
             return
-        now = self._loop.time()
+        now = self._clock.time()
         self.received_messages.extend(self.client.process_pull_items([body], now))

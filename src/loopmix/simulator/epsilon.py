@@ -18,7 +18,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -266,23 +266,7 @@ def run_epsilon_batch(cfg: SimConfig, reps: int) -> EpsilonBatch:
     empty candidate pool; n_finite reports how many repetitions counted and
     n_inf how many were infinite, the adversary's best case.
     """
-    values = []
-    for i in range(reps):
-        values.append(
-            run_epsilon_experiment(
-                SimConfig(
-                    seed=cfg.seed + i,
-                    U=cfg.U,
-                    rates=cfg.rates,
-                    layers=cfg.layers,
-                    nodes_per_layer=cfg.nodes_per_layer,
-                    corrupt_fraction=cfg.corrupt_fraction,
-                    burn_in=cfg.burn_in,
-                    run_time=cfg.run_time,
-                    challenge=cfg.challenge,
-                )
-            )
-        )
+    values = [run_epsilon_experiment(replace(cfg, seed=cfg.seed + i)) for i in range(reps)]
     finite = [v for v in values if math.isfinite(v)]
     n_inf = sum(map(math.isinf, values))
     if not finite:

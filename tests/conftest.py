@@ -1,19 +1,18 @@
-"""Shared fixtures: deterministic keys, an in-process network, data paths."""
+"""Shared fixtures: deterministic keys, a virtual-time network, data paths."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import pytest
 
 from loopmix import crypto
-from loopmix.client import Client, ClientConfig, Rates
-from loopmix.mixnode import MixConfig, MixNode
-from loopmix.provider import Provider, ProviderConfig
+from loopmix.client import Rates
+from loopmix.netsim import Net
 from loopmix.topology import (
     ClientDescriptor,
     MixDescriptor,
@@ -39,45 +38,35 @@ def packet_vectors() -> dict:
     return json.loads((DATA_DIR / "packet_vectors.json").read_text())
 
 
-@dataclass
-class InProcessNetwork:
-    """A full node graph without sockets, for deterministic unit tests."""
+def make_directory(rng, layers, per_layer, n_providers, client_specs, first_port=9001):
+    """A directory of mix-i-j and prov-j at 127.0.0.1 from first_port on and
+    the given (client, provider) pairs, with every entry's secret key by id.
 
-    topology: Topology
-    mixes: Dict[str, MixNode]
-    providers: Dict[str, Provider]
-    clients: Dict[str, Client]
-    client_secrets: Dict[str, bytes]
-    rng: random.Random
+    Keys are drawn in directory order: mixes, providers, then for each client
+    its key and its token.
+    """
+    secrets: Dict[str, bytes] = {}
+    port = itertools.count(first_port)
 
-    def node_for(self, node_id: str):
-        return self.mixes.get(node_id) or self.providers[node_id]
+    def keyed(entry_id: str):
+        secrets[entry_id], pub = crypto.generate_keypair(rng)
+        return pub
 
-    def node_for_addr(self, addr: str):
-        for node in list(self.mixes.values()) + list(self.providers.values()):
-            cfg = node.node.cfg if isinstance(node, Provider) else node.cfg
-            if cfg.addr == addr:
-                return node
-        raise KeyError(addr)
-
-    def route(self, packet, first_node_id: str, now: float = 0.0, max_hops: int = 8):
-        """Walk a packet through nodes until it terminates; returns the result."""
-        node = self.node_for(first_node_id)
-        for _ in range(max_hops):
-            result = node.on_receive(packet, now)
-            from loopmix.packet import Relay
-
-            if not isinstance(result, Relay):
-                return result
-            now += result.next.delay_s + 1e-9
-            due = node.next_release(now)
-            assert due is not None, "relay scheduled but nothing due"
-            _, packet, hop = due
-            try:
-                node = self.node_for_addr(hop.next_addr)
-            except KeyError:
-                return result
-        raise AssertionError("packet did not terminate")
+    layer_rows = []
+    for i in range(layers):
+        ids = [f"mix-{i}-{j}" for j in range(per_layer)]
+        layer_rows.append(
+            tuple(MixDescriptor(m, f"127.0.0.1:{next(port)}", keyed(m), i) for m in ids)
+        )
+    prov_rows = [
+        ProviderDescriptor(f"prov-{j}", f"127.0.0.1:{next(port)}", keyed(f"prov-{j}"))
+        for j in range(n_providers)
+    ]
+    client_rows = [
+        ClientDescriptor(cid, pid, keyed(cid), rng.randbytes(16)) for cid, pid in client_specs
+    ]
+    topology = Topology(tuple(layer_rows), tuple(prov_rows), tuple(client_rows))
+    return topology, secrets
 
 
 def build_network(
@@ -88,73 +77,25 @@ def build_network(
     client_specs: List[tuple] = (("alice", "prov-0"), ("bob", "prov-1")),
     rates: Rates = Rates(1.0, 1.0, 1.0, 0.0, 2.0),
     mu: float = 2.0,
-) -> InProcessNetwork:
-    rng = random.Random(seed)
-    mixes: Dict[str, MixNode] = {}
-    providers: Dict[str, Provider] = {}
-    port = [9000]
-
-    def next_addr() -> str:
-        port[0] += 1
-        return f"127.0.0.1:{port[0]}"
-
-    layer_rows = []
-    for i in range(layers):
-        row = []
-        for j in range(per_layer):
-            sk, pub = crypto.generate_keypair(rng)
-            cfg = MixConfig(
-                secret_key=sk,
-                node_id=f"mix-{i}-{j}",
-                addr=next_addr(),
-                layer_index=i,
-                lambda_M=1.0,
-                mu=mu,
-            )
-            mixes[cfg.node_id] = MixNode(cfg)
-            row.append(MixDescriptor(cfg.node_id, cfg.addr, pub, i))
-        layer_rows.append(tuple(row))
-
-    prov_rows = []
-    for j in range(n_providers):
-        sk, pub = crypto.generate_keypair(rng)
-        cfg = ProviderConfig(
-            mix=MixConfig(
-                secret_key=sk,
-                node_id=f"prov-{j}",
-                addr=next_addr(),
-                layer_index=0,
-                lambda_M=0.0,
-                mu=mu,
-            ),
-            client_tokens={},
-        )
-        providers[cfg.mix.node_id] = Provider(cfg)
-        prov_rows.append(ProviderDescriptor(cfg.mix.node_id, cfg.mix.addr, pub))
-
-    clients: Dict[str, Client] = {}
-    client_secrets: Dict[str, bytes] = {}
-    client_rows = []
-    for cid, pid in client_specs:
-        sk, pub = crypto.generate_keypair(rng)
-        token = rng.randbytes(16)
-        client_rows.append(ClientDescriptor(cid, pid, pub, token))
-        providers[pid].register_client(cid, token)
-        clients[cid] = Client(
-            ClientConfig(
-                client_id=cid,
-                secret_key=sk,
-                provider_id=pid,
-                token=token,
-                rates=rates,
-            )
-        )
-        client_secrets[cid] = sk
-
-    topology = Topology(tuple(layer_rows), tuple(prov_rows), tuple(client_rows))
-    return InProcessNetwork(topology, mixes, providers, clients, client_secrets, rng)
+) -> Tuple[Topology, Net]:
+    """A directory and a Net with every entry attached and none armed: mixes
+    loop at 1/s, providers not at all, clients send at rates."""
+    topology, secrets = make_directory(
+        random.Random(seed), layers, per_layer, n_providers, client_specs
+    )
+    net = Net(seed)
+    net.deploy(
+        topology,
+        secrets,
+        {
+            MixDescriptor: dict(lambda_M=1.0, mu=mu),
+            ProviderDescriptor: dict(lambda_M=0.0, mu=mu),
+            ClientDescriptor: dict(rates=rates),
+        },
+    )
+    return topology, net
 
 
 @pytest.fixture
-def network() -> InProcessNetwork:
+def network() -> Tuple[Topology, Net]:
     return build_network()

@@ -41,8 +41,7 @@ from loopmix.analysis.traces import (
     trace_join,
     validate_trace,
 )
-from loopmix.client import Client, ClientConfig, Rates
-from loopmix.mixnode import MixConfig, MixNode
+from loopmix.client import Rates
 from loopmix.packet import (
     MESSAGE_CAPACITY,
     Deliver,
@@ -52,8 +51,7 @@ from loopmix.packet import (
     create_packet,
     process_packet,
 )
-from loopmix.provider import Provider, ProviderConfig
-from loopmix.runtime import ClientRuntime, NodeRuntime, resolve_addr
+from loopmix.runtime import ClientRuntime, NodeRuntime, build_node, resolve_addr
 from loopmix.simulator import (
     SimConfig,
     TraceSimConfig,
@@ -63,14 +61,9 @@ from loopmix.simulator import (
     run_pool_experiment,
     run_trace_experiment,
 )
-from loopmix.topology import (
-    ClientDescriptor,
-    MixDescriptor,
-    ProviderDescriptor,
-    Topology,
-)
+from loopmix.topology import ClientDescriptor, MixDescriptor, ProviderDescriptor
 
-from conftest import build_network
+from conftest import build_network, make_directory
 
 
 def _report(criterion: int, detail: str) -> None:
@@ -314,89 +307,51 @@ def test_c08_latency_gamma_fit():
 
 
 def _build_live_deployment(mu: float):
-    """Keys, nodes, and a directory for 6 mixes, 4 providers, 20 clients."""
-    rng = random.Random(900)
-    mixes, providers, clients = {}, {}, {}
-    layer_rows, prov_rows, client_rows = [], [], []
-    for i in range(3):
-        row = []
-        for j in range(2):
-            sk, pub = crypto.generate_keypair(rng)
-            cfg = MixConfig(
-                secret_key=sk,
-                node_id=f"mix-{i}-{j}",
-                addr=f"127.0.0.1:{24610 + 2 * i + j}",
-                layer_index=i,
-                lambda_M=1.0,
-                mu=mu,
-            )
-            mixes[cfg.node_id] = MixNode(cfg)
-            row.append(MixDescriptor(cfg.node_id, cfg.addr, pub, i))
-        layer_rows.append(tuple(row))
-    for j in range(4):
-        sk, pub = crypto.generate_keypair(rng)
-        cfg = ProviderConfig(
-            mix=MixConfig(
-                secret_key=sk,
-                node_id=f"prov-{j}",
-                addr=f"127.0.0.1:{24620 + j}",
-                layer_index=0,
-                lambda_M=0.0,
-                mu=mu,
-            ),
-            client_tokens={},
-        )
-        providers[cfg.mix.node_id] = Provider(cfg)
-        prov_rows.append(ProviderDescriptor(cfg.mix.node_id, cfg.mix.addr, pub))
-    for c in range(20):
-        sk, pub = crypto.generate_keypair(rng)
-        token = rng.randbytes(16)
-        cid, pid = f"client-{c}", f"prov-{c % 4}"
-        providers[pid].register_client(cid, token)
-        client_rows.append(ClientDescriptor(cid, pid, pub, token))
-        clients[cid] = Client(
-            ClientConfig(
-                client_id=cid,
-                secret_key=sk,
-                provider_id=pid,
-                token=token,
-                rates=Rates(0.5, 0.2, 0.2, 0.0, mu),
-                pull_interval_s=5.0,
-            )
-        )
-    topology = Topology(tuple(layer_rows), tuple(prov_rows), tuple(client_rows))
-    return topology, mixes, providers, clients
+    """A directory and its nodes: 6 mixes, 4 providers, 20 clients."""
+    clients = [(f"client-{c}", f"prov-{c % 4}") for c in range(20)]
+    topology, secrets = make_directory(random.Random(900), 3, 2, 4, clients, first_port=24610)
+    settings = {
+        MixDescriptor: dict(lambda_M=1.0, mu=mu),
+        ProviderDescriptor: dict(lambda_M=0.0, mu=mu),
+        ClientDescriptor: dict(rates=Rates(0.5, 0.2, 0.2, 0.0, mu), pull_interval_s=5.0),
+    }
+    nodes = {
+        d.id: build_node(topology, d.id, secrets[d.id], **settings[type(d)])
+        for d in (*topology.all_nodes(), *topology.clients)
+    }
+    return topology, nodes
 
 
 async def _run_live_smoke() -> str:
-    topology, mixes, providers, clients = _build_live_deployment(mu=5.0)
-    target_mix = mixes["mix-0-0"]
+    topology, nodes = _build_live_deployment(mu=5.0)
+    target_mix = nodes["mix-0-0"]
     node_runtimes, client_runtimes = [], []
-    timing_runtime = None
+    handling_s = []
     try:
-        for node_id, node in {**mixes, **providers}.items():
-            cfg = node.node.cfg if isinstance(node, Provider) else node.cfg
+        for desc in topology.all_nodes():
             rt = NodeRuntime(
-                node,
-                topology=topology,
-                rng=random.Random(hash(node_id) & 0xFFFF),
-                record_timing=node_id == "mix-0-0",
+                nodes[desc.id], topology=topology, rng=random.Random(hash(desc.id) & 0xFFFF)
             )
-            host, port = resolve_addr(cfg.addr)
+            if desc.id == "mix-0-0":
+                # per-packet handling time: everything from deframed datagram
+                # to pooled packet and armed release timer
+                def timed(kind, body, source, handle=rt.on_datagram):
+                    started = time.perf_counter()
+                    handle(kind, body, source)
+                    handling_s.append(time.perf_counter() - started)
+
+                rt.on_datagram = timed
+            host, port = resolve_addr(desc.addr)
             await rt.start(host, port)
             node_runtimes.append(rt)
-            if node_id == "mix-0-0":
-                timing_runtime = rt
-        for c, client in enumerate(clients.values()):
-            rt = ClientRuntime(client, topology, random.Random(5000 + c))
+        for c, desc in enumerate(topology.clients):
+            rt = ClientRuntime(nodes[desc.id], topology, random.Random(5000 + c))
             await rt.start()
             client_runtimes.append(rt)
 
         # one fixed route through the target mix, fresh onion per packet
-        pub = {d.id: d.pubkey for row in topology.layers for d in row}
-        pub.update({d.id: d.pubkey for d in topology.providers})
-        addr = {d.id: d.addr for row in topology.layers for d in row}
-        addr.update({d.id: d.addr for d in topology.providers})
+        pub = {d.id: d.pubkey for d in topology.all_nodes()}
+        addr = {d.id: d.addr for d in topology.all_nodes()}
         build_rng = random.Random(9900)
         datagrams = []
         for _ in range(10_850):
@@ -446,11 +401,10 @@ async def _run_live_smoke() -> str:
         assert 29.0 <= elapsed < 45.0
         assert rate >= 300.0
 
-        mac_failures = sum(m.dropped_mac for m in mixes.values())
-        mac_failures += sum(p.node.dropped_mac for p in providers.values())
+        mac_failures = sum(rt.mix.dropped_mac for rt in node_runtimes)
         assert mac_failures == 0
 
-        times = np.asarray(timing_runtime.processing_times)
+        times = np.asarray(handling_s)
         assert times.size >= window
         mean_ms = float(np.mean(times)) * 1e3
         p999_ms = float(np.quantile(times, 0.999)) * 1e3
@@ -458,10 +412,10 @@ async def _run_live_smoke() -> str:
         assert p999_ms <= 5.0
 
         # the blast packets actually traverse the full path into prov-0
-        absorbed = providers["prov-0"].counters.get("dropped_cover", 0)
+        absorbed = nodes["prov-0"].counters.get("dropped_cover", 0)
         assert absorbed >= 8000
         # organic client loops complete the full circuit and come back
-        assert sum(c.loops_returned for c in clients.values()) >= 1
+        assert sum(rt.client.loops_returned for rt in client_runtimes) >= 1
 
         return (
             f"mix-0-0 processed {window} packets in {elapsed:.1f}s "
@@ -487,23 +441,23 @@ def test_c10_unobservable_payload_stream():
         client_specs=(("a", "prov-0"), ("b", "prov-1")),
         rates=Rates(3.0, 1.0, 1.0, 0.0, 2.0),
     )
-    idle_net, busy_net = make(), make()
-    idle, busy = idle_net.clients["a"], busy_net.clients["a"]
+    (topology, idle_net), (_, busy_net) = make(), make()
+    idle, busy = idle_net.runtimes["a"].client, busy_net.runtimes["a"].client
     for i in range(10_000):
         busy.enqueue_message("b", f"note {i}".encode())
 
-    def wire_trace(client: Client, net, seed: int, sends: int):
+    def wire_trace(client, seed: int, sends: int):
         rng = random.Random(seed)
         gaps, lengths, now = [], set(), 0.0
         for _ in range(sends):
-            packet, _, next_at = client.payload_tick(net.topology, rng, now)
+            packet, _, next_at = client.payload_tick(topology, rng, now)
             lengths.add(len(transport.frame(transport.KIND_PACKET, packet.to_bytes())))
             gaps.append(next_at - now)
             now = next_at
         return np.asarray(gaps), lengths
 
-    idle_gaps, idle_lengths = wire_trace(idle, idle_net, 1001, 10_000)
-    busy_gaps, busy_lengths = wire_trace(busy, busy_net, 1002, 10_000)
+    idle_gaps, idle_lengths = wire_trace(idle, 1001, 10_000)
+    busy_gaps, busy_lengths = wire_trace(busy, 1002, 10_000)
     assert busy.sent_real == 10_000 and idle.sent_real == 0
     ks = stats.ks_2samp(idle_gaps, busy_gaps)
     assert ks.pvalue > 0.01
@@ -518,23 +472,24 @@ def test_c10_unobservable_payload_stream():
 def test_c11_pull_protocol():
     recovered = []
     for size in (0, 2, 5, 7):
-        net = build_network(
+        topology, net = build_network(
             seed=11,
             layers=1,
             per_layer=3,
             n_providers=2,
         )
-        alice, bob = net.clients["alice"], net.clients["bob"]
-        provider = net.providers["prov-1"]
+        alice, bob = net.runtimes["alice"].client, net.runtimes["bob"].client
+        provider = net.runtimes["prov-1"].provider
         rng = random.Random(42 + size)
         expected = [f"mail {i}".encode() for i in range(size)]
         for body in expected:
             alice.enqueue_message("bob", body)
         for _ in range(size):
-            packet, kind, _ = alice.payload_tick(net.topology, rng, 0.0)
+            packet, kind, _ = alice.payload_tick(topology, rng, 0.0)
             assert kind == "REAL"
-            result = net.route(packet, "prov-0")
-            assert isinstance(result, Deliver)
+            net.send(topology.node("prov-0").addr, packet)
+            net.run()
+        assert [dst for _, _, dst, _ in net.log].count("prov-1") == size
         assert len(provider.inboxes["bob"]) == size
 
         response = provider.on_pull("bob", bob.cfg.token, rng)

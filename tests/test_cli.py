@@ -199,6 +199,9 @@ def test_sim_pool(runner, tmp_path):
     lines = csv.read_text().splitlines()
     assert lines[0] == "time,size"
     assert len(lines) > 50
+    # sample i is taken at t = i + 1, up to the end of the run
+    times = [float(line.split(",")[0]) for line in lines[1:]]
+    assert times[0] == 1.0 and times[-1] == 60.0
 
 
 def test_sim_entropy(runner, tmp_path):

@@ -19,7 +19,7 @@ from loopmix.client import (
     open_envelope,
     seal_envelope,
 )
-from loopmix.packet import PACKET_LEN, Deliver, Drop, Relay, process_packet
+from loopmix.packet import PACKET_LEN, Drop, Relay, process_packet
 
 from conftest import build_network
 
@@ -35,29 +35,17 @@ def small_net(**kwargs):
     return build_network(**defaults)
 
 
-def secret_of_addr(net, addr):
-    for node in net.mixes.values():
-        if node.cfg.addr == addr:
-            return node.cfg.secret_key, node.cfg.node_id
-    for prov in net.providers.values():
-        if prov.node.cfg.addr == addr:
-            return prov.node.cfg.secret_key, prov.node.cfg.node_id
-    raise KeyError(addr)
-
-
-def walk_packet(net, packet, first_id):
+def walk_packet(topology, net, packet, first_id):
     """Peel hops with raw keys, returning (node ids, delays, terminal result)."""
-    node = net.node_for(first_id)
-    sk = node.cfg.secret_key if first_id in net.mixes else node.node.cfg.secret_key
+    id_of = {d.addr: d.id for d in topology.all_nodes()}
     ids, delays = [first_id], []
     while True:
-        result = process_packet(sk, packet)
+        result = process_packet(net.runtimes[ids[-1]].mix.cfg.secret_key, packet)
         if not isinstance(result, Relay):
             return ids, delays, result
         delays.append(result.next.delay_s)
         packet = result.packet
-        sk, node_id = secret_of_addr(net, result.next.next_addr)
-        ids.append(node_id)
+        ids.append(id_of[result.next.next_addr])
 
 
 def test_envelope_round_trip():
@@ -76,19 +64,19 @@ def test_envelope_round_trip():
 
 
 def test_buffer_is_fifo():
-    net = small_net()
-    client = net.clients["a"]
+    topology, net = small_net()
+    client = net.runtimes["a"].client
     rng = random.Random(1)
     client.enqueue_message("b", b"first")
     client.enqueue_message("b", b"second")
     assert client.queue_depth() == 2
 
-    bob_sk = net.client_secrets["b"]
+    bob_sk = net.runtimes["b"].client.cfg.secret_key
     out = []
     for _ in range(2):
-        packet, kind, _ = client.payload_tick(net.topology, rng, now=0.0)
+        packet, kind, _ = client.payload_tick(topology, rng, now=0.0)
         assert kind == PACKET_REAL
-        _, _, terminal = walk_packet(net, packet, "prov-0")
+        _, _, terminal = walk_packet(topology, net, packet, "prov-0")
         out.append(open_envelope(bob_sk, terminal.payload))
     assert out == [b"first", b"second"]
     assert client.queue_depth() == 0
@@ -114,28 +102,28 @@ def test_thousand_enqueues():
 
 
 def test_empty_buffer_emits_drop_cover():
-    net = small_net()
-    client = net.clients["a"]
-    packet, kind, _ = client.payload_tick(net.topology, random.Random(2), now=0.0)
+    topology, net = small_net()
+    client = net.runtimes["a"].client
+    packet, kind, _ = client.payload_tick(topology, random.Random(2), now=0.0)
     assert kind == PACKET_DROP
     assert client.sent_payload_cover == 1
-    _, _, terminal = walk_packet(net, packet, "prov-0")
+    _, _, terminal = walk_packet(topology, net, packet, "prov-0")
     assert isinstance(terminal, Drop)
 
 
 def test_drop_routing_statistics():
     # 2400 drop covers on a 1-layer/3-mix/3-provider net: layer nodes and
     # destination providers should both be uniform, per-hop delays Exp(mu).
-    net = small_net()
-    client = net.clients["a"]
+    topology, net = small_net()
+    client = net.runtimes["a"].client
     rng = random.Random(3)
     mix_counts = {f"mix-0-{j}": 0 for j in range(3)}
     prov_counts = {f"prov-{j}": 0 for j in range(3)}
     delays = []
     now = 0.0
     for _ in range(2400):
-        packet, now = client.drop_tick(net.topology, rng, now)
-        ids, hop_delays, terminal = walk_packet(net, packet, "prov-0")
+        packet, now = client.drop_tick(topology, rng, now)
+        ids, hop_delays, terminal = walk_packet(topology, net, packet, "prov-0")
         assert isinstance(terminal, Drop)
         mix_counts[ids[1]] += 1
         prov_counts[ids[2]] += 1
@@ -154,15 +142,15 @@ def test_drop_routing_statistics():
 
 
 def test_payload_gaps_poisson_regardless_of_buffer():
-    net = small_net()
-    client = net.clients["a"]
+    topology, net = small_net()
+    client = net.runtimes["a"].client
     rng = random.Random(4)
     # preload half the run with real mail so both branches contribute
     for i in range(5000):
         client.enqueue_message("b", b"m%d" % i)
     gaps, now = [], 0.0
     for _ in range(10_000):
-        _, _, nxt = client.payload_tick(net.topology, rng, now)
+        _, _, nxt = client.payload_tick(topology, rng, now)
         gaps.append(nxt - now)
         now = nxt
     ks = stats.kstest(gaps, "expon", args=(0, 1 / client.cfg.rates.lambda_P))
@@ -171,14 +159,14 @@ def test_payload_gaps_poisson_regardless_of_buffer():
 
 @pytest.mark.parametrize("stream", ["loop", "drop"])
 def test_cover_stream_gaps_exponential(stream):
-    net = small_net()
-    client = net.clients["a"]
+    topology, net = small_net()
+    client = net.runtimes["a"].client
     rng = random.Random(5)
     tick = client.loop_tick if stream == "loop" else client.drop_tick
     rate = client.cfg.rates.lambda_L if stream == "loop" else client.cfg.rates.lambda_D
     gaps, now = [], 0.0
     for _ in range(3000):
-        _, nxt = tick(net.topology, rng, now)
+        _, nxt = tick(topology, rng, now)
         gaps.append(nxt - now)
         now = nxt
     ks = stats.kstest(gaps, "expon", args=(0, 1 / rate))
@@ -187,8 +175,8 @@ def test_cover_stream_gaps_exponential(stream):
 
 def test_merged_output_is_superposed_poisson():
     # the union of the three streams should look Poisson(sum of rates)
-    net = small_net()
-    client = net.clients["a"]
+    topology, net = small_net()
+    client = net.runtimes["a"].client
     rng = random.Random(6)
     rates = client.cfg.rates
     nxt = {"P": 0.1, "L": 0.2, "D": 0.3}
@@ -198,11 +186,11 @@ def test_merged_output_is_superposed_poisson():
         now = nxt[stream]
         events.append(now)
         if stream == "P":
-            _, _, nxt["P"] = client.payload_tick(net.topology, rng, now)
+            _, _, nxt["P"] = client.payload_tick(topology, rng, now)
         elif stream == "L":
-            _, nxt["L"] = client.loop_tick(net.topology, rng, now)
+            _, nxt["L"] = client.loop_tick(topology, rng, now)
         else:
-            _, nxt["D"] = client.drop_tick(net.topology, rng, now)
+            _, nxt["D"] = client.drop_tick(topology, rng, now)
     gaps = [b - a for a, b in zip(events, events[1:])]
     total = rates.lambda_P + rates.lambda_L + rates.lambda_D
     ks = stats.kstest(gaps, "expon", args=(0, 1 / total))
@@ -211,16 +199,16 @@ def test_merged_output_is_superposed_poisson():
 
 def test_busy_and_idle_clients_look_identical():
     # light two-sample check; the acceptance suite runs the 10^4 version
-    net = small_net()
+    topology, net = small_net()
     rng = random.Random(7)
-    busy, idle = net.clients["a"], net.clients["b"]
+    busy, idle = net.runtimes["a"].client, net.runtimes["b"].client
     for i in range(700):
         busy.enqueue_message("b", b"m%d" % i)
 
     def emission_trace(client):
         gaps, lengths, now = [], set(), 0.0
         for _ in range(600):
-            packet, _, nxt = client.payload_tick(net.topology, rng, now)
+            packet, _, nxt = client.payload_tick(topology, rng, now)
             gaps.append(nxt - now)
             lengths.add(len(packet.to_bytes()))
             now = nxt
@@ -234,13 +222,16 @@ def test_busy_and_idle_clients_look_identical():
 
 
 def test_client_loop_round_trip(network):
-    client = network.clients["alice"]
-    provider = network.providers["prov-0"]
+    topology, net = network
+    client = net.runtimes["alice"].client
+    provider = net.runtimes["prov-0"].provider
     rng = random.Random(8)
 
-    packet, _ = client.loop_tick(network.topology, rng, now=0.0)
-    result = network.route(packet, "prov-0", now=0.0)
-    assert isinstance(result, Deliver)
+    packet, _ = client.loop_tick(topology, rng, now=0.0)
+    net.send(topology.node("prov-0").addr, packet)
+    net.run()
+    assert len(net.log) == topology.n_layers + 2
+    assert net.log[0][1:3] == ("net", "prov-0") and net.log[-1][2] == "prov-0"
     assert len(provider.inboxes["alice"]) == 1
 
     response = provider.on_pull("alice", client.cfg.token, rng)
@@ -252,14 +243,17 @@ def test_client_loop_round_trip(network):
 
 
 def test_real_mail_round_trip(network):
-    alice, bob = network.clients["alice"], network.clients["bob"]
+    topology, net = network
+    alice, bob = net.runtimes["alice"].client, net.runtimes["bob"].client
     rng = random.Random(9)
     alice.enqueue_message("bob", b"see you at noon")
-    packet, kind, _ = alice.payload_tick(network.topology, rng, now=0.0)
+    packet, kind, _ = alice.payload_tick(topology, rng, now=0.0)
     assert kind == PACKET_REAL
-    network.route(packet, "prov-0", now=0.0)
+    net.send(topology.node("prov-0").addr, packet)
+    net.run()
+    assert net.log[-1][2] == "prov-1"
 
-    provider = network.providers["prov-1"]
+    provider = net.runtimes["prov-1"].provider
     response = provider.on_pull("bob", bob.cfg.token, rng)
     mail = bob.process_pull_items([i.blob for i in response.items], now=1.0)
     assert mail == [b"see you at noon"]
@@ -267,15 +261,15 @@ def test_real_mail_round_trip(network):
 
 
 def test_disabled_streams_raise():
-    net = small_net(rates=Rates(0.0, 0.0, 0.0, 0.0, 2.0))
-    client = net.clients["a"]
+    topology, net = small_net(rates=Rates(0.0, 0.0, 0.0, 0.0, 2.0))
+    client = net.runtimes["a"].client
     rng = random.Random(10)
     with pytest.raises(ValueError):
-        client.payload_tick(net.topology, rng, 0.0)
+        client.payload_tick(topology, rng, 0.0)
     with pytest.raises(ValueError):
-        client.loop_tick(net.topology, rng, 0.0)
+        client.loop_tick(topology, rng, 0.0)
     with pytest.raises(ValueError):
-        client.drop_tick(net.topology, rng, 0.0)
+        client.drop_tick(topology, rng, 0.0)
     assert client.loops_sent == 0
 
 

@@ -18,8 +18,7 @@ from loopmix.mixnode import (
     TopologyTooSmall,
     loop_health,
 )
-from loopmix.packet import Deliver, HopFlags, HopSpec, Relay, create_packet
-from loopmix.provider import Provider
+from loopmix.packet import HopFlags, HopSpec, Relay, create_packet
 from loopmix.simulator.queues import run_pool_experiment
 from loopmix.topology import sample_forward_path
 
@@ -177,12 +176,14 @@ def test_pool_law_mean_distribution_and_output():
 
 
 def test_mix_loop_gaps_are_exponential():
-    net = build_network(layers=1, per_layer=1, n_providers=1, client_specs=(("a", "prov-0"),))
-    node = net.mixes["mix-0-0"]
+    topology, net = build_network(
+        layers=1, per_layer=1, n_providers=1, client_specs=(("a", "prov-0"),)
+    )
+    node = net.runtimes["mix-0-0"].mix
     rng = random.Random(11)
     now, gaps = 0.0, []
     for _ in range(10_000):
-        send_time, _ = node.generate_mix_loop(net.topology, rng, now)
+        send_time, _ = node.generate_mix_loop(topology, rng, now)
         gaps.append(send_time - now)
         now = send_time
     ks = stats.kstest(gaps, "expon", args=(0, 1 / node.cfg.lambda_M))
@@ -191,53 +192,41 @@ def test_mix_loop_gaps_are_exponential():
 
 
 def test_returned_loop_recognized(network):
-    node = network.mixes["mix-0-0"]
-    rng = random.Random(7)
-    send_time, packet = node.generate_mix_loop(network.topology, rng, now=0.0)
-    first = network.node_for_addr(node.last_loop_first_hop)
-    first_id = first.cfg.node_id if isinstance(first, MixNode) else first.node.cfg.node_id
-    result = network.route(packet, first_id, now=send_time)
-    assert isinstance(result, Deliver)
+    topology, net = network
+    node = net.runtimes["mix-0-0"].mix
+    send_time, packet = node.generate_mix_loop(topology, random.Random(7), now=0.0)
+    net.run(until=send_time)
+    net.send(node.last_loop_first_hop, packet)
+    net.run()
+    assert net.log[-1][2] == "mix-0-0"
     assert node.loops_returned == 1
     assert node.loops.latencies[0] > 0
     assert node.health() == HEALTHY
 
 
-def _walk_loop(net, emitter_id, packet, first_addr, now):
-    """Route a loop hop by hop; returns the node ids it visits after the emitter."""
-    visited = []
-    node = net.node_for_addr(first_addr)
-    while True:
-        node_id = node.node.cfg.node_id if isinstance(node, Provider) else node.cfg.node_id
-        visited.append(node_id)
-        result = node.on_receive(packet, now)
-        if not isinstance(result, Relay):
-            assert isinstance(result, Deliver) and node_id == emitter_id
-            return visited
-        now += result.next.delay_s + 1e-9
-        _, packet, hop = node.next_release(now)
-        node = net.node_for_addr(hop.next_addr)
-
-
 def test_every_loop_hop_is_a_link_client_traffic_uses():
-    net = build_network()
+    topology, net = build_network()
     rng = random.Random(21)
     traffic_links = set()
     for _ in range(500):
-        ends = [rng.choice(net.topology.providers) for _ in range(2)]
-        ids = [d.id for d in sample_forward_path(net.topology, *ends, rng)]
+        ends = [rng.choice(topology.providers) for _ in range(2)]
+        ids = [d.id for d in sample_forward_path(topology, *ends, rng)]
         traffic_links.update(zip(ids, ids[1:]))
 
-    nodes = list(net.mixes.values()) + [p.node for p in net.providers.values()]
-    for node in nodes:
+    for node_id in [d.id for d in topology.all_nodes()]:
+        node = net.runtimes[node_id].mix
         node.cfg.lambda_M = 1.0
-        now = 0.0
+        now = net.time()
         for _ in range(25):
-            now, packet = node.generate_mix_loop(net.topology, rng, now)
-            ids = [node.cfg.node_id] + _walk_loop(
-                net, node.cfg.node_id, packet, node.last_loop_first_hop, now
-            )
-            assert len(ids) == net.topology.n_layers + 2
+            now, packet = node.generate_mix_loop(topology, rng, now)
+            net.run(until=now)
+            logged = len(net.log)
+            net.send(node.last_loop_first_hop, packet)
+            net.run()
+            _, sources, ids, _ = zip(*net.log[logged:])
+            ids = (node_id, *ids)
+            assert sources == ("net", *ids[1:-1])
+            assert len(ids) == topology.n_layers + 2
             assert set(zip(ids, ids[1:])) <= traffic_links, ids
         assert node.loops_returned == node.loops_sent == 25
 
@@ -272,17 +261,20 @@ def test_loop_tracker_latency_record_is_bounded():
 
 
 def test_lambda_m_zero_never_builds_loops(network):
-    node = network.providers["prov-0"].node
+    topology, net = network
+    node = net.runtimes["prov-0"].mix
     assert node.cfg.lambda_M == 0.0
     with pytest.raises(ValueError):
-        node.generate_mix_loop(network.topology, random.Random(0), now=0.0)
+        node.generate_mix_loop(topology, random.Random(0), now=0.0)
     assert node.loops_sent == 0
 
 
 def test_loop_path_must_fit_hop_budget():
-    net = build_network(layers=5, per_layer=1, n_providers=1, client_specs=(("a", "prov-0"),))
+    topology, net = build_network(
+        layers=5, per_layer=1, n_providers=1, client_specs=(("a", "prov-0"),)
+    )
     with pytest.raises(TopologyTooSmall):
-        net.mixes["mix-0-0"].generate_mix_loop(net.topology, random.Random(0), now=0.0)
+        net.runtimes["mix-0-0"].mix.generate_mix_loop(topology, random.Random(0), now=0.0)
 
 
 def test_loop_health_thresholds():

@@ -1,0 +1,124 @@
+"""A whole deployment on virtual time: the real runtimes, drained to rest.
+
+3 layers of 2 mixes, 2 providers and 10 clients with mail and 1-s pulls, the
+benchmark's network shape, run through runtime.py's scheduling on a netsim.Net.
+"""
+
+import random
+from collections import defaultdict
+
+from loopmix import transport
+from loopmix.client import Rates
+from loopmix.netsim import Net
+from loopmix.packet import Relay
+from loopmix.runtime import ClientRuntime
+from loopmix.topology import ClientDescriptor, MixDescriptor, ProviderDescriptor
+
+from conftest import make_directory
+
+RATES = Rates(lambda_P=1.0, lambda_L=1.0, lambda_D=1.0, lambda_M=1.0, mu=2.0)
+TRAFFIC_S = 10.0
+DRAIN_S = 60.0
+MAIL_PER_CLIENT = 3
+
+
+def run_deployment(seed: int):
+    clients = [(f"client-{c}", f"prov-{c % 2}") for c in range(10)]
+    topology, secrets = make_directory(random.Random(seed), 3, 2, 2, clients)
+    net = Net(seed)
+    node_settings = dict(lambda_M=RATES.lambda_M, mu=RATES.mu)
+    runtimes = net.deploy(
+        topology,
+        secrets,
+        {
+            MixDescriptor: node_settings,
+            ProviderDescriptor: node_settings,
+            ClientDescriptor: dict(rates=RATES, pull_interval_s=1.0),
+        },
+    )
+    nodes = [rt for rt in runtimes.values() if not isinstance(rt, ClientRuntime)]
+    users = [rt for rt in runtimes.values() if isinstance(rt, ClientRuntime)]
+
+    mail = defaultdict(list)
+    for rt in users:
+        for _ in range(MAIL_PER_CLIENT):
+            to = users[net.rng.randrange(len(users))].client.cfg.client_id
+            mail[to].append(net.rng.randbytes(200))
+            rt.client.enqueue_message(to, mail[to][-1])
+
+    # every relay must leave at its arrival + delay_s; pooled packets are
+    # alive, so their ids are unique
+    due_at, late = {}, []
+    for rt in nodes:
+
+        def on_receive(packet, now, receive=rt.mix.on_receive):
+            result = receive(packet, now)
+            if isinstance(result, Relay):
+                due_at[id(result.packet)] = now + result.next.delay_s
+            return result
+
+        def next_release(now, release=rt.mix.next_release):
+            due = release(now)
+            if due is not None and due_at.pop(id(due[1])) != net.time():
+                late.append(due)
+            return due
+
+        rt.mix.on_receive, rt.mix.next_release = on_receive, next_release
+
+    for rt in runtimes.values():
+        rt.arm()
+    net.run(until=TRAFFIC_S)
+    while any(rt.client.queue_depth() for rt in users):
+        net.run(until=net.time() + 1.0)
+    # quiet the emitting streams; pools and inboxes drain through releases and pulls
+    for rt in nodes:
+        rt.mix.cfg.lambda_M = 0.0
+    for rt in users:
+        for stream, timer in rt._timers.items():
+            if stream != "pull":
+                timer.cancel()
+    net.run(until=net.time() + DRAIN_S)
+    for rt in runtimes.values():
+        rt.stop()
+    net.run()
+    return topology, net, nodes, users, mail, due_at, late
+
+
+def usable_links(topology):
+    """(src, dst, kind) of every link a client path, loop or pull can use."""
+    layers, providers = topology.layers, topology.providers
+    hops = [(p, m) for p in providers for m in layers[0]]
+    hops += [(a, b) for here, there in zip(layers, layers[1:]) for a in here for b in there]
+    hops += [(m, p) for m in layers[-1] for p in providers]
+    links = {(a.id, b.id, transport.KIND_PACKET) for a, b in hops}
+    for c in topology.clients:
+        links.add((c.id, c.provider_id, transport.KIND_PACKET))
+        links.add((c.id, c.provider_id, transport.KIND_PULL_REQ))
+        links.add((c.provider_id, c.id, transport.KIND_PULL_ITEM))
+    return links
+
+
+def test_benchmark_shape_runs_on_virtual_time_and_drains():
+    topology, net, nodes, users, mail, unreleased, late = run_deployment(seed=7)
+
+    for rt in users:
+        cid = rt.client.cfg.client_id
+        assert sorted(rt.received_messages) == sorted(mail[cid]), cid
+        assert rt.client.loops_returned == rt.client.loops_sent > 0
+    for rt in nodes:
+        mix = rt.mix
+        assert mix.loops_returned == mix.loops_sent > 0, mix.cfg.node_id
+        assert mix.dropped_replay == mix.dropped_mac == mix.dropped_overflow == 0
+        assert len(mix.pool) == 0
+    providers = [rt.provider for rt in nodes if rt.provider]
+    cover = sum(p.counters.pop("dropped_cover", 0) for p in providers)
+    assert cover == sum(rt.client.sent_payload_cover + rt.client.drops_sent for rt in users)
+    assert not any(p.counters.values() for p in providers)
+    assert not any(any(p.inboxes.values()) for p in providers)
+    assert unreleased == {} and late == []
+
+    links = {(src, dst, kind) for _, src, dst, kind in net.log}
+    assert links <= usable_links(topology)
+    assert len(net.log) > 5000
+
+    assert run_deployment(seed=7)[1].log == net.log

@@ -127,7 +127,8 @@ def test_pull_response_size_never_leaks_inbox_state(n_queued, c, seed):
 
 
 def test_real_items_conserved_over_lifetime(network):
-    provider = network.providers["prov-0"]
+    _, net = network
+    provider = net.runtimes["prov-0"].provider
     provider.cfg.inbox_capacity = 6
     rng = random.Random(9)
     delivered = 0
@@ -137,7 +138,7 @@ def test_real_items_conserved_over_lifetime(network):
             provider._on_terminal(deliver("alice", rng.randbytes(1)), now=float(step))
             delivered += 1
         else:
-            response = provider.on_pull("alice", network.clients["alice"].cfg.token, rng)
+            response = provider.on_pull("alice", net.runtimes["alice"].client.cfg.token, rng)
             real_returned += response.n_real
     evicted = provider.counters.get("evicted", 0)
     remaining = len(provider.inboxes["alice"])
@@ -145,8 +146,9 @@ def test_real_items_conserved_over_lifetime(network):
 
 
 def test_provider_authentication(network):
-    provider = network.providers["prov-0"]
-    token = network.clients["alice"].cfg.token
+    _, net = network
+    provider = net.runtimes["prov-0"].provider
+    token = net.runtimes["alice"].client.cfg.token
     provider.authenticate("alice", token)
     with pytest.raises(BadToken):
         provider.authenticate("alice", bytes(16))
@@ -157,8 +159,9 @@ def test_provider_authentication(network):
 
 
 def test_terminal_packets_land_in_inboxes(network):
-    provider = network.providers["prov-0"]
-    prov_desc = network.topology.node("prov-0")
+    topology, net = network
+    provider = net.runtimes["prov-0"].provider
+    prov_desc = topology.node("prov-0")
     rng = random.Random(4)
 
     mail = [(prov_desc.pubkey, HopSpec("c:1", 0.1, HopFlags.FINAL))]
