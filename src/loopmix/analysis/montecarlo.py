@@ -47,6 +47,8 @@ def pool_race_estimate_with_loops(
     """
     if not 1 <= k <= n or l < 0:
         raise ValueError("need 1 <= k <= n and l >= 0")
+    if mu <= 0:
+        raise ValueError("mu must be positive")
     delays = rng.exponential(1.0 / mu, size=(trials, n))
     if k == n:
         observe_at = np.zeros(trials)

@@ -4,8 +4,18 @@ Three families of subcommands: node runners (mix, provider, client) that bind
 a UDP socket and run until interrupted, batch simulators under `sim`, and
 closed-form calculators under `analyze` that print one JSON object each. The
 `vectors` subcommand emits deterministic packet test vectors for
-cross-implementation checks. Exit code 0 on success, 1 on configuration or
-runtime failure, 2 on usage errors.
+cross-implementation checks.
+
+The node runners share one launch path: load the directory, read the key
+file, check that the id is an entry of the command's role holding that key's
+public half, build the runtime with runtime.build_runtime, then serve it and
+report: a metrics line every 10 s from mixes and providers, new mail every
+second from clients.
+
+Exit code 0 on success, 2 on usage errors, and 1 on configuration or runtime
+failure, which prints one `error: <message>` line on stderr; a ValueError or
+OSError from any subcommand counts as one, and its traceback is logged at
+DEBUG (LOOPMIX_LOG=DEBUG).
 """
 
 from __future__ import annotations
@@ -41,7 +51,7 @@ from .analysis.pools import (
 )
 from .analysis.traces import Trace, Transmission, anonymity_condition_holds, trace_join
 from .client import Rates
-from .runtime import ClientRuntime, NodeRuntime, build_node, configure_logging, resolve_addr
+from .runtime import build_runtime, configure_logging, log, resolve_addr
 from .simulator import (
     SimConfig,
     TraceSimConfig,
@@ -51,7 +61,7 @@ from .simulator import (
     run_pool_experiment,
     run_trace_experiment,
 )
-from .topology import MixDescriptor, ProviderDescriptor, Topology, load_directory
+from .topology import ClientDescriptor, MixDescriptor, ProviderDescriptor, Topology, load_directory
 
 
 def _fail(message: str) -> None:
@@ -81,35 +91,64 @@ def _secret_key(path: str) -> bytes:
     return key
 
 
-def _check_keypair(secret: bytes, descriptor) -> None:
-    if crypto.public_key(secret).data != descriptor.pubkey.data:
-        _fail(f"key file does not match directory entry for {descriptor.id}")
+_ROLES = {"mix": MixDescriptor, "provider": ProviderDescriptor, "client": ClientDescriptor}
 
 
-def _listed(topology: Topology, node_id: str, kind, role: str):
-    descriptor = next((d for d in topology.all_nodes() if d.id == node_id), None)
-    if not isinstance(descriptor, kind):
+def _runtime(role: str, directory_path: str, node_id: str, key_file: str, **settings):
+    """The runtime of the directory's role entry node_id, after checking that
+    the key file holds the secret half of the entry's public key."""
+    topology = _topology(directory_path)
+    secret = _secret_key(key_file)
+    entries = (*topology.all_nodes(), *topology.clients)
+    descriptor = next((d for d in entries if d.id == node_id), None)
+    if not isinstance(descriptor, _ROLES[role]):
         _fail(f"{node_id!r} is not a {role} in the directory")
-    return descriptor
+    if crypto.public_key(secret).data != descriptor.pubkey.data:
+        _fail(f"key file does not match directory entry for {node_id}")
+    return build_runtime(topology, node_id, secret, random.SystemRandom(), **settings)
 
 
-async def _serve(runtime, listen: str, metrics_every: float = 10.0):
-    host, port = resolve_addr(listen)
-    await runtime.start(host, port)
-    loop = asyncio.get_running_loop()
-    while True:
-        await asyncio.sleep(metrics_every)
-        click.echo(runtime.mix.metrics_line(loop.time()))
+def _report_metrics(runtime) -> None:
+    click.echo(runtime.mix.metrics_line(asyncio.get_running_loop().time()))
 
 
-def _run_until_interrupted(main_coroutine) -> None:
+def _report_mail(runtime) -> None:
+    """Print the mail received since the last report, then drop it."""
+    for message in runtime.received_messages:
+        click.echo(message.decode(errors="replace"))
+    runtime.received_messages.clear()
+
+
+def _serve(runtime, node_id: str, listen: str, report, every: float) -> None:
+    """Start runtime on listen and call report(runtime) every `every` seconds
+    until interrupted."""
+
+    async def serve():
+        addr = await runtime.start(*resolve_addr(listen))
+        log.info("%s listening on %s", node_id, addr)
+        while True:
+            await asyncio.sleep(every)
+            report(runtime)
+
     try:
-        asyncio.run(main_coroutine)
+        asyncio.run(serve())
     except KeyboardInterrupt:
         pass
 
 
-@click.group()
+class _Main(click.Group):
+    """The loopmix group, with one error policy: a ValueError or OSError from
+    any subcommand ends it with one error line and exit 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ValueError, OSError) as exc:
+            log.debug("%s failed", ctx.invoked_subcommand, exc_info=True)
+            _fail(str(exc))
+
+
+@click.group(cls=_Main)
 def main() -> None:
     configure_logging()
 
@@ -123,15 +162,8 @@ def main() -> None:
 @click.option("--mu", type=float, default=1.0, show_default=True, help="Delay parameter for own loops.")
 def mix(directory_path, node_id, key_file, listen, lambda_m, mu):
     """Run a mix node."""
-    topology = _topology(directory_path)
-    secret = _secret_key(key_file)
-    _check_keypair(secret, _listed(topology, node_id, MixDescriptor, "mix"))
-    try:
-        node = build_node(topology, node_id, secret, lambda_M=lambda_m, mu=mu)
-    except ValueError as exc:
-        _fail(str(exc))
-    runtime = NodeRuntime(node, topology=topology, rng=random.SystemRandom())
-    _run_until_interrupted(_serve(runtime, listen))
+    runtime = _runtime("mix", directory_path, node_id, key_file, lambda_M=lambda_m, mu=mu)
+    _serve(runtime, node_id, listen, _report_metrics, every=10.0)
 
 
 @main.command()
@@ -145,34 +177,11 @@ def mix(directory_path, node_id, key_file, listen, lambda_m, mu):
 @click.option("--mu", type=float, default=1.0, show_default=True)
 def provider(directory_path, node_id, key_file, listen, pull_max, inbox_capacity, lambda_m, mu):
     """Run a provider."""
-    topology = _topology(directory_path)
-    secret = _secret_key(key_file)
-    _check_keypair(secret, _listed(topology, node_id, ProviderDescriptor, "provider"))
-    try:
-        node = build_node(
-            topology,
-            node_id,
-            secret,
-            lambda_M=lambda_m,
-            mu=mu,
-            pull_max_items=pull_max,
-            inbox_capacity=inbox_capacity,
-        )
-    except ValueError as exc:
-        _fail(str(exc))
-    runtime = NodeRuntime(node, topology=topology, rng=random.SystemRandom())
-    _run_until_interrupted(_serve(runtime, listen))
-
-
-async def _run_client(runtime: ClientRuntime, listen: str):
-    host, port = resolve_addr(listen)
-    await runtime.start(host, port)
-    seen = 0
-    while True:
-        await asyncio.sleep(1.0)
-        for message in runtime.received_messages[seen:]:
-            click.echo(message.decode(errors="replace"))
-        seen = len(runtime.received_messages)
+    runtime = _runtime(
+        "provider", directory_path, node_id, key_file, lambda_M=lambda_m, mu=mu,
+        pull_max_items=pull_max, inbox_capacity=inbox_capacity,
+    )
+    _serve(runtime, node_id, listen, _report_metrics, every=10.0)
 
 
 @main.command()
@@ -184,38 +193,26 @@ async def _run_client(runtime: ClientRuntime, listen: str):
 @click.option("--lambda-l", type=float, default=0.5, show_default=True, help="Loop rate per second.")
 @click.option("--lambda-d", type=float, default=0.5, show_default=True, help="Drop rate per second.")
 @click.option("--mu", type=float, default=1.0, show_default=True, help="Per-hop delay parameter.")
-@click.option("--pull-interval", type=float, default=10.0, show_default=True, help="Seconds between pulls.")
-@click.option("--pull-max", type=int, default=5, show_default=True, help="Items per pull response.")
+@click.option(
+    "--pull-interval", type=float, default=5.0, show_default=True,
+    help="Seconds between pulls. The provider's --pull-max items per pull must exceed the "
+    "--lambda-l loops plus the mail that reach the inbox meanwhile, or it grows without bound.",
+)
 @click.option("--send", multiple=True, help="recipient_id:text message to enqueue at start.")
 def client(directory_path, client_id, key_file, listen, lambda_p, lambda_l, lambda_d, mu,
-           pull_interval, pull_max, send):
+           pull_interval, send):
     """Run a client: cover streams, queued payloads, periodic pulls."""
-    topology = _topology(directory_path)
-    secret = _secret_key(key_file)
-    try:
-        descriptor = topology.client(client_id)
-    except Exception as exc:
-        _fail(str(exc))
-    _check_keypair(secret, descriptor)
-    try:
-        node = build_node(
-            topology,
-            client_id,
-            secret,
-            rates=Rates(lambda_p, lambda_l, lambda_d, 0.0, mu),
-            pull_interval_s=pull_interval,
-            pull_max_items=pull_max,
-        )
-    except ValueError as exc:
-        _fail(str(exc))
+    runtime = _runtime(
+        "client", directory_path, client_id, key_file,
+        rates=Rates(lambda_p, lambda_l, lambda_d, 0.0, mu), pull_interval_s=pull_interval,
+    )
     for spec in send:
         recipient, _, text = spec.partition(":")
         try:
-            node.enqueue_message(recipient, text.encode())
+            runtime.client.enqueue_message(recipient, text.encode())
         except Exception as exc:
             _fail(f"cannot enqueue {spec!r}: {exc}")
-    runtime = ClientRuntime(node, topology, random.SystemRandom())
-    _run_until_interrupted(_run_client(runtime, listen))
+    _serve(runtime, client_id, listen, _report_mail, every=1.0)
 
 
 @main.group()
@@ -231,10 +228,7 @@ def sim() -> None:
 @click.option("--out", type=click.Path(), default=None, help="CSV of (time,size) samples.")
 def sim_pool(lambda_in, mu, duration, seed, out):
     """Simulate one pool under Poisson load."""
-    try:
-        run = run_pool_experiment(lambda_in, mu, duration, seed)
-    except ValueError as exc:
-        _fail(str(exc))
+    run = run_pool_experiment(lambda_in, mu, duration, seed)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write("time,size\n")
@@ -260,10 +254,7 @@ def sim_pool(lambda_in, mu, duration, seed, out):
 @click.option("--out", type=click.Path(), default=None, help="CSV of (time,entropy) points.")
 def sim_entropy(lambda_in, mu, duration, seed, out):
     """Track per-departure entropy of one pool."""
-    try:
-        run = run_entropy_experiment(lambda_in, mu, duration, seed)
-    except ValueError as exc:
-        _fail(str(exc))
+    run = run_entropy_experiment(lambda_in, mu, duration, seed)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write("time,entropy\n")
@@ -289,12 +280,9 @@ def sim_entropy(lambda_in, mu, duration, seed, out):
 @click.option("--out", type=click.Path(), default=None, help="CSV of latency samples.")
 def sim_latency(mu, hops, n_messages, processing, seed, out):
     """Sample end-to-end latencies over a fixed-length path."""
-    try:
-        samples = run_latency_experiment(
-            Rates(1.0, 0.0, 0.0, 0.0, mu), hops, n_messages, seed, processing_s=processing
-        )
-    except ValueError as exc:
-        _fail(str(exc))
+    samples = run_latency_experiment(
+        Rates(1.0, 0.0, 0.0, 0.0, mu), hops, n_messages, seed, processing_s=processing
+    )
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write("latency_s\n")
@@ -329,21 +317,18 @@ def sim_latency(mu, hops, n_messages, processing, seed, out):
 def sim_epsilon(users, lambda_p, mu, layers, per_layer, reps, seed, corrupt_fraction,
                 lambda_loop, lambda_drop, lambda_mix, burn_in, run_time, out):
     """Estimate sender indistinguishability for one configuration."""
-    try:
-        cfg = SimConfig(
-            seed=seed,
-            U=users,
-            rates=Rates(lambda_p, lambda_loop, lambda_drop, lambda_mix, mu),
-            layers=layers,
-            nodes_per_layer=per_layer,
-            corrupt_fraction=corrupt_fraction,
-            burn_in=burn_in,
-            run_time=run_time,
-            challenge=(0, 1),
-        )
-        batch = run_epsilon_batch(cfg, reps)
-    except ValueError as exc:
-        _fail(str(exc))
+    cfg = SimConfig(
+        seed=seed,
+        U=users,
+        rates=Rates(lambda_p, lambda_loop, lambda_drop, lambda_mix, mu),
+        layers=layers,
+        nodes_per_layer=per_layer,
+        corrupt_fraction=corrupt_fraction,
+        burn_in=burn_in,
+        run_time=run_time,
+        challenge=(0, 1),
+    )
+    batch = run_epsilon_batch(cfg, reps)
     param = (
         f"users={users};lambda={lambda_p};mu={mu};layers={layers};"
         f"per_layer={per_layer};corrupt={corrupt_fraction}"
@@ -378,10 +363,7 @@ def analyze() -> None:
 @click.option("--seed", type=int, default=0, show_default=True)
 def analyze_pool(n, k, l_late, trials, mu, seed):
     """Match probabilities for a departure from an observed pool."""
-    try:
-        probs = pool_match_prob(PoolObservation(n, k, l_late))
-    except ValueError as exc:
-        _fail(str(exc))
+    probs = pool_match_prob(PoolObservation(n, k, l_late))
     result = {"p_initial": probs.p_initial, "p_late": probs.p_late}
     if trials > 0:
         est = pool_race_estimate(n, k, l_late, mu, trials, np.random.default_rng(seed))
@@ -399,10 +381,7 @@ def analyze_pool(n, k, l_late, trials, mu, seed):
 @click.option("--seed", type=int, default=0, show_default=True)
 def analyze_pool_loops(n, k, l_late, mu, lambda_m, trials, seed):
     """Match probabilities when the mix adds its own loop traffic."""
-    try:
-        probs = pool_match_prob_with_loops(PoolObservation(n, k, l_late), mu, lambda_m)
-    except ValueError as exc:
-        _fail(str(exc))
+    probs = pool_match_prob_with_loops(PoolObservation(n, k, l_late), mu, lambda_m)
     result = {
         "p_initial": probs.p_initial,
         "p_late": probs.p_late,
@@ -425,10 +404,7 @@ def analyze_pool_loops(n, k, l_late, mu, lambda_m, trials, seed):
 @click.option("--l", "l_held", type=int, required=True, help="Held messages in the pool.")
 def analyze_entropy_step(h_prev, k, l_held):
     """One incremental entropy update."""
-    try:
-        _emit({"entropy": entropy_step(h_prev, k, l_held)})
-    except ValueError as exc:
-        _fail(str(exc))
+    _emit({"entropy": entropy_step(h_prev, k, l_held)})
 
 
 @analyze.command("epsilon")
@@ -436,10 +412,7 @@ def analyze_entropy_step(h_prev, k, l_held):
 @click.option("--p1", type=float, required=True)
 def analyze_epsilon(p0, p1):
     """Indistinguishability bound |ln(p0/p1)|."""
-    try:
-        eps = epsilon_of(p0, p1)
-    except ValueError as exc:
-        _fail(str(exc))
+    eps = epsilon_of(p0, p1)
     _emit({"epsilon": "inf" if math.isinf(eps) else eps})
 
 
@@ -452,10 +425,7 @@ def analyze_epsilon(p0, p1):
 @click.option("--seed", type=int, default=0, show_default=True)
 def analyze_blocking(s, mu, lambda_m, lambda_r, trials, seed):
     """Chance a blocking adversary isolates the target message."""
-    try:
-        prob = blocking_attack_prob(s, mu, lambda_m, lambda_r)
-    except ValueError as exc:
-        _fail(str(exc))
+    prob = blocking_attack_prob(s, mu, lambda_m, lambda_r)
     result = {"probability": prob}
     if trials > 0:
         result["mc_probability"] = blocking_estimate(
@@ -471,10 +441,7 @@ def analyze_blocking(s, mu, lambda_m, lambda_r, trials, seed):
 @click.option("--time", "t", type=float, default=0.0, show_default=True, help="Attack start time.")
 def analyze_delay_attack(k_links, rate, delta, t):
     """Chance a delayed packet leaves no candidate cover on any link."""
-    try:
-        _emit({"probability": delay_attack_prob(k_links, rate, delta, t)})
-    except ValueError as exc:
-        _fail(str(exc))
+    _emit({"probability": delay_attack_prob(k_links, rate, delta, t)})
 
 
 @analyze.command("link-rate")
@@ -491,18 +458,15 @@ def analyze_delay_attack(k_links, rate, delta, t):
 def analyze_link_rate(users, n_mixes, n_providers, k_links, ell, lambda_p, lambda_l,
                       lambda_d, lambda_m, mu):
     """Expected traffic rate on a single inter-node link."""
-    try:
-        params = LinkParams(
-            U=users,
-            N=n_mixes,
-            P=n_providers,
-            k_links=k_links,
-            ell=ell,
-            rates=Rates(lambda_p, lambda_l, lambda_d, lambda_m, mu),
-        )
-        _emit({"rate": link_rate(params)})
-    except ValueError as exc:
-        _fail(str(exc))
+    params = LinkParams(
+        U=users,
+        N=n_mixes,
+        P=n_providers,
+        k_links=k_links,
+        ell=ell,
+        rates=Rates(lambda_p, lambda_l, lambda_d, lambda_m, mu),
+    )
+    _emit({"rate": link_rate(params)})
 
 
 @analyze.command("steady-pool")
@@ -510,10 +474,7 @@ def analyze_link_rate(users, n_mixes, n_providers, k_links, ell, lambda_p, lambd
 @click.option("--mu", type=float, required=True)
 def analyze_steady_pool(lambda_in, mu):
     """Mean pool size at steady state."""
-    try:
-        _emit({"size": steady_pool_size(lambda_in, mu)})
-    except ValueError as exc:
-        _fail(str(exc))
+    _emit({"size": steady_pool_size(lambda_in, mu)})
 
 
 def _trace_from_json(raw) -> Trace:
@@ -567,14 +528,11 @@ def analyze_trace_join(traces_file, x_idx, y_idx, hop):
 def analyze_anon_condition(traces_file, simulate, seed, users, hops, duration, lambda_d):
     """Whether plausible alternative routings hide the challenge senders."""
     if simulate:
-        try:
-            run = run_trace_experiment(
-                TraceSimConfig(
-                    seed=seed, n_users=users, hops=hops, duration=duration, lambda_D=lambda_d
-                )
+        run = run_trace_experiment(
+            TraceSimConfig(
+                seed=seed, n_users=users, hops=hops, duration=duration, lambda_D=lambda_d
             )
-        except ValueError as exc:
-            _fail(str(exc))
+        )
         challenge, drops, compromised = run.challenge, run.drop_traces, frozenset()
     elif traces_file:
         doc = _load_traces(traces_file)

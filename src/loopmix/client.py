@@ -96,7 +96,6 @@ class ClientConfig:
     token: bytes
     rates: Rates
     pull_interval_s: float = 10.0
-    pull_max_items: int = 5
 
     def __post_init__(self):
         if len(self.secret_key) != crypto.SECRET_KEY_LEN:

@@ -8,9 +8,8 @@ import itertools
 import random
 
 from . import transport
-from .client import Client
-from .runtime import ClientRuntime, NodeRuntime, _Endpoint, build_node, resolve_addr
-from .topology import Topology
+from .runtime import _Endpoint, build_runtime, resolve_addr
+from .topology import ClientDescriptor, Topology
 
 
 class Handle(list):
@@ -73,12 +72,13 @@ class Net:
             self._now = max(self._now, until)
 
     def deploy(self, topology: Topology, secrets: dict, settings: dict) -> dict:
-        """Build each entry with build_node, settings[type(descriptor)], and
-        attach its runtime, drawing from self.rng; arm() starts it."""
+        """Build each entry's runtime with build_runtime, drawing from self.rng,
+        with settings[type(descriptor)], and attach it; arm() starts it."""
         for desc in (*topology.all_nodes(), *topology.clients):
-            node = build_node(topology, desc.id, secrets[desc.id], **settings[type(desc)])
-            client = isinstance(node, Client)
-            runtime = (ClientRuntime if client else NodeRuntime)(node, topology, self.rng)
+            runtime = build_runtime(
+                topology, desc.id, secrets[desc.id], self.rng, **settings[type(desc)]
+            )
+            client = isinstance(desc, ClientDescriptor)
             addr = (desc.id, 0) if client else resolve_addr(desc.addr)
             self._endpoints[addr], self._names[addr] = _Endpoint(runtime), desc.id
             runtime.attach(self, _Socket(self, addr))

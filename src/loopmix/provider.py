@@ -119,6 +119,12 @@ class ProviderConfig:
     # client_id -> pull auth token
     client_tokens: Dict[str, bytes] = field(default_factory=dict)
 
+    def __post_init__(self):
+        if self.pull_max_items < 1:
+            raise ValueError("pull_max_items must be at least 1")
+        if self.inbox_capacity < 1:
+            raise ValueError("inbox_capacity must be at least 1")
+
 
 class Provider:
     """A mix node augmented with inbox storage and pull handling."""

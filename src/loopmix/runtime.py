@@ -1,18 +1,21 @@
-"""Runners for mixes, providers and clients, and the builder behind them.
+"""Runners for mixes, providers and clients, and the one builder that makes
+them from directory entries.
 
-Every node speaks the framed datagram protocol from transport.py. A runtime
-is attached to a clock (time() and call_at(), whose handles offer when(),
-cancel() and cancelled()) and to a datagram transport (sendto() and close()),
-then armed. start() attaches it to the running asyncio loop and a bound UDP
-socket; netsim.Net supplies a virtual clock and an in-memory network instead,
-so the same scheduling runs on both.
+Every node speaks the framed datagram protocol from transport.py. NodeRuntime
+and ClientRuntime share one base: a runtime is attached to a clock (time()
+and call_at(), whose handles offer when(), cancel() and cancelled()) and to a
+datagram transport (sendto() and close()), then armed. start() attaches it to
+the running asyncio loop and a bound UDP socket; netsim.Net supplies a
+virtual clock and an in-memory network instead, so the same scheduling runs
+on both. build_runtime() turns a directory entry into the right runtime, for
+the daemon commands, netsim and the tests alike.
 
-Each node or client holds one timer per stream, armed at that stream's next
-event. A node's release timer sits at its pool head and sends every packet
-whose sender-chosen delay has expired; its loop timer sits at the next
-self-loop. A client's payload, loop and drop timers are re-armed with
-exponential gaps, so emissions form Poisson processes, and a fourth timer
-drives its pulls.
+Each node or client holds one timer per stream in one dict, armed at that
+stream's next event. A node's "release" timer sits at its pool head and sends
+every packet whose sender-chosen delay has expired; its "loop" timer sits at
+the next self-loop. A client's payload, loop and drop timers are re-armed
+with exponential gaps, so emissions form Poisson processes, and a "pull"
+timer drives its pulls.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import asyncio
 import logging
 import os
-from typing import Tuple, Union
+from typing import Tuple
 
 from . import packet as pkt, transport
 from .client import Client, ClientConfig
@@ -46,28 +49,6 @@ def resolve_addr(addr: str) -> Tuple[str, int]:
     return host, int(port)
 
 
-def build_node(
-    topology: Topology, node_id: str, secret: bytes, **settings
-) -> Union[MixNode, Provider, Client]:
-    """The MixNode, Provider or Client that topology lists as node_id.
-
-    The directory fixes the id, address, layer, home provider and pull token,
-    and a provider's client tokens; settings name the remaining config
-    fields: lambda_M and mu for a mix; those and pull_max_items and
-    inbox_capacity for a provider; rates, pull_interval_s and pull_max_items
-    for a client. Bad settings raise ValueError.
-    """
-    desc = topology.node(node_id)
-    if isinstance(desc, ClientDescriptor):
-        return Client(ClientConfig(desc.id, secret, desc.provider_id, desc.token, **settings))
-    if isinstance(desc, MixDescriptor):
-        return MixNode(MixConfig(secret, desc.id, desc.addr, desc.layer, **settings))
-    inbox = {k: settings.pop(k) for k in ("pull_max_items", "inbox_capacity") if k in settings}
-    tokens = {c.id: c.token for c in topology.clients if c.provider_id == desc.id}
-    mix = MixConfig(secret, desc.id, desc.addr, 0, **settings)
-    return Provider(ProviderConfig(mix, client_tokens=tokens, **inbox))
-
-
 class _Endpoint(asyncio.DatagramProtocol):
     def __init__(self, runtime):
         self.runtime = runtime
@@ -81,50 +62,56 @@ class _Endpoint(asyncio.DatagramProtocol):
         self.runtime.on_datagram(kind, body, source)
 
 
-async def _start_udp(runtime, host: str, port: int) -> str:
-    """Bind a UDP socket, attach runtime to it and the running loop, arm it;
-    returns the bound host:port."""
-    loop = asyncio.get_running_loop()
-    udp, _ = await loop.create_datagram_endpoint(
-        lambda: _Endpoint(runtime), local_addr=(host, port)
-    )
-    runtime.attach(loop, udp)
-    runtime.arm()
-    bound = udp.get_extra_info("sockname")
-    return f"{bound[0]}:{bound[1]}"
-
-
-class NodeRuntime:
-    """Runs one mix or provider."""
+class _Runtime:
+    """What node and client runtimes share: the node they run, a clock, a
+    datagram transport, and one timer handle per stream, re-armed in place."""
 
     def __init__(self, node, topology: Topology | None = None, rng=None):
-        self.provider = node if isinstance(node, Provider) else None
-        self.mix: MixNode = node.node if self.provider else node
+        self.node = node
         self.topology = topology
         self.rng = rng
         self._clock = None
         self._transport = None
-        self._release = None
-        self._loop_timer = None
+        self._timers: dict = {}
 
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> str:
-        addr = await _start_udp(self, host, port)
-        log.info("node %s listening on %s", self.mix.cfg.node_id, addr)
-        return addr
+        """Bind a UDP socket, attach to it and the running loop, and arm;
+        returns the bound host:port."""
+        loop = asyncio.get_running_loop()
+        udp, _ = await loop.create_datagram_endpoint(
+            lambda: _Endpoint(self), local_addr=(host, port)
+        )
+        self.attach(loop, udp)
+        self.arm()
+        bound = udp.get_extra_info("sockname")
+        return f"{bound[0]}:{bound[1]}"
 
     def attach(self, clock, datagrams) -> None:
         """Take time and timers from clock, and send through datagrams."""
         self._clock, self._transport = clock, datagrams
 
-    def arm(self) -> None:
-        """Start the loop stream; each relay arms the release timer."""
-        self._schedule_loop(self._clock.time())
-
     def stop(self) -> None:
-        for timer in filter(None, (self._release, self._loop_timer)):
+        for timer in self._timers.values():
             timer.cancel()
         if self._transport is not None:
             self._transport.close()
+
+    def _arm(self, stream, at: float, fn, *args) -> None:
+        self._timers[stream] = self._clock.call_at(at, fn, *args)
+
+
+class NodeRuntime(_Runtime):
+    """Runs one mix or provider: a "release" timer at its pool head and a
+    "loop" timer at its next self-loop."""
+
+    def __init__(self, node, topology: Topology | None = None, rng=None):
+        super().__init__(node, topology, rng)
+        self.provider = node if isinstance(node, Provider) else None
+        self.mix: MixNode = node.node if self.provider else node
+
+    def arm(self) -> None:
+        """Start the loop stream; each relay arms the release timer."""
+        self._schedule_loop(self._clock.time())
 
     def sendto(self, data: bytes, addr: str) -> None:
         self._transport.sendto(data, resolve_addr(addr))
@@ -136,8 +123,7 @@ class NodeRuntime:
             except pkt.MalformedPacket:
                 self.mix.dropped_mac += 1
                 return
-            handler = self.provider or self.mix
-            if isinstance(handler.on_receive(packet, self._clock.time()), pkt.Relay):
+            if isinstance(self.node.on_receive(packet, self._clock.time()), pkt.Relay):
                 self._arm_release()
         elif kind == transport.KIND_PULL_REQ and self.provider is not None:
             self._on_pull(body, source)
@@ -147,17 +133,17 @@ class NodeRuntime:
     def _arm_release(self) -> None:
         """Point the release timer at the pool head unless it fires no later."""
         due = self.mix.pool.peek_time()
-        if due is None or (self._release is not None and self._release.when() <= due):
+        release = self._timers.get("release")
+        if due is None or (release is not None and release.when() <= due):
             return
-        if self._release is not None:
-            self._release.cancel()
-        self._release = self._clock.call_at(due, self._drain)
+        if release is not None:
+            release.cancel()
+        self._arm("release", due, self._drain)
 
     def _drain(self) -> None:
-        self._release = None
+        del self._timers["release"]
         now = self._clock.time()
-        handler = self.provider or self.mix
-        while (due := handler.next_release(now)) is not None:
+        while (due := self.node.next_release(now)) is not None:
             _, packet, hop = due
             self.sendto(transport.frame(transport.KIND_PACKET, packet.to_bytes()), hop.next_addr)
         self._arm_release()
@@ -188,29 +174,19 @@ class NodeRuntime:
             self.sendto(transport.frame(transport.KIND_PACKET, packet.to_bytes()), first_addr)
             self._schedule_loop(send_time)
 
-        self._loop_timer = self._clock.call_at(send_time, fire)
+        self._arm("loop", send_time, fire)
 
 
-class ClientRuntime:
-    """Drives one client's three Poisson streams and periodic pulls."""
+class ClientRuntime(_Runtime):
+    """Drives one client's three Poisson streams and periodic pulls: one timer
+    per stream, keyed by its tick method, and a "pull" timer."""
 
     def __init__(self, client: Client, topology: Topology, rng):
+        super().__init__(client, topology, rng)
         self.client = client
-        self.topology = topology
-        self.rng = rng
         self.provider_addr = topology.provider_of(client.cfg.client_id).addr
+        # mail not yet taken by the caller, in arrival order
         self.received_messages: list[bytes] = []
-        self._clock = None
-        self._transport = None
-        # one handle per stream: each tick method, and "pull"
-        self._timers: dict = {}
-
-    async def start(self, host: str = "127.0.0.1", port: int = 0) -> str:
-        return await _start_udp(self, host, port)
-
-    def attach(self, clock, datagrams) -> None:
-        """Take time and timers from clock, and send through datagrams."""
-        self._clock, self._transport = clock, datagrams
 
     def arm(self) -> None:
         """Arm each stream with a positive rate at an exponential gap, and
@@ -225,15 +201,6 @@ class ClientRuntime:
             if rate > 0:
                 self._arm(tick, now + self.rng.expovariate(rate), self._emit, tick)
         self._arm("pull", now + self.client.cfg.pull_interval_s, self._pull)
-
-    def stop(self) -> None:
-        for timer in self._timers.values():
-            timer.cancel()
-        if self._transport is not None:
-            self._transport.close()
-
-    def _arm(self, stream, at: float, fn, *args) -> None:
-        self._timers[stream] = self._clock.call_at(at, fn, *args)
 
     def _send(self, kind: int, body: bytes) -> None:
         self._transport.sendto(transport.frame(kind, body), resolve_addr(self.provider_addr))
@@ -257,3 +224,29 @@ class ClientRuntime:
             return
         now = self._clock.time()
         self.received_messages.extend(self.client.process_pull_items([body], now))
+
+
+def build_runtime(
+    topology: Topology, node_id: str, secret: bytes, rng, **settings
+) -> NodeRuntime | ClientRuntime:
+    """The runtime for topology's entry node_id: a NodeRuntime over its
+    MixNode or Provider, or a ClientRuntime over its Client, drawing from rng.
+
+    The directory fixes the id, address, layer, home provider and pull token,
+    and a provider's client tokens; settings name the remaining config
+    fields: lambda_M and mu for a mix; those and pull_max_items and
+    inbox_capacity for a provider; rates and pull_interval_s for a client.
+    Bad settings raise ValueError.
+    """
+    desc = topology.node(node_id)
+    if isinstance(desc, ClientDescriptor):
+        client = Client(ClientConfig(desc.id, secret, desc.provider_id, desc.token, **settings))
+        return ClientRuntime(client, topology, rng)
+    if isinstance(desc, MixDescriptor):
+        node = MixNode(MixConfig(secret, desc.id, desc.addr, desc.layer, **settings))
+    else:
+        inbox = {k: settings.pop(k) for k in ("pull_max_items", "inbox_capacity") if k in settings}
+        tokens = {c.id: c.token for c in topology.clients if c.provider_id == desc.id}
+        mix = MixConfig(secret, desc.id, desc.addr, 0, **settings)
+        node = Provider(ProviderConfig(mix, client_tokens=tokens, **inbox))
+    return NodeRuntime(node, topology, rng)

@@ -51,7 +51,7 @@ from loopmix.packet import (
     create_packet,
     process_packet,
 )
-from loopmix.runtime import ClientRuntime, NodeRuntime, build_node, resolve_addr
+from loopmix.runtime import build_runtime, resolve_addr
 from loopmix.simulator import (
     SimConfig,
     TraceSimConfig,
@@ -307,7 +307,7 @@ def test_c08_latency_gamma_fit():
 
 
 def _build_live_deployment(mu: float):
-    """A directory and its nodes: 6 mixes, 4 providers, 20 clients."""
+    """A directory and each entry's runtime: 6 mixes, 4 providers, 20 clients."""
     clients = [(f"client-{c}", f"prov-{c % 4}") for c in range(20)]
     topology, secrets = make_directory(random.Random(900), 3, 2, 4, clients, first_port=24610)
     settings = {
@@ -315,39 +315,36 @@ def _build_live_deployment(mu: float):
         ProviderDescriptor: dict(lambda_M=0.0, mu=mu),
         ClientDescriptor: dict(rates=Rates(0.5, 0.2, 0.2, 0.0, mu), pull_interval_s=5.0),
     }
-    nodes = {
-        d.id: build_node(topology, d.id, secrets[d.id], **settings[type(d)])
+    rngs = {d.id: random.Random(hash(d.id) & 0xFFFF) for d in topology.all_nodes()}
+    rngs.update((d.id, random.Random(5000 + c)) for c, d in enumerate(topology.clients))
+    runtimes = {
+        d.id: build_runtime(topology, d.id, secrets[d.id], rngs[d.id], **settings[type(d)])
         for d in (*topology.all_nodes(), *topology.clients)
     }
-    return topology, nodes
+    return topology, runtimes
 
 
 async def _run_live_smoke() -> str:
-    topology, nodes = _build_live_deployment(mu=5.0)
-    target_mix = nodes["mix-0-0"]
-    node_runtimes, client_runtimes = [], []
+    topology, runtimes = _build_live_deployment(mu=5.0)
+    node_runtimes = [runtimes[d.id] for d in topology.all_nodes()]
+    client_runtimes = [runtimes[d.id] for d in topology.clients]
+    target = runtimes["mix-0-0"]
+    target_mix = target.mix
     handling_s = []
+
+    # per-packet handling time: everything from deframed datagram to pooled
+    # packet and armed release timer
+    def timed(kind, body, source, handle=target.on_datagram):
+        started = time.perf_counter()
+        handle(kind, body, source)
+        handling_s.append(time.perf_counter() - started)
+
+    target.on_datagram = timed
     try:
         for desc in topology.all_nodes():
-            rt = NodeRuntime(
-                nodes[desc.id], topology=topology, rng=random.Random(hash(desc.id) & 0xFFFF)
-            )
-            if desc.id == "mix-0-0":
-                # per-packet handling time: everything from deframed datagram
-                # to pooled packet and armed release timer
-                def timed(kind, body, source, handle=rt.on_datagram):
-                    started = time.perf_counter()
-                    handle(kind, body, source)
-                    handling_s.append(time.perf_counter() - started)
-
-                rt.on_datagram = timed
-            host, port = resolve_addr(desc.addr)
-            await rt.start(host, port)
-            node_runtimes.append(rt)
-        for c, desc in enumerate(topology.clients):
-            rt = ClientRuntime(nodes[desc.id], topology, random.Random(5000 + c))
-            await rt.start()
-            client_runtimes.append(rt)
+            await runtimes[desc.id].start(*resolve_addr(desc.addr))
+        for desc in topology.clients:
+            await runtimes[desc.id].start()
 
         # one fixed route through the target mix, fresh onion per packet
         pub = {d.id: d.pubkey for d in topology.all_nodes()}
@@ -412,7 +409,7 @@ async def _run_live_smoke() -> str:
         assert p999_ms <= 5.0
 
         # the blast packets actually traverse the full path into prov-0
-        absorbed = nodes["prov-0"].counters.get("dropped_cover", 0)
+        absorbed = runtimes["prov-0"].provider.counters.get("dropped_cover", 0)
         assert absorbed >= 8000
         # organic client loops complete the full circuit and come back
         assert sum(rt.client.loops_returned for rt in client_runtimes) >= 1
@@ -423,7 +420,7 @@ async def _run_live_smoke() -> str:
             f"p99.9 {p999_ms:.2f}ms"
         )
     finally:
-        for rt in node_runtimes + client_runtimes:
+        for rt in runtimes.values():
             rt.stop()
 
 

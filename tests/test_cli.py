@@ -3,12 +3,14 @@
 import json
 import math
 import random
+import types
 
 import pytest
 from click.testing import CliRunner
 
 from loopmix import cli
 from loopmix.cli import main
+from loopmix.runtime import build_runtime
 
 from conftest import DATA_DIR
 
@@ -320,6 +322,18 @@ class _Captured(Exception):
     pass
 
 
+def key_file_for(tmp_path, node_id):
+    secrets = json.loads((DATA_DIR / "secrets_example.json").read_text())
+    key_file = tmp_path / f"{node_id}.key"
+    key_file.write_text(secrets[node_id])
+    return str(key_file)
+
+
+def daemon_args(tmp_path, command, node_id, *extra):
+    key_file = key_file_for(tmp_path, node_id)
+    return [command, "--directory", DIRECTORY, "--id", node_id, "--key-file", key_file, *extra]
+
+
 @pytest.mark.parametrize(
     "command, node_id, runtime_class",
     [("mix", "mix-1-0", "NodeRuntime"), ("provider", "prov-0", "NodeRuntime"),
@@ -332,19 +346,16 @@ def test_daemon_rng_resists_mt_state_recovery(
     # so seeing its output must not tell an observer what it draws next.
     captured = []
 
-    def capture(*args, **kwargs):
-        captured.append(kwargs.get("rng", args[-1]))
+    def capture(topology, entry_id, secret, rng, **settings):
+        runtime = build_runtime(topology, entry_id, secret, rng, **settings)
+        captured.append((type(runtime).__name__, runtime.rng))
         raise _Captured
 
-    monkeypatch.setattr(cli, runtime_class, capture)
-    secrets = json.loads((DATA_DIR / "secrets_example.json").read_text())
-    key_file = tmp_path / "node.key"
-    key_file.write_text(secrets[node_id])
-    result = runner.invoke(
-        main, [command, "--directory", DIRECTORY, "--id", node_id, "--key-file", str(key_file)]
-    )
+    monkeypatch.setattr(cli, "build_runtime", capture)
+    result = runner.invoke(main, daemon_args(tmp_path, command, node_id))
     assert isinstance(result.exception, _Captured), result.output
-    (rng,) = captured
+    ((built, rng),) = captured
+    assert built == runtime_class
     observed = rng.randbytes(624 * 4)
     assert predict_next_randbytes(observed) != rng.randbytes(32)
 
@@ -354,3 +365,65 @@ def test_daemon_commands_take_no_seed(runner, command):
     result = runner.invoke(main, [command, "--help"])
     assert result.exit_code == 0
     assert "--seed" not in result.output
+
+
+def assert_one_error_line(result, message):
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith("error:") and result.output.count("\n") == 1
+    assert message in result.output
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["analyze", "pool", "--n", "3", "--k", "2", "--l", "1", "--trials", "10", "--mu", "0"],
+         "mu must be positive"),
+        (["analyze", "pool", "--n", "3", "--k", "2", "--l", "1", "--trials", "10", "--mu", "-1"],
+         "mu must be positive"),
+        (["sim", "pool", "--lambda", "20", "--mu", "2", "--duration", "5",
+          "--out", "/nonexistent/x.csv"],
+         "No such file or directory"),
+    ],
+    ids=["pool-mu-zero", "pool-mu-negative", "sim-pool-unwritable-out"],
+)
+def test_failures_print_one_error_line(runner, args, message):
+    assert_one_error_line(runner.invoke(main, args), message)
+
+
+# A daemon that got past its checks would serve forever; the bad --listen
+# after the other bad settings stops one that does.
+@pytest.mark.parametrize(
+    "command, node_id, extra, message",
+    [
+        ("mix", "mix-0-0", [], "bad address 'nonsense'"),
+        ("provider", "prov-0", [], "bad address 'nonsense'"),
+        ("client", "client-0", [], "bad address 'nonsense'"),
+        ("provider", "prov-0", ["--pull-max", "0"], "pull_max_items must be at least 1"),
+        ("provider", "prov-0", ["--inbox-capacity", "-5"], "inbox_capacity must be at least 1"),
+    ],
+    ids=["mix-listen", "provider-listen", "client-listen", "pull-max-zero", "inbox-negative"],
+)
+def test_daemon_start_failures_print_one_error_line(
+    runner, tmp_path, command, node_id, extra, message
+):
+    args = daemon_args(tmp_path, command, node_id, "--listen", "nonsense", *extra)
+    assert_one_error_line(runner.invoke(main, args), message)
+
+
+def test_client_report_prints_new_mail_then_drops_it(capsys):
+    runtime = types.SimpleNamespace(received_messages=[b"hello", b"\xffbye"])
+    cli._report_mail(runtime)
+    assert capsys.readouterr().out == "hello\n\ufffdbye\n"
+    assert runtime.received_messages == []
+    runtime.received_messages.append(b"again")
+    cli._report_mail(runtime)
+    assert capsys.readouterr().out == "again\n"
+
+
+def test_client_takes_no_pull_max(runner, tmp_path):
+    # only the provider sets the items per pull
+    args = daemon_args(tmp_path, "client", "client-0", "--listen", "nonsense", "--pull-max", "3")
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert "No such option '--pull-max'" in result.output

@@ -7,7 +7,7 @@ benchmark's network shape, run through runtime.py's scheduling on a netsim.Net.
 import random
 from collections import defaultdict
 
-from loopmix import transport
+from loopmix import cli, transport
 from loopmix.client import Rates
 from loopmix.netsim import Net
 from loopmix.packet import Relay
@@ -122,3 +122,37 @@ def test_benchmark_shape_runs_on_virtual_time_and_drains():
     assert len(net.log) > 5000
 
     assert run_deployment(seed=7)[1].log == net.log
+
+
+def test_client_defaults_keep_inboxes_drained():
+    # At the daemons' defaults, each pull must carry off more than a client's
+    # own loops bring in, or its inbox grows with uptime.
+    defaults = {
+        command.name: {p.name: p.default for p in command.params}
+        for command in (cli.mix, cli.provider, cli.client)
+    }
+    mix, provider, client = defaults["mix"], defaults["provider"], defaults["client"]
+    clients = [(f"client-{c}", f"prov-{c % 2}") for c in range(3)]
+    topology, secrets = make_directory(random.Random(5), 3, 2, 2, clients)
+    net = Net(5)
+    rates = Rates(client["lambda_p"], client["lambda_l"], client["lambda_d"], 0.0, client["mu"])
+    runtimes = net.deploy(
+        topology,
+        secrets,
+        {
+            MixDescriptor: dict(lambda_M=mix["lambda_m"], mu=mix["mu"]),
+            ProviderDescriptor: dict(
+                lambda_M=provider["lambda_m"],
+                mu=provider["mu"],
+                pull_max_items=provider["pull_max"],
+                inbox_capacity=provider["inbox_capacity"],
+            ),
+            ClientDescriptor: dict(rates=rates, pull_interval_s=client["pull_interval"]),
+        },
+    )
+    for rt in runtimes.values():
+        rt.arm()
+    net.run(until=300.0)
+    inboxes = [q for p in topology.providers for q in runtimes[p.id].provider.inboxes.values()]
+    assert len(inboxes) == 3
+    assert max(map(len, inboxes)) < provider["pull_max"]

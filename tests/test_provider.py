@@ -6,11 +6,13 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from loopmix.mixnode import MixConfig
 from loopmix.packet import Deliver, Drop, HopFlags, HopSpec, Relay, create_packet
 from loopmix.provider import (
     DUMMY,
     REAL,
     BadToken,
+    ProviderConfig,
     PullItem,
     UnknownClient,
     handle_pull,
@@ -102,6 +104,16 @@ def test_pull_unknown_client_and_bad_c():
         handle_pull("ghost", {"alice": deque()}, C=5, rng=random.Random(0))
     with pytest.raises(ValueError):
         handle_pull("alice", {"alice": deque()}, C=0, rng=random.Random(0))
+
+
+@pytest.mark.parametrize("field", ["pull_max_items", "inbox_capacity"])
+@pytest.mark.parametrize("value", [0, -5])
+def test_provider_config_rejects_empty_pulls_and_inboxes(field, value):
+    # C = 0 would fail every pull; a capacity below 1 would evict each delivery
+    mix = MixConfig(bytes(32), "prov-0", "127.0.0.1:9200", 0)
+    with pytest.raises(ValueError, match=field):
+        ProviderConfig(mix, **{field: value})
+    assert ProviderConfig(mix, **{field: 1})
 
 
 def test_pull_item_validation():

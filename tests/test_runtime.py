@@ -2,8 +2,12 @@
 
 import asyncio
 import gc
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
+import loopmix.simulator.epsilon  # noqa: F401  (imported before the tracer test's snapshot)
 from loopmix import crypto, packet, transport
 from loopmix.client import Client, ClientConfig, Rates
 from loopmix.mixnode import MixConfig, MixNode
@@ -114,3 +118,34 @@ def test_client_runtime_emits_every_stream_with_fixed_timers():
     assert held == [4] * 10
     assert max(live) - min(live) <= 1
     assert len(handles) == 4 and all(h.cancelled() for h in handles)
+
+
+def load_bench_spans():
+    path = Path(__file__).resolve().parents[1] / "mixbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("mixbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def program_namespaces():
+    """Every loopmix module and each class it defines."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("loopmix"):
+            yield module
+            yield from (v for v in vars(module).values()
+                        if isinstance(v, type) and v.__module__ == name)
+
+
+def test_benchmark_tracer_wraps_the_runtimes_and_restores_everything():
+    # The tracer wraps what a class body defines (vars(owner)[attr]), so the
+    # runtime methods it times must stay in NodeRuntime's own body.
+    spans = load_bench_spans()
+    before = {ns: dict(vars(ns)) for ns in program_namespaces()}
+    tracer = spans.Tracer()
+    spans.install(tracer)
+    patched = [(owner, attr) for owner, attr, _ in tracer._patches]
+    assert (NodeRuntime, "sendto") in patched and (NodeRuntime, "on_datagram") in patched
+    assert all(vars(owner)[attr] is not before[owner][attr] for owner, attr in patched)
+    tracer.restore()
+    assert {ns: dict(vars(ns)) for ns in program_namespaces()} == before
