@@ -14,11 +14,11 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Set, Tuple
 
 
-class InvalidTrace(Exception):
+class InvalidTrace(ValueError):
     pass
 
 
-class IndexOutOfRange(Exception):
+class IndexOutOfRange(ValueError):
     pass
 
 

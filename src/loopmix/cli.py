@@ -8,14 +8,17 @@ cross-implementation checks.
 
 The node runners share one launch path: load the directory, read the key
 file, check that the id is an entry of the command's role holding that key's
-public half, build the runtime with runtime.build_runtime, then serve it and
-report: a metrics line every 10 s from mixes and providers, new mail every
-second from clients.
+public half, build the runtime with runtime.build_runtime, check each
+`client --send` recipient, then serve it and report: a metrics line every
+10 s from mixes and providers, new mail every second from clients. Their
+option defaults are the config fields' defaults.
 
 Exit code 0 on success, 2 on usage errors, and 1 on configuration or runtime
-failure, which prints one `error: <message>` line on stderr; a ValueError or
-OSError from any subcommand counts as one, and its traceback is logged at
-DEBUG (LOOPMIX_LOG=DEBUG).
+failure, which prints one `error: <message>` line on stderr. Bad input is a
+ValueError raised where it enters (every loopmix exception class is one), so
+_Main alone turns a ValueError or OSError into that line, logging its
+traceback at DEBUG (LOOPMIX_LOG=DEBUG); any other exception is a fault in
+the program and shows its traceback.
 """
 
 from __future__ import annotations
@@ -50,7 +53,9 @@ from .analysis.pools import (
     steady_pool_size,
 )
 from .analysis.traces import Trace, Transmission, anonymity_condition_holds, trace_join
-from .client import Rates
+from .client import ClientConfig, Rates
+from .mixnode import MixConfig
+from .provider import ProviderConfig
 from .runtime import build_runtime, configure_logging, log, resolve_addr
 from .simulator import (
     SimConfig,
@@ -61,7 +66,7 @@ from .simulator import (
     run_pool_experiment,
     run_trace_experiment,
 )
-from .topology import ClientDescriptor, MixDescriptor, ProviderDescriptor, Topology, load_directory
+from .topology import ClientDescriptor, MixDescriptor, ProviderDescriptor, load_directory
 
 
 def _fail(message: str) -> None:
@@ -71,13 +76,6 @@ def _fail(message: str) -> None:
 
 def _emit(obj) -> None:
     click.echo(json.dumps(obj, sort_keys=True))
-
-
-def _topology(path: str) -> Topology:
-    try:
-        return load_directory(path)
-    except Exception as exc:
-        _fail(str(exc))
 
 
 def _secret_key(path: str) -> bytes:
@@ -97,7 +95,7 @@ _ROLES = {"mix": MixDescriptor, "provider": ProviderDescriptor, "client": Client
 def _runtime(role: str, directory_path: str, node_id: str, key_file: str, **settings):
     """The runtime of the directory's role entry node_id, after checking that
     the key file holds the secret half of the entry's public key."""
-    topology = _topology(directory_path)
+    topology = load_directory(directory_path)
     secret = _secret_key(key_file)
     entries = (*topology.all_nodes(), *topology.clients)
     descriptor = next((d for d in entries if d.id == node_id), None)
@@ -158,8 +156,10 @@ def main() -> None:
 @click.option("--id", "node_id", required=True, help="Mix id as listed in the directory.")
 @click.option("--key-file", required=True, help="File holding the hex-encoded secret key.")
 @click.option("--listen", default="127.0.0.1:0", show_default=True, help="Bind address.")
-@click.option("--lambda-m", type=float, default=0.0, show_default=True, help="Loop rate per second.")
-@click.option("--mu", type=float, default=1.0, show_default=True, help="Delay parameter for own loops.")
+@click.option("--lambda-m", type=float, default=MixConfig.lambda_M, show_default=True,
+              help="Loop rate per second.")
+@click.option("--mu", type=float, default=MixConfig.mu, show_default=True,
+              help="Delay parameter for own loops.")
 def mix(directory_path, node_id, key_file, listen, lambda_m, mu):
     """Run a mix node."""
     runtime = _runtime("mix", directory_path, node_id, key_file, lambda_M=lambda_m, mu=mu)
@@ -171,10 +171,12 @@ def mix(directory_path, node_id, key_file, listen, lambda_m, mu):
 @click.option("--id", "node_id", required=True, help="Provider id as listed in the directory.")
 @click.option("--key-file", required=True, help="File holding the hex-encoded secret key.")
 @click.option("--listen", default="127.0.0.1:0", show_default=True, help="Bind address.")
-@click.option("--pull-max", type=int, default=5, show_default=True, help="Items per pull response.")
-@click.option("--inbox-capacity", type=int, default=10_000, show_default=True)
-@click.option("--lambda-m", type=float, default=0.0, show_default=True, help="Loop rate per second.")
-@click.option("--mu", type=float, default=1.0, show_default=True)
+@click.option("--pull-max", type=int, default=ProviderConfig.pull_max_items, show_default=True,
+              help="Items per pull response.")
+@click.option("--inbox-capacity", type=int, default=ProviderConfig.inbox_capacity, show_default=True)
+@click.option("--lambda-m", type=float, default=MixConfig.lambda_M, show_default=True,
+              help="Loop rate per second.")
+@click.option("--mu", type=float, default=MixConfig.mu, show_default=True)
 def provider(directory_path, node_id, key_file, listen, pull_max, inbox_capacity, lambda_m, mu):
     """Run a provider."""
     runtime = _runtime(
@@ -194,7 +196,7 @@ def provider(directory_path, node_id, key_file, listen, pull_max, inbox_capacity
 @click.option("--lambda-d", type=float, default=0.5, show_default=True, help="Drop rate per second.")
 @click.option("--mu", type=float, default=1.0, show_default=True, help="Per-hop delay parameter.")
 @click.option(
-    "--pull-interval", type=float, default=5.0, show_default=True,
+    "--pull-interval", type=float, default=ClientConfig.pull_interval_s, show_default=True,
     help="Seconds between pulls. The provider's --pull-max items per pull must exceed the "
     "--lambda-l loops plus the mail that reach the inbox meanwhile, or it grows without bound.",
 )
@@ -209,8 +211,9 @@ def client(directory_path, client_id, key_file, listen, lambda_p, lambda_l, lamb
     for spec in send:
         recipient, _, text = spec.partition(":")
         try:
+            runtime.topology.client(recipient)
             runtime.client.enqueue_message(recipient, text.encode())
-        except Exception as exc:
+        except ValueError as exc:
             _fail(f"cannot enqueue {spec!r}: {exc}")
     _serve(runtime, client_id, listen, _report_mail, every=1.0)
 
@@ -511,8 +514,6 @@ def analyze_trace_join(traces_file, x_idx, y_idx, hop):
         result = trace_join(traces[x_idx], traces[y_idx], hop)
     except (KeyError, IndexError, TypeError) as exc:
         _fail(f"bad traces file: {exc}")
-    except Exception as exc:
-        _fail(str(exc))
     _emit({"join": result})
 
 
@@ -547,10 +548,7 @@ def analyze_anon_condition(traces_file, simulate, seed, users, hops, duration, l
             _fail(f"bad traces file: {exc}")
     else:
         raise click.UsageError("need --traces-file or --simulate")
-    try:
-        holds = anonymity_condition_holds(challenge, drops, compromised)
-    except Exception as exc:
-        _fail(str(exc))
+    holds = anonymity_condition_holds(challenge, drops, compromised)
     _emit({"holds": holds, "drop_traces": len(drops)})
 
 

@@ -36,14 +36,10 @@ PACKET_LOOP = "LOOP"
 PACKET_DROP = "DROP"
 
 
-class MessageTooLarge(Exception):
-    pass
-
-
 def seal_envelope(recipient_pub: crypto.GroupElement, message: bytes, rng) -> bytes:
     """Encrypt message into a fixed-size blob only the recipient can open."""
     if len(message) > USER_MESSAGE_CAPACITY:
-        raise MessageTooLarge(f"{len(message)} > {USER_MESSAGE_CAPACITY}")
+        raise pkt.MessageTooLarge(f"{len(message)} > {USER_MESSAGE_CAPACITY}")
     plain = struct.pack(">I", len(message)) + message
     plain += bytes(_SEALED_PLAIN_LEN - len(plain))
     return crypto.e2e_seal(recipient_pub, plain, rng)
@@ -95,7 +91,7 @@ class ClientConfig:
     provider_id: str
     token: bytes
     rates: Rates
-    pull_interval_s: float = 10.0
+    pull_interval_s: float = 5.0
 
     def __post_init__(self):
         if len(self.secret_key) != crypto.SECRET_KEY_LEN:
@@ -126,15 +122,11 @@ class Client:
 
     def enqueue_message(self, recipient_id: str, message: bytes) -> None:
         if len(message) > USER_MESSAGE_CAPACITY:
-            raise MessageTooLarge(f"{len(message)} > {USER_MESSAGE_CAPACITY}")
+            raise pkt.MessageTooLarge(f"{len(message)} > {USER_MESSAGE_CAPACITY}")
         self.buffer.append((recipient_id, message))
 
     def queue_depth(self) -> int:
         return len(self.buffer)
-
-    def _check_depth(self, topology: Topology) -> None:
-        if topology.n_layers + 2 > pkt.MAX_HOPS:
-            raise ValueError("path exceeds the packet hop budget")
 
     def _mix_path(self, topology: Topology, dest_provider_id: str, rng):
         own = topology.provider_of(self.cfg.client_id)
@@ -153,7 +145,6 @@ class Client:
         """
         if self.cfg.rates.lambda_P <= 0:
             raise ValueError("payload stream disabled")
-        self._check_depth(topology)
         if self.buffer:
             recipient_id, message = self.buffer.popleft()
             recipient = topology.client(recipient_id)
@@ -175,7 +166,6 @@ class Client:
         """
         if self.cfg.rates.lambda_L <= 0:
             raise ValueError("loop stream disabled")
-        self._check_depth(topology)
         own = topology.provider_of(self.cfg.client_id)
         descriptors = self._mix_path(topology, own.id, rng)
         me = topology.client(self.cfg.client_id)
@@ -189,7 +179,6 @@ class Client:
         """Emit one drop-cover packet to a uniformly chosen provider."""
         if self.cfg.rates.lambda_D <= 0:
             raise ValueError("drop stream disabled")
-        self._check_depth(topology)
         packet = self._drop_packet(topology, rng)
         self.drops_sent += 1
         return packet, now + rng.expovariate(self.cfg.rates.lambda_D)

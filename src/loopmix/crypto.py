@@ -13,6 +13,7 @@ import hashlib
 import hmac as _hmac
 from dataclasses import dataclass
 
+from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.asymmetric.x25519 import (
     X25519PrivateKey,
     X25519PublicKey,
@@ -34,7 +35,7 @@ _INV8 = pow(8, -1, GROUP_ORDER)
 Scalar = bytes | X25519PrivateKey
 
 
-class GroupError(Exception):
+class GroupError(ValueError):
     """A group operation failed (bad length or degenerate element)."""
 
 
@@ -176,7 +177,7 @@ def deliver_open(shared: bytes, blob: bytes) -> bytes:
     key = _h(b"loopmix-deliver", shared)
     try:
         return ChaCha20Poly1305(key).decrypt(b"\x00" * 12, blob, None)
-    except Exception as exc:
+    except InvalidTag as exc:
         raise GroupError("delivery authentication failed") from exc
 
 
@@ -202,5 +203,5 @@ def e2e_open(recipient_secret: Scalar, blob: bytes) -> bytes:
         return ChaCha20Poly1305(key).decrypt(
             b"\x00" * 12, blob[GROUP_ELEMENT_LEN:], None
         )
-    except Exception as exc:
+    except InvalidTag as exc:
         raise GroupError("end-to-end authentication failed") from exc

@@ -28,10 +28,6 @@ REPLAY_HORIZON_S = 3600.0
 LOOP_CAP = 10_000
 
 
-class TopologyTooSmall(Exception):
-    pass
-
-
 @dataclass
 class MixPool:
     """Pending messages keyed by release time, plus the replay cache."""
@@ -216,10 +212,6 @@ class MixNode:
         """
         if self.cfg.lambda_M <= 0:
             raise ValueError("loops disabled: lambda_M is zero")
-        if topology.n_layers < 1 or not topology.providers:
-            raise TopologyTooSmall("need at least one layer and one provider")
-        if topology.n_layers + 1 > pkt.MAX_HOPS:
-            raise TopologyTooSmall("loop path exceeds the packet hop budget")
 
         me = topology.node(self.cfg.node_id)
         i = self.cfg.layer_index

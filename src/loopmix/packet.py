@@ -32,7 +32,7 @@ _LEN_FIELD = 4
 MESSAGE_CAPACITY = PAYLOAD_LEN - crypto.AEAD_OVERHEAD - _ID_FIELD_LEN - _LEN_FIELD
 
 
-class PacketError(Exception):
+class PacketError(ValueError):
     pass
 
 

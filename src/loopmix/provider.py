@@ -21,15 +21,14 @@ from .transport import PULL_ITEM_LEN
 REAL = "REAL"
 DUMMY = "DUMMY"
 
-DEFAULT_PULL_MAX_ITEMS = 5
 DEFAULT_INBOX_CAPACITY = 10_000
 
 
-class UnknownClient(Exception):
+class UnknownClient(ValueError):
     pass
 
 
-class BadToken(Exception):
+class BadToken(ValueError):
     pass
 
 
@@ -114,7 +113,7 @@ def handle_pull(
 @dataclass
 class ProviderConfig:
     mix: MixConfig
-    pull_max_items: int = DEFAULT_PULL_MAX_ITEMS
+    pull_max_items: int = 5
     inbox_capacity: int = DEFAULT_INBOX_CAPACITY
     # client_id -> pull auth token
     client_tokens: Dict[str, bytes] = field(default_factory=dict)

@@ -25,7 +25,7 @@ import logging
 import os
 from typing import Tuple
 
-from . import packet as pkt, transport
+from . import crypto, packet as pkt, transport
 from .client import Client, ClientConfig
 from .mixnode import MixConfig, MixNode
 from .provider import BadToken, Provider, ProviderConfig, UnknownClient
@@ -165,7 +165,7 @@ class NodeRuntime(_Runtime):
             return
         try:
             send_time, packet = self.mix.generate_mix_loop(self.topology, self.rng, now)
-        except Exception as exc:
+        except crypto.GroupError as exc:  # a low-order key in the directory
             log.warning("loop generation failed: %s", exc)
             return
         first_addr = self.mix.last_loop_first_hop

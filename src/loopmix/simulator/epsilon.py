@@ -27,7 +27,7 @@ from ..analysis.pools import epsilon_of
 from ..client import Rates
 
 
-class ChallengeSendersOffline(Exception):
+class ChallengeSendersOffline(ValueError):
     pass
 
 

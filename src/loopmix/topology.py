@@ -1,8 +1,14 @@
 """Static network map: layered mixes, providers, clients, and path sampling.
 
 The directory is a JSON file with hex-encoded public keys. A signature field is
-reserved but not verified; key distribution is out of scope. Topologies are
-immutable after loading and safe to share.
+reserved but not verified, and a version field is not read; key distribution
+is out of scope. Topologies are immutable after loading and safe to share.
+
+A directory is checked once, here: loads_directory reads every section
+through one entry reader and raises ParseError at a malformed entry's
+location, and Topology raises InvariantViolation when the entries do not
+form a network, including one whose client paths exceed a packet's hops.
+Both are ValueErrors; loading does no group operation.
 """
 
 from __future__ import annotations
@@ -10,15 +16,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .crypto import GroupElement
-from .packet import ADDR_LEN, HopFlags, HopSpec
+from .crypto import GroupElement, GroupError
+from .packet import ADDR_LEN, MAX_HOPS, HopFlags, HopSpec
+from .transport import TOKEN_LEN
 
 
-class ParseError(Exception):
+class ParseError(ValueError):
     pass
 
 
-class InvariantViolation(Exception):
+class InvariantViolation(ValueError):
     def __init__(self, message: str, location: str = ""):
         super().__init__(f"{location}: {message}" if location else message)
         self.location = location
@@ -44,7 +51,7 @@ class ClientDescriptor:
     id: str
     provider_id: str
     pubkey: GroupElement
-    token: bytes = b"\x00" * 16
+    token: bytes = b"\x00" * TOKEN_LEN
 
 
 @dataclass(frozen=True)
@@ -57,6 +64,10 @@ class Topology:
     def __post_init__(self):
         if len(self.layers) < 1:
             raise InvariantViolation("at least one mix layer required", "layers")
+        if len(self.layers) + 2 > MAX_HOPS:  # a client path: provider, layers, provider
+            raise InvariantViolation(
+                f"at most {MAX_HOPS - 2} layers fit the packet hop budget", "layers"
+            )
         for i, layer in enumerate(self.layers):
             if not layer:
                 raise InvariantViolation("layer is empty", f"layers[{i}]")
@@ -109,7 +120,24 @@ class Topology:
         return self.node(self.client(client_id).provider_id)
 
 
-def _descriptor_name(entry: dict, key: str, location: str) -> str:
+def _entries(raw, location: str, read) -> tuple:
+    """read(entry, location[j]) for each entry of raw, which must be a list
+    of objects; a key an entry lacks is a ParseError at that entry."""
+    if not isinstance(raw, list):
+        raise ParseError(f"{location}: not a list")
+    out = []
+    for j, entry in enumerate(raw):
+        loc = f"{location}[{j}]"
+        if not isinstance(entry, dict):
+            raise ParseError(f"{loc}: not an object")
+        try:
+            out.append(read(entry, loc))
+        except KeyError as exc:
+            raise ParseError(f"{loc}: missing key {exc}") from exc
+    return tuple(out)
+
+
+def _name(entry: dict, key: str, location: str) -> str:
     """entry[key] as text that fits the id and address fields of packets and
     pull requests: 31 UTF-8 bytes behind a length byte."""
     value = str(entry[key])
@@ -118,13 +146,34 @@ def _descriptor_name(entry: dict, key: str, location: str) -> str:
     return value
 
 
-def _descriptor_pubkey(entry: dict, location: str) -> GroupElement:
+def _pubkey(entry: dict, location: str) -> GroupElement:
     try:
         return GroupElement.from_hex(entry["pubkey"])
+    except (GroupError, TypeError) as exc:
+        raise ParseError(f"{location}: {exc}") from exc
     except (KeyError, ValueError) as exc:
         raise ParseError(f"{location}: bad or missing pubkey") from exc
-    except Exception as exc:
-        raise ParseError(f"{location}: {exc}") from exc
+
+
+def _token(entry: dict, location: str) -> bytes:
+    try:
+        token = bytes.fromhex(entry.get("token", "00" * TOKEN_LEN))
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{location}: bad token hex") from exc
+    if len(token) != TOKEN_LEN:
+        raise ParseError(f"{location}: token must be {TOKEN_LEN} bytes")
+    return token
+
+
+def _node(e: dict, loc: str) -> tuple:
+    """The id, address and public key of a mix or provider entry."""
+    return _name(e, "id", loc), _name(e, "addr", loc), _pubkey(e, loc)
+
+
+def _client(e: dict, loc: str) -> ClientDescriptor:
+    return ClientDescriptor(
+        _name(e, "id", loc), str(e["provider_id"]), _pubkey(e, loc), _token(e, loc)
+    )
 
 
 def loads_directory(text: str) -> Topology:
@@ -139,57 +188,16 @@ def loads_directory(text: str) -> Topology:
         raw_providers = doc["providers"]
     except KeyError as exc:
         raise ParseError(f"missing required key {exc}") from exc
-
-    layers = []
-    for i, raw in enumerate(raw_layers):
-        layer = []
-        for j, entry in enumerate(raw):
-            loc = f"layers[{i}][{j}]"
-            try:
-                layer.append(
-                    MixDescriptor(
-                        id=_descriptor_name(entry, "id", loc),
-                        addr=_descriptor_name(entry, "addr", loc),
-                        pubkey=_descriptor_pubkey(entry, loc),
-                        layer=i,
-                    )
-                )
-            except KeyError as exc:
-                raise ParseError(f"{loc}: missing key {exc}") from exc
-        layers.append(tuple(layer))
-
-    providers = []
-    for j, entry in enumerate(raw_providers):
-        loc = f"providers[{j}]"
-        try:
-            providers.append(
-                ProviderDescriptor(
-                    id=_descriptor_name(entry, "id", loc),
-                    addr=_descriptor_name(entry, "addr", loc),
-                    pubkey=_descriptor_pubkey(entry, loc),
-                )
-            )
-        except KeyError as exc:
-            raise ParseError(f"{loc}: missing key {exc}") from exc
-
-    clients = []
-    for j, entry in enumerate(doc.get("clients", [])):
-        loc = f"clients[{j}]"
-        try:
-            clients.append(
-                ClientDescriptor(
-                    id=_descriptor_name(entry, "id", loc),
-                    provider_id=str(entry["provider_id"]),
-                    pubkey=_descriptor_pubkey(entry, loc),
-                    token=bytes.fromhex(entry.get("token", "00" * 16)),
-                )
-            )
-        except KeyError as exc:
-            raise ParseError(f"{loc}: missing key {exc}") from exc
-        except ValueError as exc:
-            raise ParseError(f"{loc}: bad token hex") from exc
-
-    return Topology(tuple(layers), tuple(providers), tuple(clients))
+    if not isinstance(raw_layers, list):
+        raise ParseError("layers: not a list")
+    return Topology(
+        tuple(
+            _entries(raw, f"layers[{i}]", lambda e, loc: MixDescriptor(*_node(e, loc), i))
+            for i, raw in enumerate(raw_layers)
+        ),
+        _entries(raw_providers, "providers", lambda e, loc: ProviderDescriptor(*_node(e, loc))),
+        _entries(doc.get("clients", []), "clients", _client),
+    )
 
 
 def load_directory(path) -> Topology:

@@ -33,11 +33,11 @@ BODY_SIZES = {
 HEADER_LEN = 4
 
 
-class BodyWrongSize(Exception):
+class BodyWrongSize(ValueError):
     pass
 
 
-class DeframeError(Exception):
+class DeframeError(ValueError):
     pass
 
 

@@ -315,7 +315,7 @@ def _build_live_deployment(mu: float):
         ProviderDescriptor: dict(lambda_M=0.0, mu=mu),
         ClientDescriptor: dict(rates=Rates(0.5, 0.2, 0.2, 0.0, mu), pull_interval_s=5.0),
     }
-    rngs = {d.id: random.Random(hash(d.id) & 0xFFFF) for d in topology.all_nodes()}
+    rngs = {d.id: random.Random(i) for i, d in enumerate(topology.all_nodes())}
     rngs.update((d.id, random.Random(5000 + c)) for c, d in enumerate(topology.clients))
     runtimes = {
         d.id: build_runtime(topology, d.id, secrets[d.id], rngs[d.id], **settings[type(d)])

@@ -1,15 +1,22 @@
 """Command-line surface: every subcommand, JSON output, and error exits."""
 
+import dataclasses
+import importlib
 import json
 import math
+import pkgutil
 import random
 import types
 
 import pytest
 from click.testing import CliRunner
 
+import loopmix
 from loopmix import cli
 from loopmix.cli import main
+from loopmix.client import ClientConfig
+from loopmix.mixnode import MixConfig
+from loopmix.provider import ProviderConfig
 from loopmix.runtime import build_runtime
 
 from conftest import DATA_DIR
@@ -401,14 +408,51 @@ def test_failures_print_one_error_line(runner, args, message):
         ("client", "client-0", [], "bad address 'nonsense'"),
         ("provider", "prov-0", ["--pull-max", "0"], "pull_max_items must be at least 1"),
         ("provider", "prov-0", ["--inbox-capacity", "-5"], "inbox_capacity must be at least 1"),
+        ("client", "client-0", ["--send", "client-1:hi", "--send", "nobody:hi"],
+         "cannot enqueue 'nobody:hi': nobody: unknown id 'nobody'"),
     ],
-    ids=["mix-listen", "provider-listen", "client-listen", "pull-max-zero", "inbox-negative"],
+    ids=["mix-listen", "provider-listen", "client-listen", "pull-max-zero", "inbox-negative",
+         "send-unknown-recipient"],
 )
 def test_daemon_start_failures_print_one_error_line(
     runner, tmp_path, command, node_id, extra, message
 ):
     args = daemon_args(tmp_path, command, node_id, "--listen", "nonsense", *extra)
     assert_one_error_line(runner.invoke(main, args), message)
+
+
+@pytest.mark.parametrize(
+    "command, option, config, field",
+    [
+        ("mix", "lambda_m", MixConfig, "lambda_M"),
+        ("mix", "mu", MixConfig, "mu"),
+        ("provider", "lambda_m", MixConfig, "lambda_M"),
+        ("provider", "mu", MixConfig, "mu"),
+        ("provider", "pull_max", ProviderConfig, "pull_max_items"),
+        ("provider", "inbox_capacity", ProviderConfig, "inbox_capacity"),
+        ("client", "pull_interval", ClientConfig, "pull_interval_s"),
+    ],
+)
+def test_daemon_defaults_are_the_config_defaults(command, option, config, field):
+    (param,) = [p for p in main.commands[command].params if p.name == option]
+    (default,) = [f.default for f in dataclasses.fields(config) if f.name == field]
+    assert param.default == default
+
+
+def test_every_loopmix_exception_is_a_value_error():
+    # _Main turns a ValueError into one error line, so bad input of any kind
+    # is reported the same way, and anything else is a fault in the program.
+    defined = [
+        obj
+        for info in pkgutil.walk_packages(loopmix.__path__, "loopmix.")
+        for obj in vars(importlib.import_module(info.name)).values()
+        if isinstance(obj, type) and issubclass(obj, BaseException)
+        and obj.__module__ == info.name
+    ]
+    assert {"ParseError", "GroupError", "InvalidTrace", "ChallengeSendersOffline"} <= {
+        c.__name__ for c in defined
+    }
+    assert [c.__qualname__ for c in defined if not issubclass(c, ValueError)] == []
 
 
 def test_client_report_prints_new_mail_then_drops_it(capsys):

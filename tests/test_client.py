@@ -13,13 +13,12 @@ from loopmix.client import (
     USER_MESSAGE_CAPACITY,
     Client,
     ClientConfig,
-    MessageTooLarge,
     Rates,
     aggregate_output_rate,
     open_envelope,
     seal_envelope,
 )
-from loopmix.packet import PACKET_LEN, Drop, Relay, process_packet
+from loopmix.packet import PACKET_LEN, Drop, MessageTooLarge, Relay, process_packet
 
 from conftest import build_network
 

@@ -15,12 +15,11 @@ from loopmix.mixnode import (
     MixConfig,
     MixNode,
     MixPool,
-    TopologyTooSmall,
     loop_health,
 )
 from loopmix.packet import HopFlags, HopSpec, Relay, create_packet
 from loopmix.simulator.queues import run_pool_experiment
-from loopmix.topology import sample_forward_path
+from loopmix.topology import InvariantViolation, sample_forward_path
 
 from conftest import build_network
 
@@ -270,11 +269,15 @@ def test_lambda_m_zero_never_builds_loops(network):
 
 
 def test_loop_path_must_fit_hop_budget():
+    # a directory whose client paths fit a packet fits every loop path too
     topology, net = build_network(
-        layers=5, per_layer=1, n_providers=1, client_specs=(("a", "prov-0"),)
+        layers=3, per_layer=1, n_providers=1, client_specs=(("a", "prov-0"),)
     )
-    with pytest.raises(TopologyTooSmall):
-        net.runtimes["mix-0-0"].mix.generate_mix_loop(topology, random.Random(0), now=0.0)
+    net.runtimes["prov-0"].mix.cfg.lambda_M = 1.0
+    for node_id in ("mix-0-0", "mix-2-0", "prov-0"):
+        net.runtimes[node_id].mix.generate_mix_loop(topology, random.Random(0), now=0.0)
+    with pytest.raises(InvariantViolation, match="at most 3 layers"):
+        build_network(layers=4, per_layer=1, n_providers=1, client_specs=(("a", "prov-0"),))
 
 
 def test_loop_health_thresholds():

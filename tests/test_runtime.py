@@ -1,9 +1,12 @@
 """Asyncio runtimes on loopback sockets: relay timing and bounded timers."""
 
 import asyncio
+import dataclasses
 import gc
 import importlib.util
+import json
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -14,6 +17,8 @@ from loopmix.mixnode import MixConfig, MixNode
 from loopmix.packet import HopFlags, HopSpec
 from loopmix.runtime import ClientRuntime, NodeRuntime, resolve_addr
 from loopmix.topology import ClientDescriptor, MixDescriptor, ProviderDescriptor, Topology
+
+from conftest import build_network
 
 
 def live_timer_handles() -> int:
@@ -149,3 +154,30 @@ def test_benchmark_tracer_wraps_the_runtimes_and_restores_everything():
     assert all(vars(owner)[attr] is not before[owner][attr] for owner, attr in patched)
     tracer.restore()
     assert {ns: dict(vars(ns)) for ns in program_namespaces()} == before
+
+
+def test_benchmark_smoke_run_is_correct():
+    # The benchmark drives the node layer directly: its network workload
+    # loads a directory with no version key and calls the client ticks and
+    # generate_mix_loop itself, so its smoke run guards that use.
+    root = Path(__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "mixbench/run.py", "--smoke"],
+        cwd=root, capture_output=True, text=True, timeout=600,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout.splitlines()[-1])["correct"] is True, result.stderr
+
+
+def test_loop_stream_stops_with_a_warning_at_a_low_order_key(caplog):
+    # The directory check does no group operation, so a low-order key loads;
+    # the loop it breaks is the one failure the loop stream handles.
+    topology, net = build_network(layers=1, per_layer=1, n_providers=1, client_specs=())
+    (mix,) = topology.layers[0]
+    low_order = dataclasses.replace(mix, pubkey=crypto.GroupElement(bytes(32)))
+    runtime = net.runtimes["prov-0"]
+    runtime.topology = Topology(((low_order,),), topology.providers)
+    runtime.mix.cfg.lambda_M = 1.0
+    runtime.arm()
+    assert "loop generation failed: degenerate shared secret" in caplog.text
+    assert "loop" not in runtime._timers

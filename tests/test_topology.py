@@ -92,6 +92,35 @@ def test_overlong_id_or_address_rejected(example_directory, section, index, key,
         loads_directory(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("layers",), 5, "layers: not a list"),
+        (("layers", 0), {"id": "x"}, "layers[0]: not a list"),
+        (("layers", 1, 0), "mix", "layers[1][0]: not an object"),
+        (("providers",), None, "providers: not a list"),
+        (("providers", 2), [], "providers[2]: not an object"),
+        (("clients",), {"a": {}}, "clients: not a list"),
+        (("clients", 3), 5, "clients[3]: not an object"),
+        (("clients", 0, "token"), "00", "clients[0]: token must be 16 bytes"),
+        (("clients", 5, "token"), "00" * 17, "clients[5]: token must be 16 bytes"),
+        (("clients", 0, "token"), 7, "clients[0]: bad token hex"),
+        (("providers", 0, "pubkey"), "00" * 31,
+         "providers[0]: group element must be exactly 32 bytes"),
+    ],
+    ids=["layers", "layer", "mix", "providers", "provider", "clients", "client",
+         "token-short", "token-long", "token-not-text", "pubkey-short"],
+)
+def test_malformed_entry_rejected_at_its_location(example_directory, path, value, message):
+    doc = json.loads(json.dumps(example_directory))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    with pytest.raises(ParseError, match=rf"^{re.escape(message)}$"):
+        loads_directory(json.dumps(doc))
+
+
 def test_missing_file_raises_parse_error(tmp_path):
     with pytest.raises(ParseError):
         load_directory(tmp_path / "nope.json")
