@@ -2,7 +2,9 @@
 """Sweep the sender-indistinguishability estimate over mu, layers, corruption.
 
 Produces one (param,mean_eps,std) CSV row per configuration, matching the
-table schema `loopmix sim epsilon` emits for a single point.
+table schema `loopmix sim epsilon` emits for a single point. The three sweeps
+share a centre point (mu 1, 3 layers, no corruption by default); each
+distinct point is simulated once and its row repeated.
 """
 
 import argparse
@@ -47,10 +49,13 @@ def main(argv=None) -> int:
     points += [(1.0, layers, 0.0) for layers in args.layer_counts]
     points += [(1.0, 3, corrupt) for corrupt in args.corruptions]
 
+    done = {}
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("param,mean_eps,std\n")
-        for mu, layers, corrupt in points:
-            param, batch = run_point(args, mu, layers, corrupt)
+        for point in points:
+            if point not in done:
+                done[point] = run_point(args, *point)
+            param, batch = done[point]
             fh.write(f"{param},{batch.mean},{batch.std}\n")
             print(param, "->", round(batch.mean, 4), "+/-", round(batch.std, 4))
     print(f"wrote {args.out}")

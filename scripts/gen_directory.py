@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from loopmix import crypto
+from loopmix.topology import loads_directory
 
 
 def build(seed: int, layers: int, per_layer: int, providers: int, clients: int):
@@ -73,7 +74,12 @@ def main(argv=None) -> int:
     directory, secrets = build(
         args.seed, args.layers, args.per_layer, args.providers, args.clients
     )
-    Path(args.out).write_text(json.dumps(directory, indent=2) + "\n")
+    text = json.dumps(directory, indent=2) + "\n"
+    try:  # write only what nodes and clients can load
+        loads_directory(text)
+    except ValueError as exc:
+        parser.error(f"the directory would not load: {exc}")
+    Path(args.out).write_text(text)
     Path(args.secrets_out).write_text(json.dumps(secrets, indent=2) + "\n")
     print(f"wrote {args.out} and {args.secrets_out}")
     return 0

@@ -85,17 +85,31 @@ class LabelFlowResult:
     events: List[tuple] = field(default_factory=list, repr=False)
 
 
-_EMIT, _DEPART, _REFILL, _MIXLOOP = 0, 1, 2, 3
+_LABELS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))  # S0, S1, unlabeled
+_UNLABELED = _LABELS[2]
+# Heap entries are (t, seq, mix, layer, path, dist): a departure from mix, or
+# with layer _LOOP the mix's next loop injection. dist is None for a message
+# in an honest pool, whose label is the pool's average at departure.
+_LOOP = -1
+_NEVER = (math.inf,)  # the head of an empty heap, later than every emission
 
 
 def simulate_label_flow(cfg: SimConfig) -> LabelFlowResult:
-    """Run one seeded repetition and return the full label accounting."""
+    """Run one seeded repetition and return the full label accounting.
+
+    The event loop draws from rng in a fixed order, so a seed fixes every
+    field of the result. It inlines two stdlib draws exactly as
+    random.Random computes them: expovariate(rate) is
+    -log(1.0 - random()) / rate, and randrange(n) is getrandbits(k) for
+    k = n.bit_length(), redrawn while it is >= n.
+    """
     rng = random.Random(cfg.seed)
     fill_rng = np.random.default_rng(cfg.seed)
     l, w = cfg.layers, cfg.nodes_per_layer
     n_mixes = l * w
     rates = cfg.rates
     mu = rates.mu
+    lambda_M = rates.lambda_M
 
     n_corrupt = round(cfg.corrupt_fraction * n_mixes)
     last_layer = range((l - 1) * w, n_mixes)
@@ -120,35 +134,25 @@ def simulate_label_flow(cfg: SimConfig) -> LabelFlowResult:
     in_corrupt = [0.0, 0.0, 0.0]
     delivered = [0.0, 0.0, 0.0]
     emitted = [0, 0, 0]
-    buffers = {s0: 0, s1: 0}
     events: List[tuple] = []
 
+    rand = rng.random
+    getrandbits = rng.getrandbits
+    log = math.log
+    heappush, heappop = heapq.heappush, heapq.heappop
+    record = cfg.record_events
+    last = l - 1
+    n_users = cfg.U
+    user_bits = n_users.bit_length()
+    mix_bits = w.bit_length()
     heap: List[tuple] = []
     seq = 0
 
-    def push(t: float, kind: int, data) -> None:
-        nonlocal seq
-        heapq.heappush(heap, (t, seq, kind, data))
-        seq += 1
-
-    def arrive(t: float, mix: int, layer: int, path, dist) -> None:
-        if mix in corrupt:
-            in_corrupt[0] += dist[0]
-            in_corrupt[1] += dist[1]
-            in_corrupt[2] += dist[2]
-            push(t + rng.expovariate(mu), _DEPART, (mix, layer, path, dist))
-        else:
-            pool0[mix] += dist[0]
-            pool1[mix] += dist[1]
-            poolu[mix] += dist[2]
-            count[mix] += 1
-            push(t + rng.expovariate(mu), _DEPART, (mix, layer, path, None))
-            if cfg.record_events:
-                events.append(("A", mix, dist))
-
     # Stationary fill: each mix sees the whole client volume spread over its
     # layer plus its own loop stream, so occupancy is Poisson(rate/mu) with
-    # Exp(mu) residual holding times (memoryless).
+    # Exp(mu) residual holding times (memoryless). Every filled message is
+    # unlabeled and the pools start empty, so its arrival adds 1.0 to the
+    # untagged mass alone.
     per_mix_rate = total_rate / w + rates.lambda_M
     for mix in range(n_mixes):
         layer = mix // w
@@ -156,68 +160,131 @@ def simulate_label_flow(cfg: SimConfig) -> LabelFlowResult:
             suffix = [0] * l
             suffix[layer] = mix - layer * w
             for j in range(layer + 1, l):
-                suffix[j] = rng.randrange(w)
+                r = getrandbits(mix_bits)
+                while r >= w:
+                    r = getrandbits(mix_bits)
+                suffix[j] = r
             emitted[2] += 1
-            arrive(0.0, mix, layer, tuple(suffix), (0.0, 0.0, 1.0))
+            if mix in corrupt:
+                in_corrupt[2] += 1.0
+                held = _UNLABELED
+            else:
+                poolu[mix] += 1.0
+                count[mix] += 1
+                held = None
+                if record:
+                    events.append(("A", mix, _UNLABELED))
+            heappush(heap, (-log(1.0 - rand()) / mu, seq, mix, layer, tuple(suffix), held))
+            seq += 1
 
-    push(rng.expovariate(total_rate), _EMIT, None)
-    push(cfg.burn_in, _REFILL, None)
-    if rates.lambda_M > 0:
+    # The one pending emission and the next refill stay outside the heap;
+    # every pick compares (t, seq), so ties break as one heap would break them.
+    emit_t, emit_seq = -log(1.0 - rand()) / total_rate, seq
+    refill_t, refill_seq = cfg.burn_in, seq + 1
+    seq += 2
+    if lambda_M > 0:
         for mix in range(n_mixes):
-            push(rng.expovariate(rates.lambda_M), _MIXLOOP, mix)
+            heappush(heap, (-log(1.0 - rand()) / lambda_M, seq, mix, _LOOP, None, None))
+            seq += 1
+    b0 = b1 = 0  # payloads the challenge senders have buffered
 
-    while heap and heap[0][0] <= end:
-        t, _, kind, data = heapq.heappop(heap)
-        if kind == _DEPART:
-            mix, layer, path, dist = data
-            if dist is None:
-                c = count[mix]
-                out = (pool0[mix] / c, pool1[mix] / c, poolu[mix] / c)
-                pool0[mix] -= out[0]
-                pool1[mix] -= out[1]
-                poolu[mix] -= out[2]
-                count[mix] = c - 1
-                if cfg.record_events:
-                    events.append(("D", mix))
+    while True:
+        head = heap[0] if heap else _NEVER
+        t = head[0]
+        if (t < emit_t or (t == emit_t and head[1] < emit_seq)) and (
+            t < refill_t or (t == refill_t and head[1] < refill_seq)
+        ):
+            _, _, mix, layer, path, dist = head
+            if t > end:
+                break
+            heappop(heap)
+            if layer == _LOOP:
+                emitted[2] += 1
+                layer, dist = last, _UNLABELED
             else:
-                in_corrupt[0] -= dist[0]
-                in_corrupt[1] -= dist[1]
-                in_corrupt[2] -= dist[2]
-                out = dist
-            if path is None or layer == l - 1:
-                delivered[0] += out[0]
-                delivered[1] += out[1]
-                delivered[2] += out[2]
-            else:
-                nxt = layer + 1
-                arrive(t, nxt * w + path[nxt], nxt, path, out)
-        elif kind == _EMIT:
-            sender = rng.randrange(cfg.U)
-            label = 2
-            if (
-                rng.random() < p_payload
-                and sender in buffers
-                and buffers[sender] > 0
-            ):
-                buffers[sender] -= 1
-                label = 0 if sender == s0 else 1
-            emitted[label] += 1
-            dist = (1.0, 0.0, 0.0) if label == 0 else (0.0, 1.0, 0.0)
-            if label == 2:
-                dist = (0.0, 0.0, 1.0)
-            path = tuple(rng.randrange(w) for _ in range(l))
-            arrive(t, path[0], 0, path, dist)
-            push(t + rng.expovariate(total_rate), _EMIT, None)
-        elif kind == _REFILL:
-            buffers[s0] += 1
-            buffers[s1] += 1
+                if dist is None:
+                    c = count[mix]
+                    out = (pool0[mix] / c, pool1[mix] / c, poolu[mix] / c)
+                    pool0[mix] -= out[0]
+                    pool1[mix] -= out[1]
+                    poolu[mix] -= out[2]
+                    count[mix] = c - 1
+                    if record:
+                        events.append(("D", mix))
+                else:
+                    in_corrupt[0] -= dist[0]
+                    in_corrupt[1] -= dist[1]
+                    in_corrupt[2] -= dist[2]
+                    out = dist
+                if path is None or layer == last:
+                    delivered[0] += out[0]
+                    delivered[1] += out[1]
+                    delivered[2] += out[2]
+                    continue
+                layer += 1
+                mix, dist = layer * w + path[layer], out
+        elif refill_t < emit_t or (refill_t == emit_t and refill_seq < emit_seq):
+            t = refill_t
+            if t > end:
+                break
+            b0 += 1
+            b1 += 1
             if t + 1.0 < end:
-                push(t + 1.0, _REFILL, None)
+                refill_t, refill_seq = t + 1.0, seq
+                seq += 1
+            else:
+                refill_t = math.inf
+            continue
         else:
-            mix = data
-            emitted[2] += 1
-            arrive(t, mix, l - 1, None, (0.0, 0.0, 1.0))
-            push(t + rng.expovariate(rates.lambda_M), _MIXLOOP, mix)
+            t = emit_t
+            if t > end:
+                break
+            r = getrandbits(user_bits)
+            while r >= n_users:
+                r = getrandbits(user_bits)
+            label = 2
+            if rand() < p_payload:
+                if r == s0 and b0 > 0:
+                    b0 -= 1
+                    label = 0
+                elif r == s1 and b1 > 0:
+                    b1 -= 1
+                    label = 1
+            emitted[label] += 1
+            dist = _LABELS[label]
+            hops = []
+            for _ in range(l):
+                r = getrandbits(mix_bits)
+                while r >= w:
+                    r = getrandbits(mix_bits)
+                hops.append(r)
+            path = tuple(hops)
+            layer, mix = 0, path[0]
+
+        # The arrival of dist at mix. Only a loop injection arrives without a
+        # path and only an emission arrives at layer 0 with one; each re-arms
+        # its stream after the arrival's draw.
+        if mix in corrupt:
+            in_corrupt[0] += dist[0]
+            in_corrupt[1] += dist[1]
+            in_corrupt[2] += dist[2]
+            held = dist
+        else:
+            pool0[mix] += dist[0]
+            pool1[mix] += dist[1]
+            poolu[mix] += dist[2]
+            count[mix] += 1
+            held = None
+            if record:
+                events.append(("A", mix, dist))
+        heappush(heap, (t - log(1.0 - rand()) / mu, seq, mix, layer, path, held))
+        seq += 1
+        if path is None:
+            heappush(heap, (t - log(1.0 - rand()) / lambda_M, seq, mix, _LOOP, None, None))
+            seq += 1
+        elif layer == 0:
+            emit_t, emit_seq = t - log(1.0 - rand()) / total_rate, seq
+            seq += 1
 
     candidates = [m for m in last_layer if m not in corrupt and count[m] > 0]
     if not candidates:

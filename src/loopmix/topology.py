@@ -8,7 +8,8 @@ A directory is checked once, here: loads_directory reads every section
 through one entry reader and raises ParseError at a malformed entry's
 location, and Topology raises InvariantViolation when the entries do not
 form a network, including one whose client paths exceed a packet's hops.
-Both are ValueErrors; loading does no group operation.
+Both are ValueErrors. Loading does no group operation: a low-order public
+key, whose exchange is all zero, is told by its encoding.
 """
 
 from __future__ import annotations
@@ -146,13 +147,31 @@ def _name(entry: dict, key: str, location: str) -> str:
     return value
 
 
+_P = 2**255 - 19
+# The u-coordinates whose X25519 exchange is all zero whatever the secret
+# (the blocklist libsodium checks): 0 and 1, the two points of order 8, p - 1, and
+# the non-canonical p and p + 1. The top bit is ignored, as X25519 ignores it.
+_LOW_ORDER_U = frozenset({
+    0,
+    1,
+    325606250916557431795983626356110631294008115727848805560023387167927233504,
+    39382357235489614581723060781553021112529911719440698176882885853963445705823,
+    _P - 1,
+    _P,
+    _P + 1,
+})
+
+
 def _pubkey(entry: dict, location: str) -> GroupElement:
     try:
-        return GroupElement.from_hex(entry["pubkey"])
+        key = GroupElement.from_hex(entry["pubkey"])
     except (GroupError, TypeError) as exc:
         raise ParseError(f"{location}: {exc}") from exc
     except (KeyError, ValueError) as exc:
         raise ParseError(f"{location}: bad or missing pubkey") from exc
+    if int.from_bytes(key.data, "little") & ~(1 << 255) in _LOW_ORDER_U:
+        raise ParseError(f"{location}: low-order pubkey")
+    return key
 
 
 def _token(entry: dict, location: str) -> bytes:

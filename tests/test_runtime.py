@@ -170,8 +170,9 @@ def test_benchmark_smoke_run_is_correct():
 
 
 def test_loop_stream_stops_with_a_warning_at_a_low_order_key(caplog):
-    # The directory check does no group operation, so a low-order key loads;
-    # the loop it breaks is the one failure the loop stream handles.
+    # loads_directory rejects low-order keys, but a Topology built directly
+    # can hold one; the loop it breaks is the one failure the loop stream
+    # handles.
     topology, net = build_network(layers=1, per_layer=1, n_providers=1, client_specs=())
     (mix,) = topology.layers[0]
     low_order = dataclasses.replace(mix, pubkey=crypto.GroupElement(bytes(32)))

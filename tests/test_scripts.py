@@ -1,0 +1,59 @@
+"""The scripts under scripts/, run through their main() on small inputs."""
+
+import csv
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from loopmix.topology import load_directory
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_gen_directory_writes_a_loadable_directory(tmp_path):
+    gen = load_script("gen_directory")
+    out, secrets = tmp_path / "dir.json", tmp_path / "secrets.json"
+    argv = ["--layers", "2", "--per-layer", "3", "--providers", "2", "--clients", "3"]
+    assert gen.main(argv + ["--out", str(out), "--secrets-out", str(secrets)]) == 0
+    topo = load_directory(out)
+    assert [len(layer) for layer in topo.layers] == [3, 3]
+    assert len(topo.providers) == 2 and len(topo.clients) == 3
+
+    # four layers exceed the packet hop budget: refused, and nothing written
+    bad, bad_secrets = tmp_path / "bad.json", tmp_path / "bad_secrets.json"
+    with pytest.raises(SystemExit) as exc:
+        gen.main(["--layers", "4", "--out", str(bad), "--secrets-out", str(bad_secrets)])
+    assert exc.value.code == 2
+    assert not bad.exists() and not bad_secrets.exists()
+
+
+def test_epsilon_sweep_simulates_each_distinct_point_once(tmp_path, monkeypatch):
+    sweep = load_script("epsilon_sweep")
+    calls = []
+    batch = sweep.run_epsilon_batch
+    monkeypatch.setattr(sweep, "run_epsilon_batch", lambda cfg, reps: calls.append(cfg) or batch(cfg, reps))
+    out = tmp_path / "sweep.csv"
+    argv = [
+        "--users", "10", "--mus", "1.0", "2.0", "--layer-counts", "1", "3",
+        "--corruptions", "0.0", "--per-layer", "2", "--reps", "2",
+        "--burn-in", "2", "--run-time", "5", "--out", str(out),
+    ]
+    assert sweep.main(argv) == 0
+    rows = list(csv.reader(out.open()))
+    assert rows[0] == ["param", "mean_eps", "std"]
+    centre = "mu=1.0;layers=3;corrupt=0.0"
+    assert [r[0] for r in rows[1:]] == [
+        centre, "mu=2.0;layers=3;corrupt=0.0", "mu=1.0;layers=1;corrupt=0.0", centre, centre,
+    ]
+    assert len(calls) == 3
+    assert rows[1] == rows[4] == rows[5]
+    first = batch(calls[0], 2)
+    assert rows[1][1:] == [str(first.mean), str(first.std)]

@@ -1,6 +1,11 @@
 """Seeded experiment harnesses: label flow, latency, queues, trace logs."""
 
+import dataclasses
+import heapq
+import itertools
 import math
+import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +24,7 @@ from loopmix.simulator import (
     run_trace_experiment,
 )
 from loopmix.simulator import epsilon
-from loopmix.simulator.epsilon import simulate_label_flow
+from loopmix.simulator.epsilon import LabelFlowResult, simulate_label_flow
 from loopmix.analysis.traces import validate_trace
 
 RATES = Rates(lambda_P=2.0, lambda_L=1.0, lambda_D=1.0, lambda_M=0.5, mu=1.0)
@@ -78,6 +83,182 @@ def test_per_message_replay_matches_aggregate_pools():
     for i in range(3):
         replayed = sum(w * dist[i] for w, dist in weights)
         assert replayed == pytest.approx(result.pool_masses[0][i], abs=1e-9)
+
+
+def reference_label_flow(cfg, rng):
+    """The label flow written plainly, the reference simulate_label_flow must
+    match bit for bit: every event in one heap, and every draw through the
+    stdlib's rng.expovariate, rng.randrange and rng.random."""
+    fill_rng = np.random.default_rng(cfg.seed)
+    l, w = cfg.layers, cfg.nodes_per_layer
+    n_mixes = l * w
+    rates = cfg.rates
+    mu = rates.mu
+    n_corrupt = round(cfg.corrupt_fraction * n_mixes)
+    last_layer = range((l - 1) * w, n_mixes)
+    while True:
+        corrupt = frozenset(rng.sample(range(n_mixes), n_corrupt))
+        if any(m not in corrupt for m in last_layer):
+            break
+    s0, s1 = cfg.challenge
+    per_sender = rates.lambda_P + rates.lambda_L + rates.lambda_D
+    total_rate = cfg.U * per_sender
+    p_payload = rates.lambda_P / per_sender
+    end = cfg.burn_in + cfg.run_time
+    pool0, pool1, poolu = [0.0] * n_mixes, [0.0] * n_mixes, [0.0] * n_mixes
+    count = [0] * n_mixes
+    in_corrupt, delivered, emitted = [0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0, 0, 0]
+    buffers = {s0: 0, s1: 0}
+    events = []
+    heap = []
+    seq = 0
+    EMIT, DEPART, REFILL, MIXLOOP = range(4)
+
+    def push(t, kind, data):
+        nonlocal seq
+        heapq.heappush(heap, (t, seq, kind, data))
+        seq += 1
+
+    def arrive(t, mix, layer, path, dist):
+        if mix in corrupt:
+            for i in range(3):
+                in_corrupt[i] += dist[i]
+            push(t + rng.expovariate(mu), DEPART, (mix, layer, path, dist))
+        else:
+            pool0[mix] += dist[0]
+            pool1[mix] += dist[1]
+            poolu[mix] += dist[2]
+            count[mix] += 1
+            push(t + rng.expovariate(mu), DEPART, (mix, layer, path, None))
+            if cfg.record_events:
+                events.append(("A", mix, dist))
+
+    per_mix_rate = total_rate / w + rates.lambda_M
+    for mix in range(n_mixes):
+        layer = mix // w
+        for _ in range(int(fill_rng.poisson(per_mix_rate / mu))):
+            suffix = [0] * l
+            suffix[layer] = mix - layer * w
+            for j in range(layer + 1, l):
+                suffix[j] = rng.randrange(w)
+            emitted[2] += 1
+            arrive(0.0, mix, layer, tuple(suffix), (0.0, 0.0, 1.0))
+    push(rng.expovariate(total_rate), EMIT, None)
+    push(cfg.burn_in, REFILL, None)
+    if rates.lambda_M > 0:
+        for mix in range(n_mixes):
+            push(rng.expovariate(rates.lambda_M), MIXLOOP, mix)
+
+    while heap and heap[0][0] <= end:
+        t, _, kind, data = heapq.heappop(heap)
+        if kind == DEPART:
+            mix, layer, path, dist = data
+            if dist is None:
+                c = count[mix]
+                out = (pool0[mix] / c, pool1[mix] / c, poolu[mix] / c)
+                pool0[mix] -= out[0]
+                pool1[mix] -= out[1]
+                poolu[mix] -= out[2]
+                count[mix] = c - 1
+                if cfg.record_events:
+                    events.append(("D", mix))
+            else:
+                for i in range(3):
+                    in_corrupt[i] -= dist[i]
+                out = dist
+            if path is None or layer == l - 1:
+                for i in range(3):
+                    delivered[i] += out[i]
+            else:
+                arrive(t, (layer + 1) * w + path[layer + 1], layer + 1, path, out)
+        elif kind == EMIT:
+            sender = rng.randrange(cfg.U)
+            label = 2
+            if rng.random() < p_payload and sender in buffers and buffers[sender] > 0:
+                buffers[sender] -= 1
+                label = 0 if sender == s0 else 1
+            emitted[label] += 1
+            dist = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))[label]
+            path = tuple(rng.randrange(w) for _ in range(l))
+            arrive(t, path[0], 0, path, dist)
+            push(t + rng.expovariate(total_rate), EMIT, None)
+        elif kind == REFILL:
+            buffers[s0] += 1
+            buffers[s1] += 1
+            if t + 1.0 < end:
+                push(t + 1.0, REFILL, None)
+        else:
+            emitted[2] += 1
+            arrive(t, data, l - 1, None, (0.0, 0.0, 1.0))
+            push(t + rng.expovariate(rates.lambda_M), MIXLOOP, data)
+
+    candidates = [m for m in last_layer if m not in corrupt and count[m] > 0]
+    if not candidates:
+        final_mix, final_pool, eps = None, None, math.nan
+    else:
+        final_mix = candidates[rng.randrange(len(candidates))]
+        c = count[final_mix]
+        final_pool = LabelDistribution(
+            pool0[final_mix] / c, pool1[final_mix] / c, poolu[final_mix] / c
+        )
+        eps = epsilon.epsilon_of(final_pool.p_S0, final_pool.p_S1)
+    return LabelFlowResult(
+        eps, final_mix, final_pool, corrupt, tuple(emitted),
+        [(pool0[m], pool1[m], poolu[m]) for m in range(n_mixes)], list(count),
+        tuple(in_corrupt), tuple(delivered), events,
+    )
+
+
+def assert_same_result(fast, reference):
+    # repr is exact for floats (and equal for nan), so this is bit identity
+    for f in dataclasses.fields(LabelFlowResult):
+        assert repr(getattr(fast, f.name)) == repr(getattr(reference, f.name)), f.name
+
+
+def test_fast_loop_matches_reference_loop():
+    grid = itertools.product((1, 2, 3, 4), (0.0, 0.3), (0.0, 1.5), (False, True), (1, 2), (1, 3))
+    for layers, corrupt, lambda_M, record, seed, width in grid:
+        cfg = small_cfg(
+            seed=seed,
+            U=20,
+            rates=Rates(2.0, 0.5, 0.5, lambda_M, 1.0),
+            layers=layers,
+            nodes_per_layer=width,
+            corrupt_fraction=corrupt,
+            run_time=10.0,
+            record_events=record,
+        )
+        assert_same_result(simulate_label_flow(cfg), reference_label_flow(cfg, random.Random(seed)))
+
+
+class CoarseRandom(random.Random):
+    """random() is 0.0 or 0.5, so every delay is 0 or ln 2 / rate;
+    getrandbits is the stdlib's."""
+
+    def random(self):
+        return 0.5 if super().random() < 0.5 else 0.0
+
+    def getrandbits(self, k):
+        return super().getrandbits(k)
+
+
+def test_fast_loop_breaks_ties_like_the_reference_loop(monkeypatch):
+    # With every rate ln 2, each delay is 0 or exactly 1 s, so departures,
+    # emissions, loop injections and the whole-second refills all land on
+    # whole seconds; only a (t, seq) order keeps the two loops in step.
+    ln2 = math.log(2.0)
+    monkeypatch.setattr(epsilon, "random", SimpleNamespace(Random=CoarseRandom))
+    for layers, corrupt, seed in itertools.product((1, 3), (0.0, 0.3), (1, 2)):
+        cfg = small_cfg(
+            seed=seed,
+            U=2,
+            rates=Rates(ln2 / 2, 0.0, 0.0, ln2, ln2),
+            layers=layers,
+            nodes_per_layer=3,
+            corrupt_fraction=corrupt,
+            record_events=True,
+        )
+        assert_same_result(simulate_label_flow(cfg), reference_label_flow(cfg, CoarseRandom(seed)))
 
 
 def test_challenge_senders_must_be_distinct_users():

@@ -121,6 +121,50 @@ def test_malformed_entry_rejected_at_its_location(example_directory, path, value
         loads_directory(json.dumps(doc))
 
 
+# libsodium's blocklist of low-order X25519 encodings: 0, 1, the two points
+# of order 8, p - 1, p and p + 1 (little-endian)
+LOW_ORDER_HEX = [
+    "00" * 32,
+    "01" + "00" * 31,
+    "e0eb7a7c3b41b8ae1656e3faf19fc46ada098deb9c32b1fd866205165f49b800",
+    "5f9c95bca3508c24b1d0b1559c83ef5b04445cc4581c8e86d8224eddd09f1157",
+    "ec" + "ff" * 30 + "7f",
+    "ed" + "ff" * 30 + "7f",
+    "ee" + "ff" * 30 + "7f",
+]
+
+
+def with_top_bit(hex_key: str) -> str:
+    data = bytearray.fromhex(hex_key)
+    data[31] |= 0x80
+    return data.hex()
+
+
+@pytest.mark.parametrize("pubkey", LOW_ORDER_HEX + [with_top_bit(h) for h in LOW_ORDER_HEX])
+def test_low_order_pubkey_rejected_at_its_location(example_directory, pubkey):
+    with pytest.raises(crypto.GroupError):  # the all-zero exchange it would cause
+        crypto.exchange(bytes(range(32)), crypto.GroupElement.from_hex(pubkey))
+    for section, index, location in [
+        ("layers", (1, 0), "layers[1][0]"),
+        ("providers", (2,), "providers[2]"),
+        ("clients", (4,), "clients[4]"),
+    ]:
+        doc = json.loads(json.dumps(example_directory))
+        entry = doc[section]
+        for i in index:
+            entry = entry[i]
+        entry["pubkey"] = pubkey
+        with pytest.raises(ParseError, match=rf"^{re.escape(location)}: low-order pubkey$"):
+            loads_directory(json.dumps(doc))
+
+
+def test_keys_beside_the_low_order_ones_load(example_directory):
+    doc = json.loads(json.dumps(example_directory))
+    for j, n in enumerate([2, 9, 2**255 - 21]):  # 9 is the base point; p - 2
+        doc["providers"][j]["pubkey"] = n.to_bytes(32, "little").hex()
+    loads_directory(json.dumps(doc))
+
+
 def test_missing_file_raises_parse_error(tmp_path):
     with pytest.raises(ParseError):
         load_directory(tmp_path / "nope.json")
