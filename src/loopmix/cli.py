@@ -11,7 +11,8 @@ file, check that the id is an entry of the command's role holding that key's
 public half, build the runtime with runtime.build_runtime, check each
 `client --send` recipient, then serve it and report: a metrics line every
 10 s from mixes and providers, new mail every second from clients. Their
-option defaults are the config fields' defaults.
+option defaults are the config fields' defaults. numpy, the simulator and the
+Monte-Carlo oracles are imported only by the commands that run them.
 
 Exit code 0 on success, 2 on usage errors, and 1 on configuration or runtime
 failure, which prints one `error: <message>` line on stderr. Bad input is a
@@ -30,19 +31,13 @@ import random
 import sys
 
 import click
-import numpy as np
 
-from . import crypto, packet as pkt, transport
+from . import crypto, packet as pkt
 from .analysis.attacks import (
     LinkParams,
     blocking_attack_prob,
     delay_attack_prob,
     link_rate,
-)
-from .analysis.montecarlo import (
-    blocking_estimate,
-    pool_race_estimate,
-    pool_race_estimate_with_loops,
 )
 from .analysis.pools import (
     PoolObservation,
@@ -57,21 +52,7 @@ from .client import ClientConfig, Rates
 from .mixnode import MixConfig
 from .provider import ProviderConfig
 from .runtime import build_runtime, configure_logging, log, resolve_addr
-from .simulator import (
-    SimConfig,
-    TraceSimConfig,
-    run_entropy_experiment,
-    run_epsilon_batch,
-    run_latency_experiment,
-    run_pool_experiment,
-    run_trace_experiment,
-)
 from .topology import ClientDescriptor, MixDescriptor, ProviderDescriptor, load_directory
-
-
-def _fail(message: str) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(1)
 
 
 def _emit(obj) -> None:
@@ -83,9 +64,9 @@ def _secret_key(path: str) -> bytes:
         with open(path, "r", encoding="utf-8") as fh:
             key = bytes.fromhex(fh.read().strip())
     except (OSError, ValueError) as exc:
-        _fail(f"cannot read key file {path}: {exc}")
+        raise ValueError(f"cannot read key file {path}: {exc}") from exc
     if len(key) != crypto.SECRET_KEY_LEN:
-        _fail(f"key file {path} must hold {crypto.SECRET_KEY_LEN} hex-encoded bytes")
+        raise ValueError(f"key file {path} must hold {crypto.SECRET_KEY_LEN} hex-encoded bytes")
     return key
 
 
@@ -100,9 +81,9 @@ def _runtime(role: str, directory_path: str, node_id: str, key_file: str, **sett
     entries = (*topology.all_nodes(), *topology.clients)
     descriptor = next((d for d in entries if d.id == node_id), None)
     if not isinstance(descriptor, _ROLES[role]):
-        _fail(f"{node_id!r} is not a {role} in the directory")
+        raise ValueError(f"{node_id!r} is not a {role} in the directory")
     if crypto.public_key(secret).data != descriptor.pubkey.data:
-        _fail(f"key file does not match directory entry for {node_id}")
+        raise ValueError(f"key file does not match directory entry for {node_id}")
     return build_runtime(topology, node_id, secret, random.SystemRandom(), **settings)
 
 
@@ -143,7 +124,8 @@ class _Main(click.Group):
             return super().invoke(ctx)
         except (ValueError, OSError) as exc:
             log.debug("%s failed", ctx.invoked_subcommand, exc_info=True)
-            _fail(str(exc))
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(1)
 
 
 @click.group(cls=_Main)
@@ -214,7 +196,7 @@ def client(directory_path, client_id, key_file, listen, lambda_p, lambda_l, lamb
             runtime.topology.client(recipient)
             runtime.client.enqueue_message(recipient, text.encode())
         except ValueError as exc:
-            _fail(f"cannot enqueue {spec!r}: {exc}")
+            raise ValueError(f"cannot enqueue {spec!r}: {exc}") from exc
     _serve(runtime, client_id, listen, _report_mail, every=1.0)
 
 
@@ -231,6 +213,8 @@ def sim() -> None:
 @click.option("--out", type=click.Path(), default=None, help="CSV of (time,size) samples.")
 def sim_pool(lambda_in, mu, duration, seed, out):
     """Simulate one pool under Poisson load."""
+    from .simulator import run_pool_experiment
+
     run = run_pool_experiment(lambda_in, mu, duration, seed)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -257,6 +241,8 @@ def sim_pool(lambda_in, mu, duration, seed, out):
 @click.option("--out", type=click.Path(), default=None, help="CSV of (time,entropy) points.")
 def sim_entropy(lambda_in, mu, duration, seed, out):
     """Track per-departure entropy of one pool."""
+    from .simulator import run_entropy_experiment
+
     run = run_entropy_experiment(lambda_in, mu, duration, seed)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -283,6 +269,8 @@ def sim_entropy(lambda_in, mu, duration, seed, out):
 @click.option("--out", type=click.Path(), default=None, help="CSV of latency samples.")
 def sim_latency(mu, hops, n_messages, processing, seed, out):
     """Sample end-to-end latencies over a fixed-length path."""
+    from .simulator import run_latency_experiment
+
     samples = run_latency_experiment(
         Rates(1.0, 0.0, 0.0, 0.0, mu), hops, n_messages, seed, processing_s=processing
     )
@@ -296,8 +284,8 @@ def sim_latency(mu, hops, n_messages, processing, seed, out):
             "mu": mu,
             "hops": hops,
             "n": n_messages,
-            "mean_s": float(np.mean(samples)),
-            "std_s": float(np.std(samples, ddof=1)),
+            "mean_s": float(samples.mean()),
+            "std_s": float(samples.std(ddof=1)),
         }
     )
 
@@ -320,6 +308,8 @@ def sim_latency(mu, hops, n_messages, processing, seed, out):
 def sim_epsilon(users, lambda_p, mu, layers, per_layer, reps, seed, corrupt_fraction,
                 lambda_loop, lambda_drop, lambda_mix, burn_in, run_time, out):
     """Estimate sender indistinguishability for one configuration."""
+    from .simulator import SimConfig, run_epsilon_batch
+
     cfg = SimConfig(
         seed=seed,
         U=users,
@@ -369,6 +359,9 @@ def analyze_pool(n, k, l_late, trials, mu, seed):
     probs = pool_match_prob(PoolObservation(n, k, l_late))
     result = {"p_initial": probs.p_initial, "p_late": probs.p_late}
     if trials > 0:
+        import numpy as np
+        from .analysis.montecarlo import pool_race_estimate
+
         est = pool_race_estimate(n, k, l_late, mu, trials, np.random.default_rng(seed))
         result["mc_p_initial"], result["mc_p_late"] = est[0], est[1]
     _emit(result)
@@ -392,6 +385,9 @@ def analyze_pool_loops(n, k, l_late, mu, lambda_m, trials, seed):
         "p_noloop": probs.p_noloop,
     }
     if trials > 0:
+        import numpy as np
+        from .analysis.montecarlo import pool_race_estimate_with_loops
+
         est = pool_race_estimate_with_loops(
             n, k, l_late, mu, lambda_m, trials, np.random.default_rng(seed)
         )
@@ -431,6 +427,9 @@ def analyze_blocking(s, mu, lambda_m, lambda_r, trials, seed):
     prob = blocking_attack_prob(s, mu, lambda_m, lambda_r)
     result = {"probability": prob}
     if trials > 0:
+        import numpy as np
+        from .analysis.montecarlo import blocking_estimate
+
         result["mc_probability"] = blocking_estimate(
             s, mu, lambda_m, lambda_r, trials, np.random.default_rng(seed)
         )
@@ -495,26 +494,30 @@ def _trace_from_json(raw) -> Trace:
 def _load_traces(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        _fail(f"cannot load traces from {path}: {exc}")
-    return doc
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot load traces from {path}: {exc}") from exc
 
 
 @analyze.command("trace-join")
 @click.option("--traces-file", required=True, help='JSON file: {"traces": [[transmission,...],...]}.')
-@click.option("--x", "x_idx", type=int, required=True, help="Index of the earlier trace.")
-@click.option("--y", "y_idx", type=int, required=True, help="Index of the later trace.")
+@click.option("--x", "x_idx", type=click.IntRange(min=0), required=True,
+              help="Index of the earlier trace.")
+@click.option("--y", "y_idx", type=click.IntRange(min=0), required=True,
+              help="Index of the later trace.")
 @click.option("--i", "hop", type=int, required=True, help="1-based hop at which to join.")
 def analyze_trace_join(traces_file, x_idx, y_idx, hop):
     """Whether two observed traces could be one route switched at a hop."""
     doc = _load_traces(traces_file)
     try:
         traces = [_trace_from_json(t) for t in doc["traces"]]
-        result = trace_join(traces[x_idx], traces[y_idx], hop)
     except (KeyError, IndexError, TypeError) as exc:
-        _fail(f"bad traces file: {exc}")
-    _emit({"join": result})
+        raise ValueError(f"bad traces file: {exc}") from exc
+    for option, idx in (("--x", x_idx), ("--y", y_idx)):
+        if idx >= len(traces):
+            raise ValueError(f"{option} {idx} is past the last trace: {traces_file} holds "
+                             f"{len(traces)} traces")
+    _emit({"join": trace_join(traces[x_idx], traces[y_idx], hop)})
 
 
 @analyze.command("anon-condition")
@@ -528,7 +531,11 @@ def analyze_trace_join(traces_file, x_idx, y_idx, hop):
 @click.option("--lambda-d", type=float, default=1.0, show_default=True)
 def analyze_anon_condition(traces_file, simulate, seed, users, hops, duration, lambda_d):
     """Whether plausible alternative routings hide the challenge senders."""
+    if simulate and traces_file:
+        raise click.UsageError("give --traces-file or --simulate, not both")
     if simulate:
+        from .simulator import TraceSimConfig, run_trace_experiment
+
         run = run_trace_experiment(
             TraceSimConfig(
                 seed=seed, n_users=users, hops=hops, duration=duration, lambda_D=lambda_d
@@ -545,7 +552,7 @@ def analyze_anon_condition(traces_file, simulate, seed, users, hops, duration, l
             drops = [_trace_from_json(t) for t in doc.get("drops", [])]
             compromised = frozenset(doc.get("compromised", []))
         except (KeyError, IndexError, TypeError) as exc:
-            _fail(f"bad traces file: {exc}")
+            raise ValueError(f"bad traces file: {exc}") from exc
     else:
         raise click.UsageError("need --traces-file or --simulate")
     holds = anonymity_condition_holds(challenge, drops, compromised)

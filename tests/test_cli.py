@@ -4,8 +4,11 @@ import dataclasses
 import importlib
 import json
 import math
+import os
 import pkgutil
 import random
+import subprocess
+import sys
 import types
 
 import pytest
@@ -126,7 +129,7 @@ def transmission(sender, time, handle, recipient):
     return {"sender": sender, "time": time, "handle": handle, "recipient": recipient}
 
 
-def test_analyze_trace_join_file(runner, tmp_path):
+def two_traces_file(tmp_path):
     doc = {
         "traces": [
             [transmission("u1", 5.0, "h1", "m"), transmission("m", 8.0, "h2", "p1")],
@@ -135,6 +138,11 @@ def test_analyze_trace_join_file(runner, tmp_path):
     }
     path = tmp_path / "traces.json"
     path.write_text(json.dumps(doc))
+    return path
+
+
+def test_analyze_trace_join_file(runner, tmp_path):
+    path = two_traces_file(tmp_path)
     out = run_json(
         runner,
         ["analyze", "trace-join", "--traces-file", str(path), "--x", "0", "--y", "1", "--i", "1"],
@@ -145,6 +153,25 @@ def test_analyze_trace_join_file(runner, tmp_path):
         ["analyze", "trace-join", "--traces-file", str(path), "--x", "0", "--y", "1", "--i", "7"],
     )
     assert result.exit_code == 1
+
+
+def trace_join_args(path, x, y):
+    return ["analyze", "trace-join", "--traces-file", str(path), "--x", x, "--y", y, "--i", "1"]
+
+
+@pytest.mark.parametrize("option, x, y", [("--x", "-1", "0"), ("--y", "0", "-1")])
+def test_trace_join_negative_index_is_a_usage_error(runner, tmp_path, option, x, y):
+    # Python's indexing would take -1 for the last trace
+    result = runner.invoke(main, trace_join_args(two_traces_file(tmp_path), x, y))
+    assert result.exit_code == 2
+    assert f"Invalid value for '{option}': -1 is not in the range x>=0" in result.output
+
+
+@pytest.mark.parametrize("option, x, y", [("--x", "5", "1"), ("--y", "0", "5")])
+def test_trace_join_index_past_the_end_names_the_option(runner, tmp_path, option, x, y):
+    path = two_traces_file(tmp_path)
+    result = runner.invoke(main, trace_join_args(path, x, y))
+    assert_one_error_line(result, f"{option} 5 is past the last trace: {path} holds 2 traces")
 
 
 def test_analyze_anon_condition_simulated(runner):
@@ -194,6 +221,14 @@ def test_analyze_anon_condition_file(runner, tmp_path):
 
     result = runner.invoke(main, ["analyze", "anon-condition"])
     assert result.exit_code == 2
+
+
+def test_anon_condition_takes_one_source_of_traces(runner, tmp_path):
+    # the simulated traces used to win, and the file went unread
+    args = ["analyze", "anon-condition", "--simulate", "--traces-file", str(tmp_path / "none")]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert "give --traces-file or --simulate, not both" in result.output
 
 
 def test_sim_pool(runner, tmp_path):
@@ -268,32 +303,6 @@ def test_vectors_deterministic(runner, tmp_path):
 def test_missing_required_option_is_usage_error(runner):
     assert runner.invoke(main, ["analyze", "pool", "--n", "3"]).exit_code == 2
     assert runner.invoke(main, ["sim", "latency"]).exit_code == 2
-
-
-def test_node_commands_fail_cleanly_on_bad_config(runner, tmp_path):
-    result = runner.invoke(
-        main,
-        ["mix", "--directory", "/nonexistent.json", "--id", "mix-0-0",
-         "--key-file", "/nonexistent.key"],
-    )
-    assert result.exit_code == 1
-
-    bad_key = tmp_path / "bad.key"
-    bad_key.write_text("zz-not-hex")
-    result = runner.invoke(
-        main,
-        ["client", "--directory", DIRECTORY, "--id", "client-0", "--key-file", str(bad_key)],
-    )
-    assert result.exit_code == 1
-
-    wrong_key = tmp_path / "wrong.key"
-    wrong_key.write_text("11" * 32)
-    result = runner.invoke(
-        main,
-        ["client", "--directory", DIRECTORY, "--id", "client-0", "--key-file", str(wrong_key)],
-    )
-    assert result.exit_code == 1
-    assert "key" in result.output.lower()
 
 
 def _untemper(y):
@@ -410,15 +419,68 @@ def test_failures_print_one_error_line(runner, args, message):
         ("provider", "prov-0", ["--inbox-capacity", "-5"], "inbox_capacity must be at least 1"),
         ("client", "client-0", ["--send", "client-1:hi", "--send", "nobody:hi"],
          "cannot enqueue 'nobody:hi': nobody: unknown id 'nobody'"),
+        # the last of a repeated option wins
+        ("mix", "mix-0-0", ["--directory", "/nonexistent.json"],
+         "cannot read directory file: [Errno 2]"),
+        ("client", "client-0", ["--key-file", DIRECTORY],
+         f"cannot read key file {DIRECTORY}: non-hexadecimal number"),
+        ("mix", "mix-0-0", ["--id", "mix-1-0"],
+         "key file does not match directory entry for mix-1-0"),
+        ("provider", "mix-0-0", [], "'mix-0-0' is not a provider in the directory"),
     ],
     ids=["mix-listen", "provider-listen", "client-listen", "pull-max-zero", "inbox-negative",
-         "send-unknown-recipient"],
+         "send-unknown-recipient", "no-directory", "key-not-hex", "key-mismatch", "wrong-role"],
 )
 def test_daemon_start_failures_print_one_error_line(
     runner, tmp_path, command, node_id, extra, message
 ):
     args = daemon_args(tmp_path, command, node_id, "--listen", "nonsense", *extra)
     assert_one_error_line(runner.invoke(main, args), message)
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("trace-join", json.dumps({"traces": [[{"sender": "u1"}]]}), "bad traces file: 'time'"),
+        ("anon-condition", json.dumps({"drops": []}), "bad traces file: 'challenge'"),
+        ("anon-condition", "{not json", "cannot load traces from"),
+    ],
+    ids=["trace-join-missing-field", "anon-missing-challenge", "anon-not-json"],
+)
+def test_bad_traces_file_prints_one_error_line(runner, tmp_path, command, text, message):
+    path = tmp_path / "traces.json"
+    path.write_text(text)
+    args = ["analyze", command, "--traces-file", str(path)]
+    if command == "trace-join":
+        args = trace_join_args(path, "0", "0")
+    assert_one_error_line(runner.invoke(main, args), message)
+
+
+# Runs each command line through cli.main in a fresh interpreter, then prints
+# which study-side modules are loaded.
+_IMPORTS_AFTER = """
+import json, sys
+from loopmix import cli
+for args in json.loads(sys.argv[1]):
+    try:
+        cli.main(args, standalone_mode=False)
+    except SystemExit:
+        pass
+print(json.dumps([m for m in ("numpy", "loopmix.simulator") if m in sys.modules]))
+"""
+
+
+def test_daemon_commands_load_no_study_side(tmp_path):
+    commands = [("mix", "mix-0-0"), ("provider", "prov-0"), ("client", "client-0")]
+    runs = [[command, "--help"] for command, _ in commands]
+    # a start that runs up to binding its socket
+    runs += [daemon_args(tmp_path, *entry, "--listen", "nonsense") for entry in commands]
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORTS_AFTER, json.dumps(runs)], capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}, check=True,
+    )
+    assert proc.stderr.count("error: bad address 'nonsense'") == 3, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
 @pytest.mark.parametrize(
