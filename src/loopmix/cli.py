@@ -265,7 +265,7 @@ def sim_entropy(lambda_in, mu, duration, seed, out):
 @click.option("--hops", type=int, default=4, show_default=True)
 @click.option("--n", "n_messages", type=int, default=10_000, show_default=True)
 @click.option("--processing", type=float, default=0.0, show_default=True, help="Fixed seconds per hop.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", type=click.Path(), default=None, help="CSV of latency samples.")
 def sim_latency(mu, hops, n_messages, processing, seed, out):
     """Sample end-to-end latencies over a fixed-length path."""
@@ -296,8 +296,8 @@ def sim_latency(mu, hops, n_messages, processing, seed, out):
 @click.option("--mu", type=float, required=True, help="Mix delay parameter.")
 @click.option("--layers", type=int, required=True)
 @click.option("--per-layer", type=int, required=True, help="Mixes per layer.")
-@click.option("--reps", type=int, default=100, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--reps", type=click.IntRange(min=1), default=100, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--corrupt-fraction", type=float, default=0.0, show_default=True)
 @click.option("--lambda-loop", type=float, default=0.0, show_default=True, help="Per-user loop rate.")
 @click.option("--lambda-drop", type=float, default=0.0, show_default=True, help="Per-user drop rate.")
@@ -333,8 +333,9 @@ def sim_epsilon(users, lambda_p, mu, layers, per_layer, reps, seed, corrupt_frac
     _emit(
         {
             "param": param,
-            "mean_eps": batch.mean,
-            "std_eps": batch.std,
+            # null, not NaN, when no repetition was finite
+            "mean_eps": batch.mean if batch.n_finite else None,
+            "std_eps": batch.std if batch.n_finite else None,
             "reps": reps,
             "finite_reps": batch.n_finite,
             "inf_reps": batch.n_inf,
@@ -353,7 +354,7 @@ def analyze() -> None:
 @click.option("--l", "l_late", type=int, required=True, help="Later arrivals present.")
 @click.option("--trials", type=int, default=0, show_default=True, help="Add a Monte-Carlo check.")
 @click.option("--mu", type=float, default=1.0, show_default=True, help="Delay parameter for the check.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 def analyze_pool(n, k, l_late, trials, mu, seed):
     """Match probabilities for a departure from an observed pool."""
     probs = pool_match_prob(PoolObservation(n, k, l_late))
@@ -374,7 +375,7 @@ def analyze_pool(n, k, l_late, trials, mu, seed):
 @click.option("--mu", type=float, required=True)
 @click.option("--lambda-m", type=float, required=True, help="Mix loop rate.")
 @click.option("--trials", type=int, default=0, show_default=True, help="Add a Monte-Carlo check.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 def analyze_pool_loops(n, k, l_late, mu, lambda_m, trials, seed):
     """Match probabilities when the mix adds its own loop traffic."""
     probs = pool_match_prob_with_loops(PoolObservation(n, k, l_late), mu, lambda_m)
@@ -421,7 +422,7 @@ def analyze_epsilon(p0, p1):
 @click.option("--lambda-m", type=float, required=True, help="Mix loop rate.")
 @click.option("--lambda-r", type=float, required=True, help="Honest packet rate into the mix.")
 @click.option("--trials", type=int, default=0, show_default=True, help="Add a Monte-Carlo check.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 def analyze_blocking(s, mu, lambda_m, lambda_r, trials, seed):
     """Chance a blocking adversary isolates the target message."""
     prob = blocking_attack_prob(s, mu, lambda_m, lambda_r)

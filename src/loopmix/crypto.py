@@ -9,6 +9,7 @@ exchange. Elements are opaque 32-byte strings that round-trip bit-exactly.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac as _hmac
 from dataclasses import dataclass
@@ -18,7 +19,11 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
     X25519PrivateKey,
     X25519PublicKey,
 )
-from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
+from cryptography.hazmat.primitives.ciphers import Cipher
+
+# Bound once: each attribute lookup on the `algorithms` module goes through
+# its deprecation hook, about a quarter of the cost of building a cipher.
+from cryptography.hazmat.primitives.ciphers.algorithms import ChaCha20
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
 GROUP_ELEMENT_LEN = 32
@@ -52,6 +57,16 @@ class GroupElement:
     def hex(self) -> str:
         return self.data.hex()
 
+    @functools.cached_property
+    def point(self) -> X25519PublicKey:
+        """This element parsed for exchange(), kept on it from the first use.
+
+        A directory key is thus parsed once per process. A packet's alpha is
+        parsed into a local with parse() instead, so that a node holding
+        packets holds no parsed key (about 450 bytes each) with them.
+        """
+        return parse(self)
+
     @classmethod
     def from_hex(cls, s: str) -> "GroupElement":
         return cls(bytes.fromhex(s))
@@ -75,7 +90,9 @@ def private_key(secret: Scalar) -> X25519PrivateKey:
     that costs about as much as an exchange, so a scalar used more than once
     should be built once and the key object passed instead of the bytes.
     """
-    if isinstance(secret, X25519PrivateKey):
+    # tested against bytes: an isinstance test against the abstract key
+    # class costs about as much as a hash
+    if not isinstance(secret, bytes):
         return secret
     if len(secret) != SECRET_KEY_LEN:
         raise GroupError("secret scalar must be 32 bytes")
@@ -107,25 +124,28 @@ def scalar_for(c: int) -> bytes | None:
     return None
 
 
-def exchange(secret: Scalar, element: GroupElement) -> bytes:
+def parse(element: GroupElement) -> X25519PublicKey:
+    """The point exchange() multiplies, parsed from the element's bytes."""
+    return X25519PublicKey.from_public_bytes(element.data)
+
+
+def exchange(secret: Scalar, element: GroupElement | X25519PublicKey) -> bytes:
     """Scalar-multiply `element` by the clamped scalar `secret`.
 
-    Raises GroupError on the all-zero result produced by low-order inputs;
-    callers treat that the same as an integrity failure.
+    element is a GroupElement, whose parsed point it keeps, or a point from
+    parse(). Raises GroupError on the all-zero result produced by low-order
+    inputs; callers treat that the same as an integrity failure.
     """
     sk = private_key(secret)
+    point = element.point if isinstance(element, GroupElement) else element
     try:
-        return sk.exchange(X25519PublicKey.from_public_bytes(element.data))
+        return sk.exchange(point)
     except ValueError as exc:
         raise GroupError("degenerate shared secret") from exc
 
 
 def _h(label: bytes, *parts: bytes) -> bytes:
-    d = hashlib.sha256()
-    d.update(label)
-    for p in parts:
-        d.update(p)
-    return d.digest()
+    return hashlib.sha256(b"".join((label, *parts))).digest()
 
 
 def blinding_scalar(alpha: GroupElement, shared: bytes) -> bytes:
@@ -150,7 +170,7 @@ def macs_equal(a: bytes, b: bytes) -> bool:
 
 
 def _chacha(key: bytes, nonce: bytes, data: bytes) -> bytes:
-    return Cipher(algorithms.ChaCha20(key, nonce), mode=None).encryptor().update(data)
+    return Cipher(ChaCha20(key, nonce), mode=None).encryptor().update(data)
 
 
 def beta_stream(shared: bytes, data: bytes) -> bytes:

@@ -22,6 +22,8 @@ _DELAY_LEN = 8
 _FLAGS_LEN = 1
 BLOCK_LEN = ADDR_LEN + _DELAY_LEN + _FLAGS_LEN + crypto.MAC_LEN  # 57
 BETA_LEN = MAX_HOPS * BLOCK_LEN
+# One header keystream per hop secret covers beta and the block a hop appends.
+_STREAM_LEN = BETA_LEN + BLOCK_LEN
 HEADER_LEN = crypto.GROUP_ELEMENT_LEN + BETA_LEN + crypto.MAC_LEN
 PAYLOAD_LEN = 1024
 PACKET_LEN = HEADER_LEN + PAYLOAD_LEN
@@ -58,6 +60,10 @@ class HopFlags(enum.Flag):
     DEBUG_REAL = 2
     DEBUG_COVER = 4
     FINAL = 8
+
+
+# Every value a routing block's flags byte may hold, by that value.
+_FLAGS = tuple(HopFlags(v) for v in range(16))
 
 
 @dataclass(frozen=True)
@@ -162,8 +168,14 @@ def _decode_block(block: bytes) -> tuple[HopSpec, bytes]:
     flags_byte = block[ADDR_LEN + _DELAY_LEN]
     if flags_byte > 15 or delay < 0 or delay != delay:
         raise MalformedPacket("corrupt routing block")
-    hop = HopSpec(addr, delay, HopFlags(flags_byte))
+    hop = HopSpec(addr, delay, _FLAGS[flags_byte])
     return hop, block[ADDR_LEN + _DELAY_LEN + _FLAGS_LEN :]
+
+
+def _xor(a: bytes, b: bytes) -> bytes:
+    """a XOR b, for two strings of the same length."""
+    x = int.from_bytes(a, "little") ^ int.from_bytes(b, "little")
+    return x.to_bytes(len(a), "little")
 
 
 def _shared_secret_chain(
@@ -218,26 +230,23 @@ def build_packet(
         chain = _shared_secret_chain([pk for pk, _ in path], x)
     alphas, secrets = chain
 
-    # Filler: the residue previous hops' masks leave in beta's tail. After hop
-    # i processes, the last (i+1) blocks of beta are its keystream at offset
-    # (MAX_HOPS - i) blocks, so the final hop's beta must be built with that
-    # residue already in place.
+    # One header keystream per hop secret; its first BETA_LEN bytes mask
+    # beta_i. Filler: the residue previous hops' masks leave in beta's tail.
+    # After hop i processes, the last (i+1) blocks of beta are its keystream
+    # past (MAX_HOPS - i) blocks, so the final hop's beta must be built with
+    # that residue already in place.
+    streams = [crypto.beta_stream(sh, bytes(_STREAM_LEN)) for sh in secrets]
     phi = b""
     for i in range(nu - 1):
-        skip = (MAX_HOPS - i) * BLOCK_LEN
-        phi = crypto.beta_stream(
-            secrets[i], bytes(skip) + phi + bytes(BLOCK_LEN)
-        )[skip:]
+        phi = _xor(phi + bytes(BLOCK_LEN), streams[i][(MAX_HOPS - i) * BLOCK_LEN :])
 
     final_block = _encode_block(path[nu - 1][1], b"\x00" * crypto.MAC_LEN)
     pad = rng.randbytes((MAX_HOPS - nu) * BLOCK_LEN)
-    beta = crypto.beta_stream(secrets[nu - 1], final_block + pad) + phi
+    beta = _xor(final_block + pad, streams[nu - 1][: BETA_LEN - len(phi)]) + phi
     mac = crypto.header_mac(crypto.mac_key(secrets[nu - 1]), beta)
     for i in range(nu - 2, -1, -1):
         block = _encode_block(path[i][1], mac)
-        beta = crypto.beta_stream(
-            secrets[i], block + beta[: (MAX_HOPS - 1) * BLOCK_LEN]
-        )
+        beta = _xor(block + beta[: BETA_LEN - BLOCK_LEN], streams[i][:BETA_LEN])
         mac = crypto.header_mac(crypto.mac_key(secrets[i]), beta)
 
     plain = _encode_addr(recipient_id) + struct.pack(">I", len(message)) + message
@@ -274,8 +283,10 @@ def process_packet(secret_key: crypto.Scalar, packet: SphinxPacket) -> ProcessRe
     if len(packet.header.mac) != crypto.MAC_LEN:
         raise MalformedPacket("wrong mac length")
     alpha = packet.header.alpha
+    # parsed into a local for both exchanges, and not kept on the packet
+    point = crypto.parse(alpha)
     try:
-        shared = crypto.exchange(secret_key, alpha)
+        shared = crypto.exchange(secret_key, point)
     except crypto.GroupError as exc:
         raise MacMismatch(str(exc)) from exc
     if not crypto.macs_equal(
@@ -287,10 +298,10 @@ def process_packet(secret_key: crypto.Scalar, packet: SphinxPacket) -> ProcessRe
     tag = crypto.replay_tag(shared)
     expanded = crypto.beta_stream(shared, packet.header.beta + bytes(BLOCK_LEN))
     hop, next_mac = _decode_block(expanded[:BLOCK_LEN])
-    payload = crypto.payload_stream(shared, packet.payload)
-
     if HopFlags.DROP in hop.flags:
         return Drop(replay_tag=tag)
+
+    payload = crypto.payload_stream(shared, packet.payload)
     if HopFlags.FINAL in hop.flags:
         try:
             plain = crypto.deliver_open(shared, payload)
@@ -304,7 +315,7 @@ def process_packet(secret_key: crypto.Scalar, packet: SphinxPacket) -> ProcessRe
         return Deliver(recipient_id=rid, payload=body, replay_tag=tag, flags=hop.flags)
 
     b = crypto.blinding_scalar(alpha, shared)
-    next_alpha = GroupElement(crypto.exchange(b, alpha))
+    next_alpha = GroupElement(crypto.exchange(b, point))
     next_packet = SphinxPacket(
         SphinxHeader(next_alpha, expanded[BLOCK_LEN:], next_mac), payload
     )

@@ -289,6 +289,58 @@ def test_sim_epsilon(runner, tmp_path):
     assert len(lines) == 2
 
 
+EPSILON_ARGS = [
+    "sim", "epsilon", "--users", "4", "--lambda", "1", "--mu", "1",
+    "--layers", "1", "--per-layer", "1", "--run-time", "2", "--burn-in", "1",
+]
+
+
+def test_sim_epsilon_zero_reps_is_a_usage_error(runner):
+    result = runner.invoke(main, EPSILON_ARGS + ["--reps", "0"])
+    assert result.exit_code == 2
+    assert "Invalid value for '--reps': 0 is not in the range x>=1" in result.output
+
+
+def test_sim_epsilon_without_a_finite_rep_prints_strict_json(runner, monkeypatch):
+    from loopmix import simulator
+    from loopmix.simulator.epsilon import EpsilonBatch
+
+    monkeypatch.setattr(
+        simulator,
+        "run_epsilon_batch",
+        lambda cfg, reps: EpsilonBatch(math.nan, math.nan, 0, reps, [math.inf] * reps),
+    )
+    result = runner.invoke(main, EPSILON_ARGS + ["--reps", "2"])
+    assert result.exit_code == 0, result.output
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    out = json.loads(result.output, parse_constant=reject)
+    assert out["mean_eps"] is None and out["std_eps"] is None
+    assert (out["reps"], out["finite_reps"], out["inf_reps"]) == (2, 0, 2)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["analyze", "pool", "--n", "3", "--k", "2", "--l", "1", "--trials", "5"],
+        ["analyze", "pool-loops", "--n", "1", "--k", "1", "--l", "0", "--mu", "1",
+         "--lambda-m", "1", "--trials", "5"],
+        ["analyze", "blocking", "--s", "2", "--mu", "1", "--lambda-m", "1",
+         "--lambda-r", "2", "--trials", "5"],
+        ["sim", "latency", "--mu", "1", "--n", "5"],
+        EPSILON_ARGS + ["--reps", "1"],
+    ],
+    ids=["pool", "pool-loops", "blocking", "latency", "epsilon"],
+)
+def test_negative_seed_of_a_numpy_generator_is_a_usage_error(runner, args):
+    # numpy.random.default_rng takes no negative seed
+    result = runner.invoke(main, args + ["--seed", "-1"])
+    assert result.exit_code == 2
+    assert "Invalid value for '--seed': -1 is not in the range x>=0" in result.output
+
+
 def test_vectors_deterministic(runner, tmp_path):
     a = run_json(runner, ["vectors", "--seed", "7", "--cases", "2"])
     b = run_json(runner, ["vectors", "--seed", "7", "--cases", "2"])

@@ -1,14 +1,18 @@
-"""X25519 key objects: how often each scalar is built, and that a held key
-gives the same results as its bytes."""
+"""X25519 key objects: how often each scalar is built and each point parsed,
+that a held key gives the same results as its bytes, and how many stream
+ciphers a packet costs."""
 
 import random
 
 import pytest
-from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
+from cryptography.hazmat.primitives.asymmetric.x25519 import (
+    X25519PrivateKey,
+    X25519PublicKey,
+)
 
 from loopmix import crypto
 from loopmix.mixnode import MixConfig, MixNode
-from loopmix.packet import Relay, build_packet, process_packet
+from loopmix.packet import Drop, HopFlags, Relay, build_packet, process_packet
 
 from test_mixnode import relay_packet
 from test_packet import make_path, walk
@@ -25,6 +29,35 @@ def builds(monkeypatch):
         return original(data)
 
     monkeypatch.setattr(X25519PrivateKey, "from_private_bytes", staticmethod(counting))
+    return calls
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """Records every X25519 point parsed from its 32 bytes."""
+    calls = []
+    original = X25519PublicKey.from_public_bytes
+
+    def counting(data):
+        calls.append(bytes(data))
+        return original(data)
+
+    monkeypatch.setattr(X25519PublicKey, "from_public_bytes", staticmethod(counting))
+    return calls
+
+
+@pytest.fixture
+def streams(monkeypatch):
+    """Records the name of every header or payload stream cipher call."""
+    calls = []
+    for name in ("beta_stream", "payload_stream"):
+        original = getattr(crypto, name)
+
+        def counting(shared, data, name=name, original=original):
+            calls.append(name)
+            return original(shared, data)
+
+        monkeypatch.setattr(crypto, name, counting)
     return calls
 
 
@@ -150,3 +183,46 @@ def test_bad_scalar_length_is_a_group_error():
             crypto.private_key(bad)
         with pytest.raises(crypto.GroupError):
             crypto.exchange(bad, crypto.public_key(bytes(32)))
+
+
+@pytest.mark.parametrize("nu", range(1, 6))
+def test_build_takes_one_header_and_one_payload_stream_per_hop(nu, streams):
+    rng = random.Random(nu)
+    _, path = make_path(rng, nu)
+    build_packet(path, "rcpt", b"m", rng)
+    assert streams.count("beta_stream") == nu
+    assert streams.count("payload_stream") == nu
+
+
+def test_a_path_key_is_parsed_once_per_process(parses):
+    rng = random.Random(8)
+    secrets, path = make_path(rng, 5)
+    build_packet(path, "rcpt", b"first", rng)
+    assert parses == [pub.data for pub, _ in path]
+    parses.clear()
+    packet, _ = build_packet(path, "rcpt", b"second", rng)
+    assert parses == []
+    _, terminal = walk(secrets, packet)
+    assert terminal.payload == b"second"
+
+
+def test_relay_hop_parses_its_alpha_once_and_keeps_it_nowhere(parses):
+    rng = random.Random(9)
+    secrets, path = make_path(rng, 3)
+    packet, _ = build_packet(path, "rcpt", b"m", rng)
+    parses.clear()
+    result = process_packet(secrets[0], packet)
+    assert isinstance(result, Relay)
+    assert parses == [packet.header.alpha.data]
+    # a node holding packets holds no parsed point with them
+    assert "point" not in vars(packet.header.alpha)
+    assert "point" not in vars(result.packet.header.alpha)
+
+
+def test_drop_terminal_peels_no_payload(streams):
+    rng = random.Random(10)
+    secrets, path = make_path(rng, 1, final_flags=HopFlags.DROP)
+    packet, _ = build_packet(path, "cover", b"", rng)
+    streams.clear()
+    assert isinstance(process_packet(secrets[0], packet), Drop)
+    assert streams == ["beta_stream"]

@@ -1,6 +1,7 @@
 """Onion packet construction and per-hop processing."""
 
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from loopmix import crypto
 from loopmix.crypto import GroupElement
 from loopmix.packet import (
     BETA_LEN,
+    BLOCK_LEN,
     HEADER_LEN,
     MAX_HOPS,
     MESSAGE_CAPACITY,
@@ -23,7 +25,10 @@ from loopmix.packet import (
     MessageTooLarge,
     PathTooLong,
     Relay,
+    SphinxHeader,
     SphinxPacket,
+    _encode_addr,
+    _encode_block,
     _shared_secret_chain,
     build_packet,
     create_packet,
@@ -226,6 +231,58 @@ def test_product_chain_matches_hop_by_hop_chain(nu, seed):
     keys = [pub for pub, _ in make_path(rng, nu)[1]]
     x = rng.randbytes(crypto.SECRET_KEY_LEN)
     assert _shared_secret_chain(keys, x) == hop_by_hop_chain(keys, x)
+
+
+def reference_build(path, recipient_id, message, rng):
+    """build_packet as it was with a stream call per filler step and per
+    beta layer: 3nu - 1 header streams where one per hop secret does."""
+    nu = len(path)
+    chain = None
+    while chain is None:
+        x = rng.randbytes(crypto.SECRET_KEY_LEN)
+        chain = _shared_secret_chain([pk for pk, _ in path], x)
+    alphas, secrets = chain
+
+    phi = b""
+    for i in range(nu - 1):
+        skip = (MAX_HOPS - i) * BLOCK_LEN
+        phi = crypto.beta_stream(
+            secrets[i], bytes(skip) + phi + bytes(BLOCK_LEN)
+        )[skip:]
+
+    final_block = _encode_block(path[nu - 1][1], b"\x00" * crypto.MAC_LEN)
+    pad = rng.randbytes((MAX_HOPS - nu) * BLOCK_LEN)
+    beta = crypto.beta_stream(secrets[nu - 1], final_block + pad) + phi
+    mac = crypto.header_mac(crypto.mac_key(secrets[nu - 1]), beta)
+    for i in range(nu - 2, -1, -1):
+        block = _encode_block(path[i][1], mac)
+        beta = crypto.beta_stream(
+            secrets[i], block + beta[: (MAX_HOPS - 1) * BLOCK_LEN]
+        )
+        mac = crypto.header_mac(crypto.mac_key(secrets[i]), beta)
+
+    plain = _encode_addr(recipient_id) + struct.pack(">I", len(message)) + message
+    plain += b"\x00" * (PAYLOAD_LEN - crypto.AEAD_OVERHEAD - len(plain))
+    payload = crypto.deliver_seal(secrets[nu - 1], plain)
+    for i in range(nu - 1, -1, -1):
+        payload = crypto.payload_stream(secrets[i], payload)
+    return SphinxPacket(SphinxHeader(alphas[0], beta, mac), payload)
+
+
+@pytest.mark.parametrize("flags", [HopFlags.FINAL, HopFlags.DROP], ids=["final", "drop"])
+@pytest.mark.parametrize("nu", range(1, MAX_HOPS + 1))
+def test_build_matches_the_reference_build(nu, flags):
+    for seed in range(4):
+        rng = random.Random(seed)
+        _, path = make_path(rng, nu, flags)
+        message = rng.randbytes(seed * 100)
+        start = rng.getstate()
+        packet, _ = build_packet(path, "rcpt", message, rng)
+        end = rng.getstate()
+        rng.setstate(start)
+        expected = reference_build(path, "rcpt", message, rng)
+        assert packet.to_bytes() == expected.to_bytes()
+        assert rng.getstate() == end  # the same draws in the same order
 
 
 def test_failed_scalar_encoding_draws_a_fresh_x(monkeypatch):
