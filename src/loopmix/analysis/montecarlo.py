@@ -3,13 +3,15 @@
 Each function here re-derives a quantity by brute force: either sampling the
 underlying random process (exponential clock races, Poisson pools) or walking
 an event log and computing the exact match distribution directly. None of
-them reuse the closed forms they are meant to check.
+them reuse the closed forms they are meant to check, except
+departure_entropies_incremental: that is the update rule under check, kept
+beside its reference departure_entropies_exact.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -127,8 +129,12 @@ def departure_entropies_exact(events: Sequence[str]) -> List[float]:
     return out
 
 
-def departure_entropies_incremental(events: Sequence[str]) -> List[float]:
-    """Same series via the incremental update rule, for cross-checking."""
+def departure_entropies_incremental(events: Iterable[str]) -> List[float]:
+    """Same series via the incremental update rule (pools.entropy_step).
+
+    This is the series `sim entropy` reports; departure_entropies_exact is
+    its reference.
+    """
     from .pools import entropy_step
 
     h = 0.0

@@ -213,14 +213,14 @@ def sim() -> None:
 @click.option("--out", type=click.Path(), default=None, help="CSV of (time,size) samples.")
 def sim_pool(lambda_in, mu, duration, seed, out):
     """Simulate one pool under Poisson load."""
-    from .simulator import run_pool_experiment
+    from .simulator.queues import SAMPLE_EVERY, run_pool_experiment
 
     run = run_pool_experiment(lambda_in, mu, duration, seed)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write("time,size\n")
             for i, size in enumerate(run.sampled_sizes):
-                fh.write(f"{(i + 1) * 1.0},{size}\n")
+                fh.write(f"{(i + 1) * SAMPLE_EVERY},{size}\n")
     _emit(
         {
             "lambda": lambda_in,

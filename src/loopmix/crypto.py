@@ -72,15 +72,10 @@ class GroupElement:
         return cls(bytes.fromhex(s))
 
 
-def generate_keypair(rng=None) -> tuple[bytes, GroupElement]:
-    """Return (secret, public). With an rng the secret is rng.randbytes(32)."""
-    if rng is None:
-        sk = X25519PrivateKey.generate()
-        raw = sk.private_bytes_raw()
-    else:
-        raw = rng.randbytes(SECRET_KEY_LEN)
-        sk = private_key(raw)
-    return raw, public_key(sk)
+def generate_keypair(rng) -> tuple[bytes, GroupElement]:
+    """Return (secret, public), the secret being rng.randbytes(32)."""
+    raw = rng.randbytes(SECRET_KEY_LEN)
+    return raw, public_key(raw)
 
 
 def private_key(secret: Scalar) -> X25519PrivateKey:

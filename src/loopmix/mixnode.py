@@ -172,7 +172,7 @@ class MixNode:
             self.pool.add(now + result.next.delay_s, result)
             return result
         if isinstance(result, pkt.Deliver) and result.recipient_id == self.cfg.node_id:
-            if self._absorb_loop(result.payload, now):
+            if self.loops.absorb(result.payload, now):
                 return result
         if self.terminal_handler is not None:
             self.terminal_handler(result, now)
@@ -186,13 +186,6 @@ class MixNode:
         use: building costs a base-point multiplication, which a set-up of
         many nodes that never receive should not pay."""
         return crypto.private_key(self.cfg.secret_key)
-
-    def _absorb_loop(self, body: bytes, now: float) -> bool:
-        try:
-            plain = crypto.e2e_open(self.key, body)
-        except crypto.GroupError:
-            return False
-        return bool(self.loops.absorb(plain, now))
 
     def next_release(self, now: float):
         """Earliest due (release_time, packet, next) or None; counts it sent."""
@@ -209,6 +202,11 @@ class MixNode:
         A mix in layer i goes through layers i+1.., a provider, layers ..i-1
         and back to itself; a provider goes through every layer and back.
         Returns (send_time, packet) with send_time = now + Exp(lambda_M).
+
+        The loop plaintext is the packet's message, with no second seal: the
+        terminal AEAD is already keyed by a secret only this mix derives, and
+        since anyone can build a packet to a mix, what proves a loop is the
+        nonce its tracker holds.
         """
         if self.cfg.lambda_M <= 0:
             raise ValueError("loops disabled: lambda_M is zero")
@@ -226,7 +224,7 @@ class MixNode:
         descriptors.append(me)
 
         send_time = now + rng.expovariate(self.cfg.lambda_M)
-        body = crypto.e2e_seal(me.pubkey, self.loops.emit(rng, send_time), rng)
+        body = self.loops.emit(rng, send_time)
         delays = [rng.expovariate(self.cfg.mu) for _ in descriptors]
         hops = path_to_packet_hops(descriptors, delays, self.cfg.addr, HopFlags.FINAL)
         loop_packet = pkt.create_packet(hops, self.cfg.node_id, body, rng)

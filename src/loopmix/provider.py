@@ -4,7 +4,8 @@ A provider relays packets like any mix, but terminal packets land here:
 deliveries are queued per recipient and cover traffic is silently discarded.
 Clients fetch their queue with authenticated pull requests; every response
 carries exactly the same number of fixed-size items, real ones topped up with
-random dummies, so the provider's answer length never leaks inbox state.
+dummies shaped like sealed envelopes, so the provider's answer never leaks
+inbox state.
 """
 
 from __future__ import annotations
@@ -12,16 +13,14 @@ from __future__ import annotations
 import secrets
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Optional, Tuple
+from typing import Deque, Dict, Tuple
 
-from . import packet as pkt
+from . import crypto, packet as pkt
 from .mixnode import MixConfig, MixNode
 from .transport import PULL_ITEM_LEN
 
 REAL = "REAL"
 DUMMY = "DUMMY"
-
-DEFAULT_INBOX_CAPACITY = 10_000
 
 
 class UnknownClient(ValueError):
@@ -51,70 +50,43 @@ class PullResponse:
     n_real: int
 
 
-Inboxes = Dict[str, Deque[bytes]]
+def on_packet_result(provider: Provider, result: pkt.ProcessResult) -> None:
+    """Route one terminal result into the provider's inboxes and counters.
 
-
-def on_packet_result(
-    result: pkt.ProcessResult,
-    inboxes: Inboxes,
-    now: float,
-    capacity: int = DEFAULT_INBOX_CAPACITY,
-    counters: Optional[dict] = None,
-) -> Inboxes:
-    """Route one terminal processing result into the inbox table.
-
-    Deliveries for known clients are appended (oldest evicted past capacity),
-    cover drops and unknown recipients are counted and discarded. Mutates and
-    returns inboxes.
+    A delivery for a known client is appended, the oldest evicted past the
+    inbox capacity; cover drops, unknown recipients and payloads of the
+    wrong size are counted and discarded.
     """
+    counters = provider.counters
     if isinstance(result, pkt.Drop):
-        if counters is not None:
-            counters["dropped_cover"] = counters.get("dropped_cover", 0) + 1
-        return inboxes
-    if isinstance(result, pkt.Deliver):
-        queue = inboxes.get(result.recipient_id)
-        if queue is None:
-            if counters is not None:
-                counters["unknown_recipient"] = counters.get("unknown_recipient", 0) + 1
-            return inboxes
-        if len(result.payload) != PULL_ITEM_LEN:
-            if counters is not None:
-                counters["bad_payload"] = counters.get("bad_payload", 0) + 1
-            return inboxes
-        queue.append(bytes(result.payload))
-        if len(queue) > capacity:
-            queue.popleft()
-            if counters is not None:
-                counters["evicted"] = counters.get("evicted", 0) + 1
-        return inboxes
-    raise TypeError("relay results do not terminate at a provider")
-
-
-def handle_pull(
-    client_id: str, inboxes: Inboxes, C: int, rng
-) -> Tuple[PullResponse, Inboxes]:
-    """Serve one pull: up to C queued blobs in FIFO order, padded to exactly C.
-
-    Dummies are fresh random blobs and the item order is shuffled, so position
-    and count reveal nothing. Mutates and returns inboxes.
-    """
-    if C < 1:
-        raise ValueError("C must be at least 1")
-    queue = inboxes.get(client_id)
+        counters["dropped_cover"] += 1
+        return
+    if not isinstance(result, pkt.Deliver):
+        raise TypeError("relay results do not terminate at a provider")
+    queue = provider.inboxes.get(result.recipient_id)
     if queue is None:
-        raise UnknownClient(client_id)
-    n_real = min(len(queue), C)
-    items = [PullItem(REAL, queue.popleft()) for _ in range(n_real)]
-    items += [PullItem(DUMMY, rng.randbytes(PULL_ITEM_LEN)) for _ in range(C - n_real)]
-    rng.shuffle(items)
-    return PullResponse(client_id, tuple(items), n_real), inboxes
+        counters["unknown_recipient"] += 1
+    elif len(result.payload) != PULL_ITEM_LEN:
+        counters["bad_payload"] += 1
+    else:
+        queue.append(bytes(result.payload))
+        if len(queue) > provider.cfg.inbox_capacity:
+            queue.popleft()
+            counters["evicted"] += 1
+
+
+def _dummy(rng) -> bytes:
+    """A pull dummy: a fresh public key, then random bytes, as a sealed
+    envelope starts with its ephemeral key and goes on with ciphertext."""
+    _, pub = crypto.generate_keypair(rng)
+    return pub.data + rng.randbytes(PULL_ITEM_LEN - crypto.GROUP_ELEMENT_LEN)
 
 
 @dataclass
 class ProviderConfig:
     mix: MixConfig
     pull_max_items: int = 5
-    inbox_capacity: int = DEFAULT_INBOX_CAPACITY
+    inbox_capacity: int = 10_000
     # client_id -> pull auth token
     client_tokens: Dict[str, bytes] = field(default_factory=dict)
 
@@ -131,19 +103,14 @@ class Provider:
     def __init__(self, cfg: ProviderConfig):
         self.cfg = cfg
         self.node = MixNode(cfg.mix)
-        self.node.terminal_handler = self._on_terminal
-        self.inboxes: Inboxes = {cid: deque() for cid in cfg.client_tokens}
-        self.counters: dict = {}
-        self.pulls_served = 0
-
-    def _on_terminal(self, result: pkt.ProcessResult, now: float) -> None:
-        on_packet_result(
-            result,
-            self.inboxes,
-            now,
-            capacity=self.cfg.inbox_capacity,
-            counters=self.counters,
+        # looked up by name on each result, so a wrapper installed on the
+        # module's on_packet_result sees every terminal result
+        self.node.terminal_handler = lambda result, now: on_packet_result(self, result)
+        self.inboxes: Dict[str, Deque[bytes]] = {cid: deque() for cid in cfg.client_tokens}
+        self.counters = dict.fromkeys(
+            ("dropped_cover", "unknown_recipient", "bad_payload", "evicted"), 0
         )
+        self.pulls_served = 0
 
     def on_receive(self, packet, now: float):
         return self.node.on_receive(packet, now)
@@ -151,15 +118,24 @@ class Provider:
     def next_release(self, now: float):
         return self.node.next_release(now)
 
-    def authenticate(self, client_id: str, token: bytes) -> None:
+    def on_pull(self, client_id: str, token: bytes, rng) -> PullResponse:
+        """Serve one authenticated pull: up to pull_max_items queued blobs in
+        FIFO order, padded to exactly that many.
+
+        Dummies are shaped like sealed envelopes and the items are
+        shuffled, so neither position, count nor content shows how many are
+        real.
+        """
         expected = self.cfg.client_tokens.get(client_id)
         if expected is None:
             raise UnknownClient(client_id)
         if not secrets.compare_digest(expected, token):
             raise BadToken(client_id)
-
-    def on_pull(self, client_id: str, token: bytes, rng) -> PullResponse:
-        self.authenticate(client_id, token)
-        response, _ = handle_pull(client_id, self.inboxes, self.cfg.pull_max_items, rng)
+        queue = self.inboxes[client_id]
+        c = self.cfg.pull_max_items
+        n_real = min(len(queue), c)
+        items = [PullItem(REAL, queue.popleft()) for _ in range(n_real)]
+        items += [PullItem(DUMMY, _dummy(rng)) for _ in range(c - n_real)]
+        rng.shuffle(items)
         self.pulls_served += 1
-        return response
+        return PullResponse(client_id, tuple(items), n_real)

@@ -1,10 +1,11 @@
 """Single-mix entropy experiment.
 
-Feeds one pool with Poisson traffic and applies the incremental entropy
-update at every departure: each emission is a choice between the messages
-that arrived since the previous emission (uniform) and the older residents
-(carrying the accumulated entropy). The steady-state level grows with the
-arrival rate and with the mean delay, since both fatten the pool.
+Feeds one pool with Poisson traffic and runs its event log through
+analysis.montecarlo.departure_entropies_incremental: each emission is a
+choice between the messages that arrived since the previous emission
+(uniform) and the older residents (carrying the accumulated entropy). The
+steady-state level grows with the arrival rate and with the mean delay, since
+both fatten the pool.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
-from ..analysis.pools import entropy_step
+from ..analysis.montecarlo import departure_entropies_incremental
 from .queues import DEPARTURE, pool_events
 
 
@@ -40,19 +41,16 @@ def run_entropy_experiment(
     if duration <= 0:
         raise ValueError("duration must be positive")
 
-    entropy = 0.0
-    fresh = 0
-    held = 0
-    series: List[Tuple[float, float]] = []
+    departures: List[float] = []
 
-    for t, kind, _ in pool_events(lambda_in, mu, duration, random.Random(seed)):
-        if kind == DEPARTURE:
-            entropy = entropy_step(entropy, fresh, held)
-            series.append((t, entropy))
-            held = fresh + held - 1
-            fresh = 0
-        else:
-            fresh += 1
+    def kinds():
+        for t, kind, _ in pool_events(lambda_in, mu, duration, random.Random(seed)):
+            if kind == DEPARTURE:
+                departures.append(t)
+            yield kind
+
+    entropies = departure_entropies_incremental(kinds())
+    series = list(zip(departures, entropies))
 
     tail = [h for (t, h) in series if t >= duration / 2]
     steady = sum(tail) / len(tail) if tail else 0.0

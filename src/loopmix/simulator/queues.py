@@ -13,10 +13,12 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterator, List, Tuple
 
+from ..analysis.montecarlo import ARRIVAL, DEPARTURE
 from ..mixnode import MixPool
 
-ARRIVAL = "arrival"
-DEPARTURE = "departure"
+# pool sizes are sampled at t = 1, 2, …; for 1/mu well below that, samples
+# are nearly independent draws from the stationary law
+SAMPLE_EVERY = 1.0
 
 
 def pool_events(
@@ -61,30 +63,27 @@ def run_pool_experiment(
     mu: float,
     duration: float,
     seed: int,
-    sample_every: float = 1.0,
 ) -> PoolRun:
     """Simulate one pool for `duration` time units.
 
-    sampled_sizes holds the pool size at t = sample_every, 2*sample_every, …
-    which for sample gaps well above 1/mu are nearly independent draws from
-    the stationary law.
+    sampled_sizes holds the pool size at t = SAMPLE_EVERY, 2*SAMPLE_EVERY, …
     """
     if lambda_in <= 0 or mu <= 0:
         raise ValueError("rates must be positive")
-    if duration <= 0 or sample_every <= 0:
-        raise ValueError("duration and sample_every must be positive")
+    if duration <= 0:
+        raise ValueError("duration must be positive")
 
     area = 0.0
     last_t = 0.0
     size = 0
-    next_sample = sample_every
+    next_sample = SAMPLE_EVERY
     sizes: List[int] = []
     departures: List[float] = []
 
     for t, kind, after in pool_events(lambda_in, mu, duration, random.Random(seed)):
         while next_sample <= t:
             sizes.append(size)
-            next_sample += sample_every
+            next_sample += SAMPLE_EVERY
         area += size * (t - last_t)
         last_t, size = t, after
         if kind == DEPARTURE:
@@ -92,7 +91,7 @@ def run_pool_experiment(
 
     while next_sample <= duration:
         sizes.append(size)
-        next_sample += sample_every
+        next_sample += SAMPLE_EVERY
     area += size * (duration - last_t)
 
     return PoolRun(

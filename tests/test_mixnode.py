@@ -2,6 +2,7 @@
 
 import json
 import random
+import struct
 
 import pytest
 import scipy.stats as stats
@@ -148,7 +149,7 @@ def test_pool_law_mean_distribution_and_output():
     # M/M/inf: Poisson(20) in, Exp(2) hold -> pool ~ Poisson(10), output
     # gaps Exp(20). Desk-scale version of the acceptance run.
     lam, mu = 20.0, 2.0
-    run = run_pool_experiment(lam, mu, duration=400.0, seed=5, sample_every=1.0)
+    run = run_pool_experiment(lam, mu, duration=400.0, seed=5)
     assert run.time_avg_size == pytest.approx(lam / mu, abs=0.6)
 
     sizes = run.sampled_sizes[20:]
@@ -190,7 +191,18 @@ def test_mix_loop_gaps_are_exponential():
     assert node.loops_sent == 10_000
 
 
-def test_returned_loop_recognized(network):
+def test_returned_loop_recognized(network, monkeypatch):
+    # a loop's plaintext sits directly under the terminal AEAD, whose key
+    # only this node derives, so neither its build nor its return runs an
+    # end-to-end seal or open
+    calls = []
+    for name in ("e2e_seal", "e2e_open"):
+
+        def counted(*args, real=getattr(crypto, name), name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(crypto, name, counted)
     topology, net = network
     node = net.runtimes["mix-0-0"].mix
     send_time, packet = node.generate_mix_loop(topology, random.Random(7), now=0.0)
@@ -201,6 +213,20 @@ def test_returned_loop_recognized(network):
     assert node.loops_returned == 1
     assert node.loops.latencies[0] > 0
     assert node.health() == HEALTHY
+    assert calls == []
+
+
+def test_forged_loop_to_a_mix_is_junk():
+    # anyone can build a packet to a mix; only a nonce the tracker holds
+    # makes a loop
+    node, pub, rng = make_mix()
+    node.loops.emit(rng, at=0.0)
+    forged = b"MIXLOOP1" + rng.randbytes(16) + struct.pack(">d", 0.0)
+    path = [(pub, HopSpec("10.0.0.8:1", 0.2, HopFlags.FINAL))]
+    assert node.on_receive(create_packet(path, "m0", forged, rng), now=1.0) is None
+    assert node.dropped_mac == 1
+    assert node.loops_returned == 0
+    assert len(node.loops.outstanding) == 1
 
 
 def test_every_loop_hop_is_a_link_client_traffic_uses():

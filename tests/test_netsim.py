@@ -113,7 +113,7 @@ def test_benchmark_shape_runs_on_virtual_time_and_drains():
     providers = [rt.provider for rt in nodes if rt.provider]
     cover = sum(p.counters.pop("dropped_cover", 0) for p in providers)
     assert cover == sum(rt.client.sent_payload_cover + rt.client.drops_sent for rt in users)
-    assert not any(p.counters.values() for p in providers)
+    assert not any(v for p in providers for v in p.counters.values())
     assert not any(any(p.inboxes.values()) for p in providers)
     assert unreleased == {} and late == []
 

@@ -1,24 +1,35 @@
 """Provider inboxes, drop sinking, and the padded pull protocol."""
 
 import random
-from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from loopmix import crypto, provider as provider_module
 from loopmix.mixnode import MixConfig
 from loopmix.packet import Deliver, Drop, HopFlags, HopSpec, Relay, create_packet
 from loopmix.provider import (
     DUMMY,
     REAL,
     BadToken,
+    Provider,
     ProviderConfig,
     PullItem,
     UnknownClient,
-    handle_pull,
     on_packet_result,
 )
 from loopmix.transport import PULL_ITEM_LEN
+
+SECRET, PUBKEY = crypto.generate_keypair(random.Random(0))
+TOKEN = bytes(range(16))
+
+
+def make_provider(queued=(), **cfg):
+    """A provider for alice and bob, with `queued` already in alice's inbox."""
+    mix = MixConfig(SECRET, "prov-0", "127.0.0.1:9200", 0)
+    provider = Provider(ProviderConfig(mix, client_tokens={"alice": TOKEN, "bob": TOKEN}, **cfg))
+    provider.inboxes["alice"].extend(queued)
+    return provider
 
 
 def deliver(recipient, payload_byte=b"m"):
@@ -27,83 +38,113 @@ def deliver(recipient, payload_byte=b"m"):
 
 
 def test_deliver_appends_to_recipient_inbox():
-    inboxes = {"bob": deque()}
-    on_packet_result(deliver("bob"), inboxes, now=0.0)
-    assert len(inboxes["bob"]) == 1
+    provider = make_provider()
+    on_packet_result(provider, deliver("bob"))
+    assert len(provider.inboxes["bob"]) == 1
+
+
+def test_counters_start_at_zero():
+    assert make_provider().counters == {
+        "dropped_cover": 0,
+        "unknown_recipient": 0,
+        "bad_payload": 0,
+        "evicted": 0,
+    }
 
 
 def test_drop_stores_nothing_and_counts():
-    inboxes = {"bob": deque()}
-    counters = {}
-    on_packet_result(Drop(replay_tag=b"t" * 16), inboxes, now=0.0, counters=counters)
-    assert len(inboxes["bob"]) == 0
-    assert counters["dropped_cover"] == 1
+    provider = make_provider()
+    on_packet_result(provider, Drop(replay_tag=b"t" * 16))
+    assert not any(provider.inboxes.values())
+    assert provider.counters["dropped_cover"] == 1
 
 
 def test_unknown_recipient_leaves_inboxes_unchanged():
-    inboxes = {"bob": deque([b"x" * PULL_ITEM_LEN])}
-    counters = {}
-    on_packet_result(deliver("mallory"), inboxes, now=0.0, counters=counters)
-    assert list(inboxes) == ["bob"]
-    assert len(inboxes["bob"]) == 1
-    assert counters["unknown_recipient"] == 1
+    provider = make_provider([b"x" * PULL_ITEM_LEN])
+    on_packet_result(provider, deliver("mallory"))
+    assert list(provider.inboxes) == ["alice", "bob"]
+    assert len(provider.inboxes["alice"]) == 1
+    assert provider.counters["unknown_recipient"] == 1
 
 
 def test_wrong_size_payload_rejected():
-    inboxes = {"bob": deque()}
-    counters = {}
+    provider = make_provider()
     short = Deliver(recipient_id="bob", payload=b"tiny", replay_tag=b"t" * 16, flags=0)
-    on_packet_result(short, inboxes, now=0.0, counters=counters)
-    assert len(inboxes["bob"]) == 0
-    assert counters["bad_payload"] == 1
+    on_packet_result(provider, short)
+    assert len(provider.inboxes["bob"]) == 0
+    assert provider.counters["bad_payload"] == 1
 
 
 def test_relay_result_is_a_programming_error():
     relay = Relay(next=HopSpec("a:1", 0.1, HopFlags.NONE), packet=None, replay_tag=b"")
     with pytest.raises(TypeError):
-        on_packet_result(relay, {"bob": deque()}, now=0.0)
+        on_packet_result(make_provider(), relay)
 
 
 def test_capacity_evicts_oldest():
-    inboxes = {"bob": deque()}
-    counters = {}
+    provider = make_provider(inbox_capacity=3)
     for i in range(4):
-        on_packet_result(
-            deliver("bob", bytes([i])), inboxes, now=0.0, capacity=3, counters=counters
-        )
-    assert counters["evicted"] == 1
-    assert [q[0] for q in inboxes["bob"]] == [1, 2, 3]
+        on_packet_result(provider, deliver("bob", bytes([i])))
+    assert provider.counters["evicted"] == 1
+    assert [q[0] for q in provider.inboxes["bob"]] == [1, 2, 3]
 
 
 @pytest.mark.parametrize("n_queued", [0, 2, 5, 7])
 def test_pull_pads_to_exactly_c(n_queued):
-    rng = random.Random(1)
     queued = [bytes([i]) * PULL_ITEM_LEN for i in range(n_queued)]
-    inboxes = {"alice": deque(queued)}
-    response, inboxes = handle_pull("alice", inboxes, C=5, rng=rng)
+    provider = make_provider(queued, pull_max_items=5)
+    response = provider.on_pull("alice", TOKEN, random.Random(1))
     assert len(response.items) == 5
     assert all(len(item.blob) == PULL_ITEM_LEN for item in response.items)
     assert response.n_real == min(n_queued, 5)
     reals = [item.blob for item in response.items if item.kind == REAL]
     assert sorted(reals) == sorted(queued[:5])
-    assert list(inboxes["alice"]) == queued[5:]
+    assert list(provider.inboxes["alice"]) == queued[5:]
 
 
 def test_pull_returns_reals_fifo():
     # shuffling hides order on the wire, but the set popped is the oldest C
-    rng = random.Random(2)
     queued = [bytes([i]) * PULL_ITEM_LEN for i in range(7)]
-    inboxes = {"alice": deque(queued)}
-    response, _ = handle_pull("alice", inboxes, C=5, rng=rng)
+    provider = make_provider(queued, pull_max_items=5)
+    response = provider.on_pull("alice", TOKEN, random.Random(2))
     reals = {item.blob for item in response.items if item.kind == REAL}
     assert reals == set(queued[:5])
 
 
+def test_pull_items_all_start_with_a_public_key():
+    # a real item is a sealed envelope, whose first 32 bytes are an x25519
+    # public key, and byte 31 of a public key never has its top bit set; a
+    # dummy must not differ there
+    provider = make_provider()
+    rng = random.Random(3)
+    items = []
+    for _ in range(400):
+        if rng.random() < 0.2:
+            envelope = crypto.e2e_seal(PUBKEY, bytes(PULL_ITEM_LEN - 48), rng)
+            provider.inboxes["alice"].append(envelope)
+        items += provider.on_pull("alice", TOKEN, rng).items
+    assert sum(item.kind == REAL for item in items) > 0
+    assert sum(item.kind == DUMMY for item in items) > 1000
+    assert all(item.blob[31] < 0x80 for item in items)
+
+
 def test_pull_unknown_client_and_bad_c():
     with pytest.raises(UnknownClient):
-        handle_pull("ghost", {"alice": deque()}, C=5, rng=random.Random(0))
+        make_provider().on_pull("ghost", TOKEN, random.Random(0))
     with pytest.raises(ValueError):
-        handle_pull("alice", {"alice": deque()}, C=0, rng=random.Random(0))
+        make_provider(pull_max_items=0)
+
+
+def test_provider_authentication():
+    provider = make_provider([b"x" * PULL_ITEM_LEN])
+    with pytest.raises(BadToken):
+        provider.on_pull("alice", bytes(16), random.Random(0))
+    with pytest.raises(UnknownClient):
+        provider.on_pull("nobody", TOKEN, random.Random(0))
+    assert len(provider.inboxes["alice"]) == 1
+    assert provider.pulls_served == 0
+    assert provider.on_pull("alice", TOKEN, random.Random(0)).n_real == 1
+    assert provider.pulls_served == 1
 
 
 @pytest.mark.parametrize("field", ["pull_max_items", "inbox_capacity"])
@@ -131,8 +172,9 @@ def test_pull_item_validation():
 )
 def test_pull_response_size_never_leaks_inbox_state(n_queued, c, seed):
     rng = random.Random(seed)
-    inboxes = {"alice": deque(rng.randbytes(PULL_ITEM_LEN) for _ in range(n_queued))}
-    response, _ = handle_pull("alice", inboxes, C=c, rng=rng)
+    provider = make_provider([rng.randbytes(PULL_ITEM_LEN) for _ in range(n_queued)],
+                             pull_max_items=c)
+    response = provider.on_pull("alice", TOKEN, rng)
     assert len(response.items) == c
     assert {len(item.blob) for item in response.items} == {PULL_ITEM_LEN}
     assert sum(1 for i in response.items if i.kind == DUMMY) == c - min(n_queued, c)
@@ -145,29 +187,16 @@ def test_real_items_conserved_over_lifetime(network):
     rng = random.Random(9)
     delivered = 0
     real_returned = 0
-    for step in range(60):
+    for _ in range(60):
         if rng.random() < 0.7:
-            provider._on_terminal(deliver("alice", rng.randbytes(1)), now=float(step))
+            on_packet_result(provider, deliver("alice", rng.randbytes(1)))
             delivered += 1
         else:
             response = provider.on_pull("alice", net.runtimes["alice"].client.cfg.token, rng)
             real_returned += response.n_real
-    evicted = provider.counters.get("evicted", 0)
+    evicted = provider.counters["evicted"]
     remaining = len(provider.inboxes["alice"])
     assert real_returned + remaining + evicted == delivered
-
-
-def test_provider_authentication(network):
-    _, net = network
-    provider = net.runtimes["prov-0"].provider
-    token = net.runtimes["alice"].client.cfg.token
-    provider.authenticate("alice", token)
-    with pytest.raises(BadToken):
-        provider.authenticate("alice", bytes(16))
-    with pytest.raises(UnknownClient):
-        provider.authenticate("nobody", token)
-    with pytest.raises(UnknownClient):
-        provider.on_pull("nobody", token, random.Random(0))
 
 
 def test_terminal_packets_land_in_inboxes(network):
@@ -186,3 +215,17 @@ def test_terminal_packets_land_in_inboxes(network):
     assert isinstance(provider.on_receive(create_packet(cover, "alice", junk, rng), 1.0), Drop)
     assert list(provider.inboxes["alice"]) == [body]
     assert provider.counters["dropped_cover"] == 1
+
+
+def test_terminal_results_go_through_the_module_function(monkeypatch):
+    # tracing wraps provider.on_packet_result by name; a provider must call
+    # it through the module, not hold the function it saw at construction
+    provider = make_provider()
+    seen = []
+    monkeypatch.setattr(provider_module, "on_packet_result", lambda p, r: seen.append((p, r)))
+    rng = random.Random(5)
+    cover = [(PUBKEY, HopSpec("c:1", 0.1, HopFlags.DROP | HopFlags.FINAL))]
+    result = provider.on_receive(create_packet(cover, "alice", b"", rng), 0.0)
+    assert isinstance(result, Drop)
+    assert seen == [(provider, result)]
+    assert provider.counters["dropped_cover"] == 0
