@@ -10,6 +10,7 @@ layers around an AEAD blob that only the delivery hop can open.
 from __future__ import annotations
 
 import enum
+import math
 import struct
 from dataclasses import dataclass
 
@@ -28,10 +29,9 @@ HEADER_LEN = crypto.GROUP_ELEMENT_LEN + BETA_LEN + crypto.MAC_LEN
 PAYLOAD_LEN = 1024
 PACKET_LEN = HEADER_LEN + PAYLOAD_LEN
 
-_ID_FIELD_LEN = 32
 _LEN_FIELD = 4
 # AEAD plaintext inside the payload: [recipient id][message length][message][pad]
-MESSAGE_CAPACITY = PAYLOAD_LEN - crypto.AEAD_OVERHEAD - _ID_FIELD_LEN - _LEN_FIELD
+MESSAGE_CAPACITY = PAYLOAD_LEN - crypto.AEAD_OVERHEAD - ADDR_LEN - _LEN_FIELD
 
 
 class PacketError(ValueError):
@@ -54,31 +54,47 @@ class MalformedPacket(PacketError):
     pass
 
 
-class HopFlags(enum.Flag):
+class HopFlags(enum.Enum):
+    """A routing block's flags byte: relay, or one of the two terminal kinds."""
+
     NONE = 0
     DROP = 1
-    DEBUG_REAL = 2
-    DEBUG_COVER = 4
     FINAL = 8
 
 
-# Every value a routing block's flags byte may hold, by that value.
-_FLAGS = tuple(HopFlags(v) for v in range(16))
+def resolve_addr(addr: str) -> tuple[str, int]:
+    """The (host, port) of a host:port address: a non-empty printable-ASCII
+    host, a colon and a decimal port from 0 to 65535; ValueError otherwise."""
+    host, _, port = addr.rpartition(":")
+    if not (host and host.isascii() and host.isprintable() and port.isascii()
+            and port.isdigit() and int(port) <= 65535):
+        raise ValueError(f"bad address {addr!r}, want host:port")
+    return host, int(port)
 
 
 @dataclass(frozen=True)
 class HopSpec:
-    """Plaintext routing metadata revealed to one hop."""
+    """Plaintext routing metadata revealed to one hop.
+
+    The one rule for what a hop may hold, on the sending and the relaying
+    side alike: a finite delay of at least 0; flags NONE, DROP or FINAL; and
+    a host:port address of at most 31 bytes, which only a terminal (DROP or
+    FINAL) hop may leave empty.
+    """
 
     next_addr: str
     delay_s: float
     flags: HopFlags = HopFlags.NONE
 
     def __post_init__(self):
-        if self.delay_s < 0:
-            raise ValueError("delay_s must be non-negative")
-        if len(self.next_addr.encode()) > ADDR_LEN - 1:
-            raise ValueError("address longer than %d bytes" % (ADDR_LEN - 1))
+        if not 0 <= self.delay_s < math.inf:
+            raise ValueError("delay_s must be finite and non-negative")
+        if not isinstance(self.flags, HopFlags):
+            raise ValueError(f"flags must be NONE, DROP or FINAL, not {self.flags!r}")
+        if self.next_addr or self.flags is HopFlags.NONE:
+            resolve_addr(self.next_addr)
+            if len(self.next_addr) > ADDR_LEN - 1:
+                raise ValueError("address longer than %d bytes" % (ADDR_LEN - 1))
 
 
 @dataclass(frozen=True)
@@ -122,7 +138,6 @@ class Deliver:
     recipient_id: str
     payload: bytes
     replay_tag: bytes
-    flags: HopFlags = HopFlags.FINAL
 
 
 @dataclass(frozen=True)
@@ -141,15 +156,19 @@ class SenderTrace:
     shared_secrets: list[bytes]
 
 
-def _encode_addr(addr: str) -> bytes:
-    raw = addr.encode()
+def _encode_addr(name: str) -> bytes:
+    """The 32-byte name field of routing blocks, payloads and pull requests:
+    a length byte, up to 31 UTF-8 bytes, zero padding."""
+    raw = name.encode()
+    if len(raw) > ADDR_LEN - 1:
+        raise ValueError("name longer than %d bytes" % (ADDR_LEN - 1))
     return bytes([len(raw)]) + raw + b"\x00" * (ADDR_LEN - 1 - len(raw))
 
 
 def _decode_addr(field: bytes) -> str:
     n = field[0]
     if n > ADDR_LEN - 1:
-        raise MalformedPacket("corrupt address length")
+        raise MalformedPacket("corrupt name length")
     return field[1 : 1 + n].decode(errors="replace")
 
 
@@ -163,12 +182,16 @@ def _encode_block(hop: HopSpec, next_mac: bytes) -> bytes:
 
 
 def _decode_block(block: bytes) -> tuple[HopSpec, bytes]:
-    addr = _decode_addr(block[:ADDR_LEN])
-    (delay,) = struct.unpack(">d", block[ADDR_LEN : ADDR_LEN + _DELAY_LEN])
-    flags_byte = block[ADDR_LEN + _DELAY_LEN]
-    if flags_byte > 15 or delay < 0 or delay != delay:
-        raise MalformedPacket("corrupt routing block")
-    hop = HopSpec(addr, delay, _FLAGS[flags_byte])
+    """The hop and next MAC in a routing block; MalformedPacket for a hop
+    that HopSpec rejects."""
+    try:
+        hop = HopSpec(
+            _decode_addr(block[:ADDR_LEN]),
+            struct.unpack(">d", block[ADDR_LEN : ADDR_LEN + _DELAY_LEN])[0],
+            HopFlags(block[ADDR_LEN + _DELAY_LEN]),
+        )
+    except ValueError as exc:
+        raise MalformedPacket(f"bad routing block: {exc}") from exc
     return hop, block[ADDR_LEN + _DELAY_LEN + _FLAGS_LEN :]
 
 
@@ -221,8 +244,7 @@ def build_packet(
         raise PathTooLong("path length must be in 1..%d" % MAX_HOPS)
     if len(message) > MESSAGE_CAPACITY:
         raise MessageTooLarge("message exceeds %d bytes" % MESSAGE_CAPACITY)
-    if len(recipient_id.encode()) > _ID_FIELD_LEN - 1:
-        raise MessageTooLarge("recipient id exceeds %d bytes" % (_ID_FIELD_LEN - 1))
+    plain = _encode_addr(recipient_id) + struct.pack(">I", len(message)) + message
 
     chain = None
     while chain is None:
@@ -249,7 +271,6 @@ def build_packet(
         beta = _xor(block + beta[: BETA_LEN - BLOCK_LEN], streams[i][:BETA_LEN])
         mac = crypto.header_mac(crypto.mac_key(secrets[i]), beta)
 
-    plain = _encode_addr(recipient_id) + struct.pack(">I", len(message)) + message
     plain += b"\x00" * (PAYLOAD_LEN - crypto.AEAD_OVERHEAD - len(plain))
     payload = crypto.deliver_seal(secrets[nu - 1], plain)
     for i in range(nu - 1, -1, -1):
@@ -298,21 +319,21 @@ def process_packet(secret_key: crypto.Scalar, packet: SphinxPacket) -> ProcessRe
     tag = crypto.replay_tag(shared)
     expanded = crypto.beta_stream(shared, packet.header.beta + bytes(BLOCK_LEN))
     hop, next_mac = _decode_block(expanded[:BLOCK_LEN])
-    if HopFlags.DROP in hop.flags:
+    if hop.flags is HopFlags.DROP:
         return Drop(replay_tag=tag)
 
     payload = crypto.payload_stream(shared, packet.payload)
-    if HopFlags.FINAL in hop.flags:
+    if hop.flags is HopFlags.FINAL:
         try:
             plain = crypto.deliver_open(shared, payload)
         except crypto.GroupError as exc:
             raise MacMismatch("payload authentication failed") from exc
-        rid = _decode_addr(plain[:_ID_FIELD_LEN])
-        (n,) = struct.unpack(">I", plain[_ID_FIELD_LEN : _ID_FIELD_LEN + _LEN_FIELD])
+        rid = _decode_addr(plain[:ADDR_LEN])
+        (n,) = struct.unpack(">I", plain[ADDR_LEN : ADDR_LEN + _LEN_FIELD])
         if n > MESSAGE_CAPACITY:
             raise MalformedPacket("corrupt message length")
-        body = plain[_ID_FIELD_LEN + _LEN_FIELD : _ID_FIELD_LEN + _LEN_FIELD + n]
-        return Deliver(recipient_id=rid, payload=body, replay_tag=tag, flags=hop.flags)
+        body = plain[ADDR_LEN + _LEN_FIELD : ADDR_LEN + _LEN_FIELD + n]
+        return Deliver(recipient_id=rid, payload=body, replay_tag=tag)
 
     b = crypto.blinding_scalar(alpha, shared)
     next_alpha = GroupElement(crypto.exchange(b, point))

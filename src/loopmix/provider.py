@@ -45,7 +45,6 @@ class PullItem:
 
 @dataclass(frozen=True)
 class PullResponse:
-    client_id: str
     items: Tuple[PullItem, ...]
     n_real: int
 
@@ -138,4 +137,4 @@ class Provider:
         items += [PullItem(DUMMY, _dummy(rng)) for _ in range(c - n_real)]
         rng.shuffle(items)
         self.pulls_served += 1
-        return PullResponse(client_id, tuple(items), n_real)
+        return PullResponse(tuple(items), n_real)

@@ -23,12 +23,12 @@ from __future__ import annotations
 import asyncio
 import logging
 import os
-from typing import Tuple
 
 from . import crypto, packet as pkt, transport
 from .client import Client, ClientConfig
 from .mixnode import MixConfig, MixNode
-from .provider import BadToken, Provider, ProviderConfig, UnknownClient
+from .packet import resolve_addr
+from .provider import Provider, ProviderConfig
 from .topology import ClientDescriptor, MixDescriptor, Topology
 
 log = logging.getLogger("loopmix")
@@ -40,13 +40,6 @@ def configure_logging() -> None:
         level=getattr(logging, level, logging.WARNING),
         format="%(asctime)s %(name)s %(levelname)s %(message)s",
     )
-
-
-def resolve_addr(addr: str) -> Tuple[str, int]:
-    host, _, port = addr.rpartition(":")
-    if not host or not port.isdigit():
-        raise ValueError(f"bad address {addr!r}, want host:port")
-    return host, int(port)
 
 
 class _Endpoint(asyncio.DatagramProtocol):
@@ -118,11 +111,8 @@ class NodeRuntime(_Runtime):
 
     def on_datagram(self, kind: int, body: bytes, source) -> None:
         if kind == transport.KIND_PACKET:
-            try:
-                packet = pkt.SphinxPacket.from_bytes(body)
-            except pkt.MalformedPacket:
-                self.mix.dropped_mac += 1
-                return
+            # deframe has fixed the body at PACKET_LEN
+            packet = pkt.SphinxPacket.from_bytes(body)
             if isinstance(self.node.on_receive(packet, self._clock.time()), pkt.Relay):
                 self._arm_release()
         elif kind == transport.KIND_PULL_REQ and self.provider is not None:
@@ -152,7 +142,7 @@ class NodeRuntime(_Runtime):
         try:
             client_id, token, _ = transport.decode_pull_request(body)
             response = self.provider.on_pull(client_id, token, self.rng)
-        except (transport.DeframeError, UnknownClient, BadToken) as exc:
+        except ValueError as exc:  # a corrupt id, an unknown client or a bad token
             log.debug("rejecting pull: %s", exc)
             return
         for item in response.items:

@@ -20,10 +20,6 @@ from .queues import DEPARTURE, pool_events
 
 @dataclass
 class EntropyRun:
-    lambda_in: float
-    mu: float
-    duration: float
-    seed: int
     steady_mean: float
     series: List[Tuple[float, float]] = field(repr=False)
 
@@ -54,11 +50,4 @@ def run_entropy_experiment(
 
     tail = [h for (t, h) in series if t >= duration / 2]
     steady = sum(tail) / len(tail) if tail else 0.0
-    return EntropyRun(
-        lambda_in=lambda_in,
-        mu=mu,
-        duration=duration,
-        seed=seed,
-        steady_mean=steady,
-        series=series,
-    )
+    return EntropyRun(steady_mean=steady, series=series)

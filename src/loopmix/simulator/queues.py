@@ -49,10 +49,6 @@ def pool_events(
 
 @dataclass
 class PoolRun:
-    lambda_in: float
-    mu: float
-    duration: float
-    seed: int
     time_avg_size: float
     sampled_sizes: List[int] = field(repr=False)
     departure_times: List[float] = field(repr=False)
@@ -94,12 +90,4 @@ def run_pool_experiment(
         next_sample += SAMPLE_EVERY
     area += size * (duration - last_t)
 
-    return PoolRun(
-        lambda_in=lambda_in,
-        mu=mu,
-        duration=duration,
-        seed=seed,
-        time_avg_size=area / duration,
-        sampled_sizes=sizes,
-        departure_times=departures,
-    )
+    return PoolRun(area / duration, sizes, departures)

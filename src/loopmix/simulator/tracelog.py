@@ -10,7 +10,7 @@ plausible-alternative check has concrete targets to chain through.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import FrozenSet, List, Tuple
 
 from ..analysis.traces import Trace, Transmission
@@ -43,7 +43,6 @@ class TraceRun:
     users: FrozenSet[str]
     providers: FrozenSet[str]
     mixes: FrozenSet[str]
-    config: TraceSimConfig = field(repr=False, default=None)
 
 
 def _emit_trace(
@@ -99,7 +98,6 @@ def run_trace_experiment(cfg: TraceSimConfig) -> TraceRun:
         users=frozenset(users),
         providers=frozenset(providers),
         mixes=frozenset(mixes),
-        config=cfg,
     )
 
 

@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass, field
 
 from .crypto import GroupElement, GroupError
-from .packet import ADDR_LEN, MAX_HOPS, HopFlags, HopSpec
+from .packet import ADDR_LEN, MAX_HOPS, HopFlags, HopSpec, resolve_addr
 from .transport import TOKEN_LEN
 
 
@@ -184,9 +184,19 @@ def _token(entry: dict, location: str) -> bytes:
     return token
 
 
+def _addr(entry: dict, location: str) -> str:
+    """entry["addr"], a name that is also a host:port (packet.resolve_addr)."""
+    addr = _name(entry, "addr", location)
+    try:
+        resolve_addr(addr)
+    except ValueError:
+        raise ParseError(f"{location}: bad addr") from None
+    return addr
+
+
 def _node(e: dict, loc: str) -> tuple:
     """The id, address and public key of a mix or provider entry."""
-    return _name(e, "id", loc), _name(e, "addr", loc), _pubkey(e, loc)
+    return _name(e, "id", loc), _addr(e, loc), _pubkey(e, loc)
 
 
 def _client(e: dict, loc: str) -> ClientDescriptor:

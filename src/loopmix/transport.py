@@ -16,11 +16,10 @@ KIND_PACKET = 1
 KIND_PULL_REQ = 2
 KIND_PULL_ITEM = 3
 
-CLIENT_ID_LEN = 32
 TOKEN_LEN = 16
 NONCE_LEN = 8
 
-PULL_REQ_LEN = CLIENT_ID_LEN + TOKEN_LEN + NONCE_LEN
+PULL_REQ_LEN = packet.ADDR_LEN + TOKEN_LEN + NONCE_LEN
 # A pull item carries one inbox payload padded to the packet's message capacity.
 PULL_ITEM_LEN = packet.MESSAGE_CAPACITY
 
@@ -68,22 +67,19 @@ def deframe(datagram: bytes) -> tuple[int, bytes]:
 
 
 def encode_pull_request(client_id: str, token: bytes, nonce: bytes) -> bytes:
-    cid = client_id.encode()
-    if len(cid) > CLIENT_ID_LEN - 1:
-        raise BodyWrongSize("client id too long")
     if len(token) != TOKEN_LEN or len(nonce) != NONCE_LEN:
         raise BodyWrongSize("token must be 16 bytes and nonce 8 bytes")
-    id_field = bytes([len(cid)]) + cid + b"\x00" * (CLIENT_ID_LEN - 1 - len(cid))
-    return id_field + token + nonce
+    try:
+        return packet._encode_addr(client_id) + token + nonce
+    except ValueError as exc:
+        raise BodyWrongSize(f"client id: {exc}") from exc
 
 
 def decode_pull_request(body: bytes) -> tuple[str, bytes, bytes]:
+    """(client_id, token, nonce); MalformedPacket for a corrupt id length."""
     if len(body) != PULL_REQ_LEN:
         raise DeframeError("pull request must be %d bytes" % PULL_REQ_LEN)
-    n = body[0]
-    if n > CLIENT_ID_LEN - 1:
-        raise DeframeError("corrupt client id")
-    client_id = body[1 : 1 + n].decode(errors="replace")
-    token = body[CLIENT_ID_LEN : CLIENT_ID_LEN + TOKEN_LEN]
-    nonce = body[CLIENT_ID_LEN + TOKEN_LEN :]
+    client_id = packet._decode_addr(body[: packet.ADDR_LEN])
+    token = body[packet.ADDR_LEN : packet.ADDR_LEN + TOKEN_LEN]
+    nonce = body[packet.ADDR_LEN + TOKEN_LEN :]
     return client_id, token, nonce

@@ -465,6 +465,7 @@ def test_failures_print_one_error_line(runner, args, message):
     "command, node_id, extra, message",
     [
         ("mix", "mix-0-0", [], "bad address 'nonsense'"),
+        ("mix", "mix-0-0", ["--listen", "127.0.0.1:99999"], "bad address '127.0.0.1:99999'"),
         ("provider", "prov-0", [], "bad address 'nonsense'"),
         ("client", "client-0", [], "bad address 'nonsense'"),
         ("provider", "prov-0", ["--pull-max", "0"], "pull_max_items must be at least 1"),
@@ -480,8 +481,9 @@ def test_failures_print_one_error_line(runner, args, message):
          "key file does not match directory entry for mix-1-0"),
         ("provider", "mix-0-0", [], "'mix-0-0' is not a provider in the directory"),
     ],
-    ids=["mix-listen", "provider-listen", "client-listen", "pull-max-zero", "inbox-negative",
-         "send-unknown-recipient", "no-directory", "key-not-hex", "key-mismatch", "wrong-role"],
+    ids=["mix-listen", "mix-listen-port-range", "provider-listen", "client-listen",
+         "pull-max-zero", "inbox-negative", "send-unknown-recipient", "no-directory",
+         "key-not-hex", "key-mismatch", "wrong-role"],
 )
 def test_daemon_start_failures_print_one_error_line(
     runner, tmp_path, command, node_id, extra, message

@@ -23,6 +23,7 @@ from loopmix.simulator.queues import run_pool_experiment
 from loopmix.topology import InvariantViolation, sample_forward_path
 
 from conftest import build_network
+from test_packet import HOSTILE_HOPS, hostile_packet
 
 
 def make_mix(seed=0, mu=1.0, **cfg_kwargs):
@@ -77,6 +78,15 @@ def test_bad_mac_counted_and_pool_unchanged():
     assert node.on_receive(SphinxPacket.from_bytes(bytes(raw)), now=0.0) is None
     assert len(node.pool) == 0
     assert node.dropped_mac == 1
+
+
+@pytest.mark.parametrize("hop", HOSTILE_HOPS.values(), ids=HOSTILE_HOPS.keys())
+def test_hostile_hop_dropped_and_counted(hop):
+    node, pub, rng = make_mix()
+    _, next_pub = crypto.generate_keypair(rng)
+    assert node.on_receive(hostile_packet(hop, pub, next_pub, rng), now=0.0) is None
+    assert node.dropped_mac == 1
+    assert len(node.pool) == 0
 
 
 def test_pool_next_release_timing():

@@ -1,5 +1,6 @@
 """Onion packet construction and per-hop processing."""
 
+import math
 import random
 import struct
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from loopmix import crypto
 from loopmix.crypto import GroupElement
 from loopmix.packet import (
+    ADDR_LEN,
     BETA_LEN,
     BLOCK_LEN,
     HEADER_LEN,
@@ -33,6 +35,7 @@ from loopmix.packet import (
     build_packet,
     create_packet,
     process_packet,
+    resolve_addr,
 )
 
 
@@ -233,9 +236,34 @@ def test_product_chain_matches_hop_by_hop_chain(nu, seed):
     assert _shared_secret_chain(keys, x) == hop_by_hop_chain(keys, x)
 
 
+def raw_hop(addr: bytes, delay: float = 0.0, flags: int = 0) -> bytes:
+    """A routing block's address field, delay and flags byte, unchecked."""
+    field = bytes([len(addr)]) + addr.ljust(ADDR_LEN - 1, b"\x00")
+    return field + struct.pack(">d", delay) + bytes([flags])
+
+
+# Routing blocks HopSpec rejects; a relay must drop each one.
+HOSTILE_HOPS = {
+    "port-70000": raw_hop(b"127.0.0.1:70000"),
+    "non-utf8": raw_hop(b"\xff:80"),
+    "non-utf8-31": raw_hop(b"\xff" * 31),  # 93 bytes once decoded
+    "nul": raw_hop(b"a\x00b:80"),
+    "empty-relay": raw_hop(b""),
+    "inf-delay": raw_hop(b"127.0.0.1:9000", math.inf),
+    "flags-2": raw_hop(b"127.0.0.1:9000", 0.0, 2),
+}
+
+
+def _block(hop, next_mac: bytes) -> bytes:
+    return hop + next_mac if isinstance(hop, bytes) else _encode_block(hop, next_mac)
+
+
 def reference_build(path, recipient_id, message, rng):
     """build_packet as it was with a stream call per filler step and per
-    beta layer: 3nu - 1 header streams where one per hop secret does."""
+    beta layer: 3nu - 1 header streams where one per hop secret does.
+
+    A hop may also be raw_hop bytes, to put a hop HopSpec rejects under a
+    valid MAC."""
     nu = len(path)
     chain = None
     while chain is None:
@@ -250,12 +278,12 @@ def reference_build(path, recipient_id, message, rng):
             secrets[i], bytes(skip) + phi + bytes(BLOCK_LEN)
         )[skip:]
 
-    final_block = _encode_block(path[nu - 1][1], b"\x00" * crypto.MAC_LEN)
+    final_block = _block(path[nu - 1][1], b"\x00" * crypto.MAC_LEN)
     pad = rng.randbytes((MAX_HOPS - nu) * BLOCK_LEN)
     beta = crypto.beta_stream(secrets[nu - 1], final_block + pad) + phi
     mac = crypto.header_mac(crypto.mac_key(secrets[nu - 1]), beta)
     for i in range(nu - 2, -1, -1):
-        block = _encode_block(path[i][1], mac)
+        block = _block(path[i][1], mac)
         beta = crypto.beta_stream(
             secrets[i], block + beta[: (MAX_HOPS - 1) * BLOCK_LEN]
         )
@@ -283,6 +311,70 @@ def test_build_matches_the_reference_build(nu, flags):
         expected = reference_build(path, "rcpt", message, rng)
         assert packet.to_bytes() == expected.to_bytes()
         assert rng.getstate() == end  # the same draws in the same order
+
+
+def hostile_packet(hop: bytes, pub, next_pub, rng) -> SphinxPacket:
+    """A packet to pub whose routing block holds hop, under a valid MAC, and
+    whose next hop is the terminal next_pub."""
+    path = [(pub, hop), (next_pub, HopSpec("", 0.0, HopFlags.FINAL))]
+    return reference_build(path, "rcpt", b"m", rng)
+
+
+_HOP_KEYS = [crypto.generate_keypair(random.Random(i)) for i in range(2)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    hop=st.one_of(
+        st.binary(min_size=BLOCK_LEN - crypto.MAC_LEN, max_size=BLOCK_LEN - crypto.MAC_LEN),
+        st.builds(
+            raw_hop,
+            st.one_of(
+                st.binary(max_size=ADDR_LEN - 1),
+                st.builds(
+                    lambda host, port: f"{host}:{port}".encode()[: ADDR_LEN - 1],
+                    st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=24)
+                    | st.text(max_size=8),
+                    st.integers(min_value=0, max_value=99999),
+                ),
+            ),
+            st.floats(min_value=0) | st.floats(),
+            st.sampled_from([0, 1, 8]) | st.integers(min_value=0, max_value=255),
+        ),
+    )
+)
+def test_any_routing_block_is_relayed_only_when_it_can_be_sent(hop):
+    (secret, pub), (_, next_pub) = _HOP_KEYS
+    packet = hostile_packet(hop, pub, next_pub, random.Random(0))
+    try:
+        result = process_packet(secret, packet)
+    except (MacMismatch, MalformedPacket):
+        return
+    if isinstance(result, Relay):
+        assert math.isfinite(result.next.delay_s) and result.next.delay_s >= 0
+        resolve_addr(result.next.next_addr)
+
+
+def test_hop_rule():
+    for addr, flags in [("", HopFlags.DROP), ("", HopFlags.FINAL), ("h:0", HopFlags.NONE),
+                        ("x" * 25 + ":65535", HopFlags.FINAL)]:
+        HopSpec(addr, 0.0, flags)
+    for addr, delay, flags in [
+        ("", 0.0, HopFlags.NONE),
+        ("h:1", -1.0, HopFlags.NONE),
+        ("h:1", math.nan, HopFlags.NONE),
+        ("h:1", math.inf, HopFlags.NONE),
+        ("h:1", 0.0, 9),  # the DROP and FINAL bits
+        ("h:65536", 0.0, HopFlags.NONE),
+        ("h:", 0.0, HopFlags.FINAL),
+        (":1", 0.0, HopFlags.NONE),
+        ("h\u00e9:1", 0.0, HopFlags.NONE),
+        ("h\t:1", 0.0, HopFlags.NONE),
+        ("h:\u00b2", 0.0, HopFlags.NONE),
+        ("x" * 26 + ":65535", 0.0, HopFlags.NONE),
+    ]:
+        with pytest.raises(ValueError):
+            HopSpec(addr, delay, flags)
 
 
 def test_failed_scalar_encoding_draws_a_fresh_x(monkeypatch):

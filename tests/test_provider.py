@@ -34,7 +34,7 @@ def make_provider(queued=(), **cfg):
 
 def deliver(recipient, payload_byte=b"m"):
     body = payload_byte * PULL_ITEM_LEN
-    return Deliver(recipient_id=recipient, payload=body, replay_tag=b"t" * 16, flags=0)
+    return Deliver(recipient_id=recipient, payload=body, replay_tag=b"t" * 16)
 
 
 def test_deliver_appends_to_recipient_inbox():
@@ -69,7 +69,7 @@ def test_unknown_recipient_leaves_inboxes_unchanged():
 
 def test_wrong_size_payload_rejected():
     provider = make_provider()
-    short = Deliver(recipient_id="bob", payload=b"tiny", replay_tag=b"t" * 16, flags=0)
+    short = Deliver(recipient_id="bob", payload=b"tiny", replay_tag=b"t" * 16)
     on_packet_result(provider, short)
     assert len(provider.inboxes["bob"]) == 0
     assert provider.counters["bad_payload"] == 1
@@ -210,7 +210,7 @@ def test_terminal_packets_land_in_inboxes(network):
     assert isinstance(provider.on_receive(create_packet(mail, "alice", body, rng), 0.0), Deliver)
     assert list(provider.inboxes["alice"]) == [body]
 
-    cover = [(prov_desc.pubkey, HopSpec("c:1", 0.1, HopFlags.DROP | HopFlags.FINAL))]
+    cover = [(prov_desc.pubkey, HopSpec("c:1", 0.1, HopFlags.DROP))]
     junk = rng.randbytes(PULL_ITEM_LEN)
     assert isinstance(provider.on_receive(create_packet(cover, "alice", junk, rng), 1.0), Drop)
     assert list(provider.inboxes["alice"]) == [body]
@@ -224,7 +224,7 @@ def test_terminal_results_go_through_the_module_function(monkeypatch):
     seen = []
     monkeypatch.setattr(provider_module, "on_packet_result", lambda p, r: seen.append((p, r)))
     rng = random.Random(5)
-    cover = [(PUBKEY, HopSpec("c:1", 0.1, HopFlags.DROP | HopFlags.FINAL))]
+    cover = [(PUBKEY, HopSpec("c:1", 0.1, HopFlags.DROP))]
     result = provider.on_receive(create_packet(cover, "alice", b"", rng), 0.0)
     assert isinstance(result, Drop)
     assert seen == [(provider, result)]

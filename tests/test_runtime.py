@@ -19,6 +19,7 @@ from loopmix.runtime import ClientRuntime, NodeRuntime, resolve_addr
 from loopmix.topology import ClientDescriptor, MixDescriptor, ProviderDescriptor, Topology
 
 from conftest import build_network
+from test_packet import HOSTILE_HOPS, hostile_packet
 
 
 def live_timer_handles() -> int:
@@ -82,6 +83,38 @@ def test_node_runtime_relays_on_time_with_bounded_timers():
     for alpha, (sent_at, delay) in sent.items():
         assert arrived[alpha] - sent_at >= delay
     assert after - before <= 2
+
+
+async def relay_after_hostile_hops():
+    """Three packets whose next hop no socket can send to, then one honest
+    packet; returns (dropped_mac, transport closing, frames at the sink)."""
+    rng = random.Random(33)
+    secret, pub = crypto.generate_keypair(rng)
+    _, next_pub = crypto.generate_keypair(rng)
+    runtime = NodeRuntime(MixNode(MixConfig(secret, "m", "127.0.0.1:0", 0)))
+    node_addr = resolve_addr(await runtime.start())
+    sink_transport, sink, sink_addr = await open_sink()
+    packets = [
+        hostile_packet(HOSTILE_HOPS[name], pub, next_pub, rng)
+        for name in ("port-70000", "non-utf8", "nul")
+    ]
+    honest = [(pub, HopSpec(sink_addr, 0.0)), (next_pub, HopSpec("", 0.0, HopFlags.FINAL))]
+    packets.append(packet.create_packet(honest, "sink", b"honest", rng))
+    for p in packets:
+        sink_transport.sendto(transport.frame(transport.KIND_PACKET, p.to_bytes()), node_addr)
+        await asyncio.sleep(0.01)
+    for _ in range(100):
+        if sink.frames:
+            break
+        await asyncio.sleep(0.01)
+    closing = runtime._transport.is_closing()
+    runtime.stop()
+    sink_transport.close()
+    return runtime.mix.dropped_mac, closing, len(sink.frames)
+
+
+def test_hostile_hops_leave_the_socket_open():
+    assert asyncio.run(relay_after_hostile_hops()) == (3, False, 1)
 
 
 async def run_client(seconds: float):

@@ -85,7 +85,7 @@ def test_overlong_id_or_address_rejected(example_directory, section, index, key,
                 client["provider_id"] = value
         entry[key] = value
 
-    rename("x" * 31)
+    rename("x" * 31 if key == "id" else "x" * 26 + ":9000")  # 31 bytes
     loads_directory(json.dumps(doc))
     rename("é" * 16)  # 32 UTF-8 bytes in 16 characters
     with pytest.raises(ParseError, match=rf"^{re.escape(location)}: {key} too long$"):
@@ -107,9 +107,14 @@ def test_overlong_id_or_address_rejected(example_directory, section, index, key,
         (("clients", 0, "token"), 7, "clients[0]: bad token hex"),
         (("providers", 0, "pubkey"), "00" * 31,
          "providers[0]: group element must be exactly 32 bytes"),
+        (("layers", 0, 0, "addr"), "bogus", "layers[0][0]: bad addr"),
+        (("layers", 2, 1, "addr"), "127.0.0.1:99999", "layers[2][1]: bad addr"),
+        (("providers", 1, "addr"), "127.0.0.1:", "providers[1]: bad addr"),
+        (("providers", 0, "addr"), "", "providers[0]: bad addr"),
     ],
     ids=["layers", "layer", "mix", "providers", "provider", "clients", "client",
-         "token-short", "token-long", "token-not-text", "pubkey-short"],
+         "token-short", "token-long", "token-not-text", "pubkey-short",
+         "addr-no-port", "addr-port-range", "addr-empty-port", "addr-empty"],
 )
 def test_malformed_entry_rejected_at_its_location(example_directory, path, value, message):
     doc = json.loads(json.dumps(example_directory))
@@ -202,11 +207,11 @@ def test_path_to_packet_hops_wires_addresses():
     for i in range(3):
         _, pub = crypto.generate_keypair(rng)
         descs.append(MixDescriptor(f"m{i}", f"127.0.0.1:{7000 + i}", pub, i))
-    hops = path_to_packet_hops(descs, [0.1, 0.2, 0.3], "final-target", HopFlags.FINAL)
+    hops = path_to_packet_hops(descs, [0.1, 0.2, 0.3], "127.0.0.1:7009", HopFlags.FINAL)
     assert [h.next_addr for _, h in hops] == [
         "127.0.0.1:7001",
         "127.0.0.1:7002",
-        "final-target",
+        "127.0.0.1:7009",
     ]
     assert hops[-1][1].flags == HopFlags.FINAL
     assert all(h.flags == HopFlags.NONE for _, h in hops[:-1])
