@@ -8,56 +8,3 @@ sending streams, and `runtime` runs all of them on UDP sockets or, through
 closed-form match probabilities, entropy updates, and trace predicates, and
 `simulator` reproduces them with seeded experiments.
 """
-
-from .packet import (
-    HEADER_LEN,
-    MAX_HOPS,
-    MESSAGE_CAPACITY,
-    PACKET_LEN,
-    PAYLOAD_LEN,
-    Deliver,
-    Drop,
-    HopFlags,
-    HopSpec,
-    MacMismatch,
-    MalformedPacket,
-    Relay,
-    SphinxPacket,
-    create_packet,
-    process_packet,
-)
-from .topology import (
-    ClientDescriptor,
-    MixDescriptor,
-    ProviderDescriptor,
-    Topology,
-    load_directory,
-    loads_directory,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "HEADER_LEN",
-    "MAX_HOPS",
-    "MESSAGE_CAPACITY",
-    "PACKET_LEN",
-    "PAYLOAD_LEN",
-    "Deliver",
-    "Drop",
-    "HopFlags",
-    "HopSpec",
-    "MacMismatch",
-    "MalformedPacket",
-    "Relay",
-    "SphinxPacket",
-    "create_packet",
-    "process_packet",
-    "ClientDescriptor",
-    "MixDescriptor",
-    "ProviderDescriptor",
-    "Topology",
-    "load_directory",
-    "loads_directory",
-    "__version__",
-]

@@ -1,44 +1,1 @@
 """Closed-form anonymity and attack calculations with matching simulators."""
-
-from .pools import (
-    PoolObservation,
-    PoolProbs,
-    PoolLoopProbs,
-    entropy_step,
-    epsilon_of,
-    pool_match_prob,
-    pool_match_prob_with_loops,
-    steady_pool_size,
-)
-from .attacks import LinkParams, blocking_attack_prob, delay_attack_prob, link_rate
-from .traces import (
-    IndexOutOfRange,
-    InvalidTrace,
-    Trace,
-    Transmission,
-    anonymity_condition_holds,
-    trace_join,
-    validate_trace,
-)
-
-__all__ = [
-    "PoolObservation",
-    "PoolProbs",
-    "PoolLoopProbs",
-    "entropy_step",
-    "epsilon_of",
-    "pool_match_prob",
-    "pool_match_prob_with_loops",
-    "steady_pool_size",
-    "LinkParams",
-    "blocking_attack_prob",
-    "delay_attack_prob",
-    "link_rate",
-    "IndexOutOfRange",
-    "InvalidTrace",
-    "Trace",
-    "Transmission",
-    "anonymity_condition_holds",
-    "trace_join",
-    "validate_trace",
-]

@@ -12,6 +12,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
+from ..bounds import non_negative, positive
 from ..client import Rates
 
 
@@ -26,12 +27,11 @@ def blocking_attack_prob(
     lambda_R). The expression is a large-pool approximation, so values above
     1 are clamped with a warning.
     """
-    if s <= 1:
-        raise ValueError("splitting factor s must exceed 1: s=1 means no blockade")
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    if lambda_M < 0 or lambda_R < 0:
-        raise ValueError("rates must be non-negative")
+    if not 1 < s < math.inf:
+        raise ValueError("splitting factor s must exceed 1 and be finite: s=1 means no blockade")
+    positive("mu", mu)
+    non_negative("lambda_M", lambda_M)
+    non_negative("lambda_R", lambda_R)
     denom = s * lambda_M + lambda_R
     if denom <= 0:
         raise ValueError("attack needs competing traffic to race against")
@@ -56,12 +56,9 @@ def delay_attack_prob(k_links: int, Lambda: float, Delta: float, t: float) -> fl
     """
     if k_links < 0:
         raise ValueError("link count must be non-negative")
-    if Lambda < 0:
-        raise ValueError("Lambda must be non-negative")
-    if Delta <= 0:
-        raise ValueError("Delta must be positive")
-    if t < 0:
-        raise ValueError("holding time must be non-negative")
+    non_negative("Lambda", Lambda)
+    positive("Delta", Delta)
+    non_negative("holding time t", t)
     return math.exp(-k_links * Lambda * math.exp(-Delta * t) / Delta)
 
 

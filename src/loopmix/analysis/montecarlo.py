@@ -15,6 +15,8 @@ from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
+from ..bounds import non_negative, positive
+
 ARRIVAL = "A"
 DEPARTURE = "D"
 
@@ -49,8 +51,8 @@ def pool_race_estimate_with_loops(
     """
     if not 1 <= k <= n or l < 0:
         raise ValueError("need 1 <= k <= n and l >= 0")
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    positive("mu", mu)
+    non_negative("lambda_M", lambda_M)
     delays = rng.exponential(1.0 / mu, size=(trials, n))
     if k == n:
         observe_at = np.zeros(trials)
@@ -85,8 +87,11 @@ def blocking_estimate(
     ways (real plus loop arrivals, Exp(mu) residence), then races the
     target's clock against the minimum of the residents' clocks.
     """
-    if s < 1 or mu <= 0 or lambda_M < 0 or lambda_R < 0:
-        raise ValueError("bad rate parameters")
+    if not 1 <= s < math.inf:
+        raise ValueError("splitting factor s must be at least 1 and finite")
+    positive("mu", mu)
+    non_negative("lambda_M", lambda_M)
+    non_negative("lambda_R", lambda_R)
     pool = rng.poisson((lambda_R / s + lambda_M) / mu, size=trials)
     target = rng.exponential(1.0 / mu, size=trials)
     # min of N iid Exp(mu) clocks is Exp(N*mu); empty pools never compete

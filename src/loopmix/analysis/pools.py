@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from ..bounds import non_negative, positive
+
 
 @dataclass(frozen=True)
 class PoolObservation:
@@ -70,10 +72,8 @@ def pool_match_prob_with_loops(
     lambda_M, so the next emission splits the total (k+l)*mu + lambda_M.
     lambda_M = 0 reduces exactly to pool_match_prob.
     """
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    if lambda_M < 0:
-        raise ValueError("lambda_M must be non-negative")
+    positive("mu", mu)
+    non_negative("lambda_M", lambda_M)
     resident = obs.k_remaining + obs.l_late
     total = resident * mu + lambda_M
     p_late = mu / total
@@ -99,8 +99,7 @@ def entropy_step(H_prev: float, k: int, l: int) -> float:
     log2(k + l) exactly. Conventions: 0*log(0) = 0 and the chain starts at
     H_0 = 0.
     """
-    if H_prev < 0:
-        raise ValueError("entropy cannot be negative")
+    non_negative("H_prev", H_prev)
     if k < 0 or l < 0 or k + l < 1:
         raise ValueError("need a non-empty pool")
     if l == 0:
@@ -120,7 +119,7 @@ def epsilon_of(p0: float, p1: float) -> float:
     +inf sentinel rather than an exception so sweeps stay total.
     """
     for p in (p0, p1):
-        if math.isnan(p) or not 0.0 <= p <= 1.0:
+        if not 0.0 <= p <= 1.0:
             raise ValueError("arguments must be probabilities")
     if p0 == 0.0 or p1 == 0.0:
         return math.inf
@@ -129,8 +128,6 @@ def epsilon_of(p0: float, p1: float) -> float:
 
 def steady_pool_size(lambda_in: float, mu: float) -> float:
     """Mean resident count of a mix fed at lambda_in with mean delay 1/mu."""
-    if lambda_in < 0:
-        raise ValueError("arrival rate must be non-negative")
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    non_negative("lambda_in", lambda_in)
+    positive("mu", mu)
     return lambda_in / mu

@@ -58,18 +58,6 @@ def validate_trace(
     return tuple(trace)
 
 
-def is_valid_trace(
-    trace: Sequence[Transmission],
-    users: Optional[Set[str]] = None,
-    providers: Optional[Set[str]] = None,
-) -> bool:
-    try:
-        validate_trace(trace, users, providers)
-    except InvalidTrace:
-        return False
-    return True
-
-
 def trace_join(tr_x: Sequence[Transmission], tr_y: Sequence[Transmission], i: int) -> bool:
     """Whether tr_x and tr_y join at hop i (1-based).
 

@@ -13,7 +13,6 @@ response: only real items decrypt.
 
 from __future__ import annotations
 
-import math
 import struct
 from collections import deque
 from dataclasses import dataclass
@@ -21,6 +20,7 @@ from functools import cached_property
 from typing import Deque, List, Optional, Tuple
 
 from . import crypto, packet as pkt
+from .bounds import non_negative, positive
 from .mixnode import LoopTracker
 from .packet import HopFlags
 from .topology import Topology, path_to_packet_hops, sample_forward_path
@@ -72,11 +72,8 @@ class Rates:
 
     def __post_init__(self):
         for name in ("lambda_P", "lambda_L", "lambda_D", "lambda_M"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0:
-                raise ValueError(f"{name} must be finite and non-negative")
-        if not math.isfinite(self.mu) or self.mu <= 0:
-            raise ValueError("mu must be finite and positive")
+            non_negative(name, getattr(self, name))
+        positive("mu", self.mu)
 
 
 def aggregate_output_rate(rates: Rates) -> float:
@@ -96,8 +93,7 @@ class ClientConfig:
     def __post_init__(self):
         if len(self.secret_key) != crypto.SECRET_KEY_LEN:
             raise ValueError("secret_key must be %d bytes" % crypto.SECRET_KEY_LEN)
-        if self.pull_interval_s <= 0:
-            raise ValueError("pull_interval_s must be positive")
+        positive("pull_interval_s", self.pull_interval_s)
 
 
 class Client:

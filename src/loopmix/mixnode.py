@@ -17,6 +17,7 @@ from functools import cached_property
 from typing import Any, Callable, Optional
 
 from . import crypto, packet as pkt
+from .bounds import non_negative, positive
 from .packet import HopFlags, SphinxPacket
 from .topology import ProviderDescriptor, Topology, path_to_packet_hops
 
@@ -26,6 +27,9 @@ UNDER_ATTACK = "UNDER_ATTACK"
 REPLAY_HORIZON_S = 3600.0
 
 LOOP_CAP = 10_000
+
+# a relay drops packets that arrive while its pool holds this many
+QUEUE_HIGH_WATERMARK = 100_000
 
 
 @dataclass
@@ -73,18 +77,13 @@ class MixConfig:
     layer_index: int
     lambda_M: float = 0.0
     mu: float = 1.0
-    queue_high_watermark: int = 100_000
     loop_return_fraction_r: float = 0.8
 
     def __post_init__(self):
         if len(self.secret_key) != crypto.SECRET_KEY_LEN:
             raise ValueError("secret_key must be %d bytes" % crypto.SECRET_KEY_LEN)
-        if self.mu <= 0:
-            raise ValueError("mu must be positive")
-        if self.lambda_M < 0:
-            raise ValueError("lambda_M must be non-negative")
-        if self.queue_high_watermark <= 0:
-            raise ValueError("watermark must be positive")
+        positive("mu", self.mu)
+        non_negative("lambda_M", self.lambda_M)
         if not 0 < self.loop_return_fraction_r <= 1:
             raise ValueError("r must lie in (0, 1]")
 
@@ -166,7 +165,7 @@ class MixNode:
             self.dropped_replay += 1
             return None
         if isinstance(result, pkt.Relay):
-            if len(self.pool) >= self.cfg.queue_high_watermark:
+            if len(self.pool) >= QUEUE_HIGH_WATERMARK:
                 self.dropped_overflow += 1
                 return None
             self.pool.add(now + result.next.delay_s, result)

@@ -10,11 +10,11 @@ layers around an AEAD blob that only the delivery hop can open.
 from __future__ import annotations
 
 import enum
-import math
 import struct
 from dataclasses import dataclass
 
 from . import crypto
+from .bounds import non_negative
 from .crypto import GroupElement
 
 MAX_HOPS = 5
@@ -87,8 +87,7 @@ class HopSpec:
     flags: HopFlags = HopFlags.NONE
 
     def __post_init__(self):
-        if not 0 <= self.delay_s < math.inf:
-            raise ValueError("delay_s must be finite and non-negative")
+        non_negative("delay_s", self.delay_s)
         if not isinstance(self.flags, HopFlags):
             raise ValueError(f"flags must be NONE, DROP or FINAL, not {self.flags!r}")
         if self.next_addr or self.flags is HopFlags.NONE:

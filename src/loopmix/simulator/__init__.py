@@ -1,7 +1,7 @@
 """Seeded discrete-event experiments over the same pool the live node runs."""
 
-from .queues import PoolRun, run_pool_experiment
-from .entropy import EntropyRun, run_entropy_experiment
+from .queues import run_pool_experiment
+from .entropy import run_entropy_experiment
 from .epsilon import (
     ChallengeSendersOffline,
     LabelDistribution,
@@ -10,12 +10,10 @@ from .epsilon import (
     run_epsilon_experiment,
 )
 from .latency import run_latency_experiment
-from .tracelog import TraceRun, TraceSimConfig, export_trace_log, run_trace_experiment
+from .tracelog import TraceSimConfig, run_trace_experiment
 
 __all__ = [
-    "PoolRun",
     "run_pool_experiment",
-    "EntropyRun",
     "run_entropy_experiment",
     "ChallengeSendersOffline",
     "LabelDistribution",
@@ -23,8 +21,6 @@ __all__ = [
     "run_epsilon_batch",
     "run_epsilon_experiment",
     "run_latency_experiment",
-    "TraceRun",
     "TraceSimConfig",
-    "export_trace_log",
     "run_trace_experiment",
 ]

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import List, Tuple
 
 from ..analysis.montecarlo import departure_entropies_incremental
+from ..bounds import positive
 from .queues import DEPARTURE, pool_events
 
 
@@ -32,10 +33,9 @@ def run_entropy_experiment(
     steady_mean averages the entropy over departures in the second half of
     the run, past the initial fill-up transient.
     """
-    if lambda_in <= 0 or mu <= 0:
-        raise ValueError("rates must be positive")
-    if duration <= 0:
-        raise ValueError("duration must be positive")
+    positive("lambda_in", lambda_in)
+    positive("mu", mu)
+    positive("duration", duration)
 
     departures: List[float] = []
 

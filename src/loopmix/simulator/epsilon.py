@@ -24,6 +24,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..analysis.pools import epsilon_of
+from ..bounds import positive
 from ..client import Rates
 
 
@@ -56,7 +57,6 @@ class SimConfig:
     burn_in: float
     run_time: float
     challenge: Tuple[int, int]
-    record_events: bool = False
 
     def __post_init__(self):
         if self.U < 2:
@@ -65,8 +65,8 @@ class SimConfig:
             raise ValueError("topology must be non-empty")
         if not 0.0 <= self.corrupt_fraction < 1.0:
             raise ValueError("corrupt_fraction must lie in [0, 1)")
-        if self.burn_in <= 0 or self.run_time <= 0:
-            raise ValueError("burn_in and run_time must be positive")
+        positive("burn_in", self.burn_in)
+        positive("run_time", self.run_time)
         if self.rates.lambda_P <= 0:
             raise ValueError("challenge traffic needs a positive payload rate")
 
@@ -82,7 +82,6 @@ class LabelFlowResult:
     pool_counts: List[int]
     in_corrupt: Tuple[float, float, float]
     delivered: Tuple[float, float, float]
-    events: List[tuple] = field(default_factory=list, repr=False)
 
 
 _LABELS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))  # S0, S1, unlabeled
@@ -134,13 +133,11 @@ def simulate_label_flow(cfg: SimConfig) -> LabelFlowResult:
     in_corrupt = [0.0, 0.0, 0.0]
     delivered = [0.0, 0.0, 0.0]
     emitted = [0, 0, 0]
-    events: List[tuple] = []
 
     rand = rng.random
     getrandbits = rng.getrandbits
     log = math.log
     heappush, heappop = heapq.heappush, heapq.heappop
-    record = cfg.record_events
     last = l - 1
     n_users = cfg.U
     user_bits = n_users.bit_length()
@@ -172,8 +169,6 @@ def simulate_label_flow(cfg: SimConfig) -> LabelFlowResult:
                 poolu[mix] += 1.0
                 count[mix] += 1
                 held = None
-                if record:
-                    events.append(("A", mix, _UNLABELED))
             heappush(heap, (-log(1.0 - rand()) / mu, seq, mix, layer, tuple(suffix), held))
             seq += 1
 
@@ -209,8 +204,6 @@ def simulate_label_flow(cfg: SimConfig) -> LabelFlowResult:
                     pool1[mix] -= out[1]
                     poolu[mix] -= out[2]
                     count[mix] = c - 1
-                    if record:
-                        events.append(("D", mix))
                 else:
                     in_corrupt[0] -= dist[0]
                     in_corrupt[1] -= dist[1]
@@ -275,8 +268,6 @@ def simulate_label_flow(cfg: SimConfig) -> LabelFlowResult:
             poolu[mix] += dist[2]
             count[mix] += 1
             held = None
-            if record:
-                events.append(("A", mix, dist))
         heappush(heap, (t - log(1.0 - rand()) / mu, seq, mix, layer, path, held))
         seq += 1
         if path is None:
@@ -307,7 +298,6 @@ def simulate_label_flow(cfg: SimConfig) -> LabelFlowResult:
         pool_counts=list(count),
         in_corrupt=tuple(in_corrupt),
         delivered=tuple(delivered),
-        events=events,
     )
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..bounds import non_negative
 from ..client import Rates
 
 
@@ -23,8 +24,7 @@ def run_latency_experiment(
         raise ValueError("need at least one hop")
     if n_messages < 1:
         raise ValueError("need at least one message")
-    if processing_s < 0:
-        raise ValueError("processing time cannot be negative")
+    non_negative("processing_s", processing_s)
     rng = np.random.default_rng(seed)
     delays = rng.exponential(1.0 / rates.mu, size=(n_messages, hops))
     return delays.sum(axis=1) + hops * processing_s

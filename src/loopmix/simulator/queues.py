@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, List, Tuple
 
 from ..analysis.montecarlo import ARRIVAL, DEPARTURE
+from ..bounds import positive
 from ..mixnode import MixPool
 
 # pool sizes are sampled at t = 1, 2, …; for 1/mu well below that, samples
@@ -64,10 +65,9 @@ def run_pool_experiment(
 
     sampled_sizes holds the pool size at t = SAMPLE_EVERY, 2*SAMPLE_EVERY, …
     """
-    if lambda_in <= 0 or mu <= 0:
-        raise ValueError("rates must be positive")
-    if duration <= 0:
-        raise ValueError("duration must be positive")
+    positive("lambda_in", lambda_in)
+    positive("mu", mu)
+    positive("duration", duration)
 
     area = 0.0
     last_t = 0.0

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import FrozenSet, List, Tuple
 
 from ..analysis.traces import Trace, Transmission
+from ..bounds import positive
 
 
 @dataclass(frozen=True)
@@ -32,8 +33,9 @@ class TraceSimConfig:
             raise ValueError("need at least two users for a challenge pair")
         if self.n_providers < 1 or self.n_mixes < 1 or self.hops < 1:
             raise ValueError("topology must be non-empty")
-        if self.lambda_D <= 0 or self.mu <= 0 or self.duration <= 0:
-            raise ValueError("rates and duration must be positive")
+        positive("lambda_D", self.lambda_D)
+        positive("mu", self.mu)
+        positive("duration", self.duration)
 
 
 @dataclass
@@ -99,8 +101,3 @@ def run_trace_experiment(cfg: TraceSimConfig) -> TraceRun:
         providers=frozenset(providers),
         mixes=frozenset(mixes),
     )
-
-
-def export_trace_log(run: TraceRun) -> List[Trace]:
-    """Flatten a run into one list of traces, challenge pair first."""
-    return [run.challenge[0], run.challenge[1], *run.drop_traces]

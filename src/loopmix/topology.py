@@ -52,7 +52,7 @@ class ClientDescriptor:
     id: str
     provider_id: str
     pubkey: GroupElement
-    token: bytes = b"\x00" * TOKEN_LEN
+    token: bytes
 
 
 @dataclass(frozen=True)
@@ -176,7 +176,7 @@ def _pubkey(entry: dict, location: str) -> GroupElement:
 
 def _token(entry: dict, location: str) -> bytes:
     try:
-        token = bytes.fromhex(entry.get("token", "00" * TOKEN_LEN))
+        token = bytes.fromhex(entry["token"])
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{location}: bad token hex") from exc
     if len(token) != TOKEN_LEN:

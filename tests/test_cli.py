@@ -11,6 +11,7 @@ import subprocess
 import sys
 import types
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -480,16 +481,97 @@ def test_failures_print_one_error_line(runner, args, message):
         ("mix", "mix-0-0", ["--id", "mix-1-0"],
          "key file does not match directory entry for mix-1-0"),
         ("provider", "mix-0-0", [], "'mix-0-0' is not a provider in the directory"),
+        # an infinite loop rate re-arms the loop timer at the same instant
+        # forever, a nan mu stops the loop stream at its first build, and an
+        # infinite pull interval never pulls
+        ("mix", "mix-0-0", ["--lambda-m", "inf"], "lambda_M must be non-negative and finite"),
+        ("mix", "mix-0-0", ["--mu", "nan"], "mu must be positive and finite"),
+        ("provider", "prov-0", ["--mu", "nan"], "mu must be positive and finite"),
+        ("client", "client-0", ["--pull-interval", "inf"],
+         "pull_interval_s must be positive and finite"),
     ],
     ids=["mix-listen", "mix-listen-port-range", "provider-listen", "client-listen",
          "pull-max-zero", "inbox-negative", "send-unknown-recipient", "no-directory",
-         "key-not-hex", "key-mismatch", "wrong-role"],
+         "key-not-hex", "key-mismatch", "wrong-role", "mix-lambda-m-inf", "mix-mu-nan",
+         "provider-mu-nan", "client-pull-interval-inf"],
 )
 def test_daemon_start_failures_print_one_error_line(
     runner, tmp_path, command, node_id, extra, message
 ):
     args = daemon_args(tmp_path, command, node_id, "--listen", "nonsense", *extra)
     assert_one_error_line(runner.invoke(main, args), message)
+
+
+# Every float option of every command: the arguments of a valid run, to which
+# the option is added again (the last one wins) with nan or inf, and the float
+# options. A daemon (arguments None) starts with a bad --listen, which stops
+# it if the value passes.
+FLOAT_OPTIONS = {
+    "mix": (None, ["--lambda-m", "--mu"]),
+    "provider": (None, ["--lambda-m", "--mu"]),
+    "client": (None, ["--lambda-p", "--lambda-l", "--lambda-d", "--mu", "--pull-interval"]),
+    "sim pool": (["--lambda", "2", "--mu", "1", "--duration", "3"],
+                 ["--lambda", "--mu", "--duration"]),
+    "sim entropy": (["--lambda", "2", "--mu", "1", "--duration", "3"],
+                    ["--lambda", "--mu", "--duration"]),
+    "sim latency": (["--mu", "1", "--n", "5"], ["--mu", "--processing"]),
+    "sim epsilon": (EPSILON_ARGS[2:] + ["--reps", "1"],
+                    ["--lambda", "--mu", "--corrupt-fraction", "--lambda-loop",
+                     "--lambda-drop", "--lambda-mix", "--burn-in", "--run-time"]),
+    # --mu is read by the Monte-Carlo check alone
+    "analyze pool": (["--n", "3", "--k", "2", "--l", "1", "--trials", "5"], ["--mu"]),
+    "analyze pool-loops": (["--n", "2", "--k", "1", "--l", "1", "--mu", "1", "--lambda-m", "2",
+                            "--trials", "5"], ["--mu", "--lambda-m"]),
+    "analyze entropy-step": (["--h-prev", "0", "--k", "2", "--l", "1"], ["--h-prev"]),
+    "analyze epsilon": (["--p0", "0.1", "--p1", "0.2"], ["--p0", "--p1"]),
+    "analyze blocking": (["--s", "2", "--mu", "1", "--lambda-m", "1", "--lambda-r", "2",
+                          "--trials", "5"], ["--s", "--mu", "--lambda-m", "--lambda-r"]),
+    "analyze delay-attack": (["--k-links", "3", "--link-rate", "1", "--delta", "1"],
+                             ["--link-rate", "--delta", "--time"]),
+    "analyze link-rate": (["--users", "10", "--n-mixes", "9", "--n-providers", "4",
+                           "--k-links", "3", "--ell", "3", "--lambda-p", "1", "--lambda-l", "1",
+                           "--lambda-d", "1", "--lambda-m", "1"],
+                          ["--lambda-p", "--lambda-l", "--lambda-d", "--lambda-m", "--mu"]),
+    "analyze steady-pool": (["--lambda", "2", "--mu", "1"], ["--lambda", "--mu"]),
+    "analyze anon-condition": (["--simulate", "--duration", "2"], ["--duration", "--lambda-d"]),
+}
+FLOAT_ROWS = [(command, option) for command, (_, options) in FLOAT_OPTIONS.items()
+              for option in options]
+DAEMON_IDS = {"mix": "mix-0-0", "provider": "prov-0", "client": "client-0"}
+
+
+def float_options(command, path=()):
+    """(command path, option) for each float option under command."""
+    if isinstance(command, click.Group):
+        for name, sub in command.commands.items():
+            yield from float_options(sub, (*path, name))
+    else:
+        for param in command.params:
+            if isinstance(param.type, click.types.FloatParamType):
+                yield " ".join(path), param.opts[0]
+
+
+def test_every_float_option_has_a_row():
+    assert set(float_options(main)) == set(FLOAT_ROWS)
+
+
+@pytest.mark.parametrize("command", [c for c, (valid, _) in FLOAT_OPTIONS.items() if valid])
+def test_float_option_rows_are_valid_runs(runner, command):
+    run_json(runner, [*command.split(), *FLOAT_OPTIONS[command][0]])
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command, option", FLOAT_ROWS)
+def test_nan_or_inf_in_a_float_option_prints_one_error_line(
+    runner, tmp_path, command, option, value
+):
+    # unchecked, some of these ran forever and others printed NaN
+    valid = FLOAT_OPTIONS[command][0]
+    if valid is None:
+        args = daemon_args(tmp_path, command, DAEMON_IDS[command], "--listen", "nonsense")
+    else:
+        args = [*command.split(), *valid]
+    assert_one_error_line(runner.invoke(main, [*args, option, value]), "must")
 
 
 @pytest.mark.parametrize(

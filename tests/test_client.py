@@ -290,15 +290,17 @@ def test_rates_validation():
 
 
 def test_pull_interval_must_be_positive():
-    with pytest.raises(ValueError):
-        ClientConfig(
-            client_id="a",
-            secret_key=b"\x01" * 32,
-            provider_id="p",
-            token=b"\x02" * 16,
-            rates=Rates(1, 1, 1, 0, 1),
-            pull_interval_s=0.0,
-        )
+    # a client with an infinite or nan interval never pulls
+    for bad in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="pull_interval_s must be positive and finite"):
+            ClientConfig(
+                client_id="a",
+                secret_key=b"\x01" * 32,
+                provider_id="p",
+                token=b"\x02" * 16,
+                rates=Rates(1, 1, 1, 0, 1),
+                pull_interval_s=bad,
+            )
 
 
 def test_secret_key_must_be_32_bytes():

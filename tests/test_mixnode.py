@@ -1,13 +1,14 @@
 """Mix node behaviour: pooling, dedup, loops, health, and the queue law."""
 
 import json
+import math
 import random
 import struct
 
 import pytest
 import scipy.stats as stats
 
-from loopmix import crypto
+from loopmix import crypto, mixnode
 from loopmix.mixnode import (
     HEALTHY,
     LOOP_CAP,
@@ -138,8 +139,9 @@ def test_no_replay_tag_forwarded_twice():
     assert len(node.pool) == 30
 
 
-def test_overflow_drops_above_watermark():
-    node, pub, rng = make_mix(queue_high_watermark=5)
+def test_overflow_drops_above_watermark(monkeypatch):
+    monkeypatch.setattr(mixnode, "QUEUE_HIGH_WATERMARK", 5)
+    node, pub, rng = make_mix()
     results = [node.on_receive(relay_packet(pub, 1.0, rng), now=0.0) for _ in range(8)]
     assert len(node.pool) == 5
     assert node.dropped_overflow == 3
@@ -331,8 +333,11 @@ def test_config_validation():
         MixConfig(**base, mu=0.0)
     with pytest.raises(ValueError):
         MixConfig(**base, lambda_M=-1.0)
-    with pytest.raises(ValueError):
-        MixConfig(**base, queue_high_watermark=0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="mu must be positive and finite"):
+            MixConfig(**base, mu=bad)
+        with pytest.raises(ValueError, match="lambda_M must be non-negative and finite"):
+            MixConfig(**base, lambda_M=bad)
     with pytest.raises(ValueError):
         MixConfig(**base, loop_return_fraction_r=0.0)
     with pytest.raises(ValueError):

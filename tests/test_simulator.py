@@ -69,10 +69,11 @@ def test_per_message_replay_matches_aggregate_pools():
     # one honest mix, full event log: replaying per-message label weights
     # (each departure takes 1/c of every resident's remaining weight) must
     # land on exactly the aggregate masses the simulator tracked.
-    cfg = small_cfg(layers=1, nodes_per_layer=1, run_time=20.0, record_events=True)
-    result = simulate_label_flow(cfg)
+    cfg = small_cfg(layers=1, nodes_per_layer=1, run_time=20.0)
+    result, events = reference_label_flow(cfg, random.Random(cfg.seed))
+    assert simulate_label_flow(cfg).pool_masses == result.pool_masses
     weights: list = []
-    for event in result.events:
+    for event in events:
         if event[0] == "A":
             weights.append([1.0, event[2]])
         else:
@@ -88,7 +89,9 @@ def test_per_message_replay_matches_aggregate_pools():
 def reference_label_flow(cfg, rng):
     """The label flow written plainly, the reference simulate_label_flow must
     match bit for bit: every event in one heap, and every draw through the
-    stdlib's rng.expovariate, rng.randrange and rng.random."""
+    stdlib's rng.expovariate, rng.randrange and rng.random. Returns the
+    result and the honest pools' event log: ("A", mix, dist) per arrival and
+    ("D", mix) per departure."""
     fill_rng = np.random.default_rng(cfg.seed)
     l, w = cfg.layers, cfg.nodes_per_layer
     n_mixes = l * w
@@ -130,8 +133,7 @@ def reference_label_flow(cfg, rng):
             poolu[mix] += dist[2]
             count[mix] += 1
             push(t + rng.expovariate(mu), DEPART, (mix, layer, path, None))
-            if cfg.record_events:
-                events.append(("A", mix, dist))
+            events.append(("A", mix, dist))
 
     per_mix_rate = total_rate / w + rates.lambda_M
     for mix in range(n_mixes):
@@ -160,8 +162,7 @@ def reference_label_flow(cfg, rng):
                 pool1[mix] -= out[1]
                 poolu[mix] -= out[2]
                 count[mix] = c - 1
-                if cfg.record_events:
-                    events.append(("D", mix))
+                events.append(("D", mix))
             else:
                 for i in range(3):
                     in_corrupt[i] -= dist[i]
@@ -202,11 +203,12 @@ def reference_label_flow(cfg, rng):
             pool0[final_mix] / c, pool1[final_mix] / c, poolu[final_mix] / c
         )
         eps = epsilon.epsilon_of(final_pool.p_S0, final_pool.p_S1)
-    return LabelFlowResult(
+    result = LabelFlowResult(
         eps, final_mix, final_pool, corrupt, tuple(emitted),
         [(pool0[m], pool1[m], poolu[m]) for m in range(n_mixes)], list(count),
-        tuple(in_corrupt), tuple(delivered), events,
+        tuple(in_corrupt), tuple(delivered),
     )
+    return result, events
 
 
 def assert_same_result(fast, reference):
@@ -216,8 +218,8 @@ def assert_same_result(fast, reference):
 
 
 def test_fast_loop_matches_reference_loop():
-    grid = itertools.product((1, 2, 3, 4), (0.0, 0.3), (0.0, 1.5), (False, True), (1, 2), (1, 3))
-    for layers, corrupt, lambda_M, record, seed, width in grid:
+    grid = itertools.product((1, 2, 3, 4), (0.0, 0.3), (0.0, 1.5), (1, 2), (1, 3))
+    for layers, corrupt, lambda_M, seed, width in grid:
         cfg = small_cfg(
             seed=seed,
             U=20,
@@ -226,9 +228,9 @@ def test_fast_loop_matches_reference_loop():
             nodes_per_layer=width,
             corrupt_fraction=corrupt,
             run_time=10.0,
-            record_events=record,
         )
-        assert_same_result(simulate_label_flow(cfg), reference_label_flow(cfg, random.Random(seed)))
+        reference, _ = reference_label_flow(cfg, random.Random(seed))
+        assert_same_result(simulate_label_flow(cfg), reference)
 
 
 class CoarseRandom(random.Random):
@@ -256,9 +258,9 @@ def test_fast_loop_breaks_ties_like_the_reference_loop(monkeypatch):
             layers=layers,
             nodes_per_layer=3,
             corrupt_fraction=corrupt,
-            record_events=True,
         )
-        assert_same_result(simulate_label_flow(cfg), reference_label_flow(cfg, CoarseRandom(seed)))
+        reference, _ = reference_label_flow(cfg, CoarseRandom(seed))
+        assert_same_result(simulate_label_flow(cfg), reference)
 
 
 def test_challenge_senders_must_be_distinct_users():

@@ -92,6 +92,10 @@ def test_overlong_id_or_address_rejected(example_directory, section, index, key,
         loads_directory(json.dumps(doc))
 
 
+# a key the entry lacks
+MISSING = object()
+
+
 @pytest.mark.parametrize(
     "path, value, message",
     [
@@ -105,6 +109,7 @@ def test_overlong_id_or_address_rejected(example_directory, section, index, key,
         (("clients", 0, "token"), "00", "clients[0]: token must be 16 bytes"),
         (("clients", 5, "token"), "00" * 17, "clients[5]: token must be 16 bytes"),
         (("clients", 0, "token"), 7, "clients[0]: bad token hex"),
+        (("clients", 1, "token"), MISSING, "clients[1]: missing key 'token'"),
         (("providers", 0, "pubkey"), "00" * 31,
          "providers[0]: group element must be exactly 32 bytes"),
         (("layers", 0, 0, "addr"), "bogus", "layers[0][0]: bad addr"),
@@ -113,7 +118,7 @@ def test_overlong_id_or_address_rejected(example_directory, section, index, key,
         (("providers", 0, "addr"), "", "providers[0]: bad addr"),
     ],
     ids=["layers", "layer", "mix", "providers", "provider", "clients", "client",
-         "token-short", "token-long", "token-not-text", "pubkey-short",
+         "token-short", "token-long", "token-not-text", "token-missing", "pubkey-short",
          "addr-no-port", "addr-port-range", "addr-empty-port", "addr-empty"],
 )
 def test_malformed_entry_rejected_at_its_location(example_directory, path, value, message):
@@ -121,7 +126,10 @@ def test_malformed_entry_rejected_at_its_location(example_directory, path, value
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
-    parent[path[-1]] = value
+    if value is MISSING:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
     with pytest.raises(ParseError, match=rf"^{re.escape(message)}$"):
         loads_directory(json.dumps(doc))
 
