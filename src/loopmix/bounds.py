@@ -7,6 +7,10 @@ run that hangs or prints NaN.
 
 import math
 
+# The most events a study run may expect. At the cap, run_pool_experiment's
+# list of departure times holds about 0.3 GB.
+MAX_EVENTS = 10**7
+
 
 def positive(name: str, x: float) -> None:
     """ValueError unless 0 < x < inf."""
@@ -18,3 +22,9 @@ def non_negative(name: str, x: float) -> None:
     """ValueError unless 0 <= x < inf."""
     if not 0 <= x < math.inf:
         raise ValueError(f"{name} must be non-negative and finite")
+
+
+def bounded_events(name: str, expected: float) -> None:
+    """ValueError unless the expected event count is at most MAX_EVENTS."""
+    if not expected <= MAX_EVENTS:
+        raise ValueError(f"{name}: {expected:.9g} expected events, above the cap of {MAX_EVENTS}")

@@ -246,6 +246,7 @@ class MixNode:
                 "forwarded": self.forwarded,
                 "dropped_replay": self.dropped_replay,
                 "dropped_mac": self.dropped_mac,
+                "dropped_overflow": self.dropped_overflow,
                 "loops_sent": self.loops_sent,
                 "loops_returned": self.loops_returned,
             }

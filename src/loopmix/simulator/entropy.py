@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import List, Tuple
 
 from ..analysis.montecarlo import departure_entropies_incremental
-from ..bounds import positive
+from ..bounds import bounded_events, positive
 from .queues import DEPARTURE, pool_events
 
 
@@ -36,6 +36,7 @@ def run_entropy_experiment(
     positive("lambda_in", lambda_in)
     positive("mu", mu)
     positive("duration", duration)
+    bounded_events("lambda_in * duration", lambda_in * duration)
 
     departures: List[float] = []
 

@@ -24,7 +24,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..analysis.pools import epsilon_of
-from ..bounds import positive
+from ..bounds import bounded_events, positive
 from ..client import Rates
 
 
@@ -69,6 +69,18 @@ class SimConfig:
         positive("run_time", self.run_time)
         if self.rates.lambda_P <= 0:
             raise ValueError("challenge traffic needs a positive payload rate")
+        s0, s1 = self.challenge
+        if s0 == s1 or not (0 <= s0 < self.U and 0 <= s1 < self.U):
+            raise ChallengeSendersOffline(f"challenge senders {s0}, {s1} not distinct senders")
+        bounded_events("one repetition", self.expected_events)
+
+    @property
+    def expected_events(self) -> float:
+        """Messages the clients emit and the mixes loop in one repetition."""
+        r = self.rates
+        n_mixes = self.layers * self.nodes_per_layer
+        per_second = self.U * (r.lambda_P + r.lambda_L + r.lambda_D) + n_mixes * r.lambda_M
+        return per_second * (self.burn_in + self.run_time)
 
 
 @dataclass
@@ -86,11 +98,14 @@ class LabelFlowResult:
 
 _LABELS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))  # S0, S1, unlabeled
 _UNLABELED = _LABELS[2]
-# Heap entries are (t, seq, mix, layer, path, dist): a departure from mix, or
-# with layer _LOOP the mix's next loop injection. dist is None for a message
-# in an honest pool, whose label is the pool's average at departure.
+# Heap entries are (t, seq, mix, layer, path, held): a departure from mix, or
+# with layer _LOOP the mix's next loop injection. path[j] is the mix the
+# message visits at layer j, from its current layer on; a mix loop has no
+# path (None). held is the label mass a corrupt mix holds for the message;
+# it is None for a message in an honest pool, whose label is the pool's
+# average at departure.
 _LOOP = -1
-_NEVER = (math.inf,)  # the head of an empty heap, later than every emission
+_NEVER = (math.inf, math.inf)  # stays in the heap, later than every event
 
 
 def simulate_label_flow(cfg: SimConfig) -> LabelFlowResult:
@@ -101,6 +116,15 @@ def simulate_label_flow(cfg: SimConfig) -> LabelFlowResult:
     random.Random computes them: expovariate(rate) is
     -log(1.0 - random()) / rate, and randrange(n) is getrandbits(k) for
     k = n.bit_length(), redrawn while it is >= n.
+
+    Events run in (t, seq) order, one heap's order: seq is unique, so the
+    order is total and ties break as one heap holding every event would
+    break them. A departure relayed to the next layer, and a loop injection,
+    replace the heap head with the arrival's departure (heapreplace) instead
+    of popping the head and pushing the new entry. Both leave the heap the
+    same set of entries, and the head was its minimum, so every later event,
+    and every draw, comes in the same order; replacing sifts once, where pop
+    and push sift twice.
     """
     rng = random.Random(cfg.seed)
     fill_rng = np.random.default_rng(cfg.seed)
@@ -116,11 +140,9 @@ def simulate_label_flow(cfg: SimConfig) -> LabelFlowResult:
         corrupt = frozenset(rng.sample(range(n_mixes), n_corrupt))
         if any(m not in corrupt for m in last_layer):
             break
+    is_corrupt = [m in corrupt for m in range(n_mixes)]
 
     s0, s1 = cfg.challenge
-    if s0 == s1 or not (0 <= s0 < cfg.U and 0 <= s1 < cfg.U):
-        raise ChallengeSendersOffline(f"challenge senders {s0}, {s1} not distinct senders")
-
     per_sender = rates.lambda_P + rates.lambda_L + rates.lambda_D
     total_rate = cfg.U * per_sender
     p_payload = rates.lambda_P / per_sender
@@ -137,12 +159,13 @@ def simulate_label_flow(cfg: SimConfig) -> LabelFlowResult:
     rand = rng.random
     getrandbits = rng.getrandbits
     log = math.log
-    heappush, heappop = heapq.heappush, heapq.heappop
+    heappush, heappop, heapreplace = heapq.heappush, heapq.heappop, heapq.heapreplace
     last = l - 1
+    layer_starts = range(0, n_mixes, w)
     n_users = cfg.U
     user_bits = n_users.bit_length()
     mix_bits = w.bit_length()
-    heap: List[tuple] = []
+    heap: List[tuple] = [_NEVER]
     seq = 0
 
     # Stationary fill: each mix sees the whole client volume spread over its
@@ -154,29 +177,31 @@ def simulate_label_flow(cfg: SimConfig) -> LabelFlowResult:
     for mix in range(n_mixes):
         layer = mix // w
         for _ in range(int(fill_rng.poisson(per_mix_rate / mu))):
-            suffix = [0] * l
-            suffix[layer] = mix - layer * w
+            path = [0] * l
+            path[layer] = mix
             for j in range(layer + 1, l):
                 r = getrandbits(mix_bits)
                 while r >= w:
                     r = getrandbits(mix_bits)
-                suffix[j] = r
+                path[j] = j * w + r
             emitted[2] += 1
-            if mix in corrupt:
+            if is_corrupt[mix]:
                 in_corrupt[2] += 1.0
                 held = _UNLABELED
             else:
                 poolu[mix] += 1.0
                 count[mix] += 1
                 held = None
-            heappush(heap, (-log(1.0 - rand()) / mu, seq, mix, layer, tuple(suffix), held))
+            heappush(heap, (-log(1.0 - rand()) / mu, seq, mix, layer, tuple(path), held))
             seq += 1
 
-    # The one pending emission and the next refill stay outside the heap;
-    # every pick compares (t, seq), so ties break as one heap would break them.
+    # The pending emission and the next refill stay outside the heap, and
+    # (next_t, next_seq) is whichever of the two comes first. Of two events
+    # at one instant the one armed later has the larger seq and runs second.
     emit_t, emit_seq = -log(1.0 - rand()) / total_rate, seq
     refill_t, refill_seq = cfg.burn_in, seq + 1
     seq += 2
+    next_t, next_seq = (refill_t, refill_seq) if refill_t < emit_t else (emit_t, emit_seq)
     if lambda_M > 0:
         for mix in range(n_mixes):
             heappush(heap, (-log(1.0 - rand()) / lambda_M, seq, mix, _LOOP, None, None))
@@ -184,54 +209,53 @@ def simulate_label_flow(cfg: SimConfig) -> LabelFlowResult:
     b0 = b1 = 0  # payloads the challenge senders have buffered
 
     while True:
-        head = heap[0] if heap else _NEVER
+        head = heap[0]
         t = head[0]
-        if (t < emit_t or (t == emit_t and head[1] < emit_seq)) and (
-            t < refill_t or (t == refill_t and head[1] < refill_seq)
-        ):
-            _, _, mix, layer, path, dist = head
+        if t < next_t or (t == next_t and head[1] < next_seq):
             if t > end:
                 break
-            heappop(heap)
+            _, _, mix, layer, path, held = head
             if layer == _LOOP:
                 emitted[2] += 1
-                layer, dist = last, _UNLABELED
+                layer = last
+                d0, d1, du = _UNLABELED
             else:
-                if dist is None:
+                if held is None:
                     c = count[mix]
-                    out = (pool0[mix] / c, pool1[mix] / c, poolu[mix] / c)
-                    pool0[mix] -= out[0]
-                    pool1[mix] -= out[1]
-                    poolu[mix] -= out[2]
+                    d0 = pool0[mix] / c
+                    d1 = pool1[mix] / c
+                    du = poolu[mix] / c
+                    pool0[mix] -= d0
+                    pool1[mix] -= d1
+                    poolu[mix] -= du
                     count[mix] = c - 1
                 else:
-                    in_corrupt[0] -= dist[0]
-                    in_corrupt[1] -= dist[1]
-                    in_corrupt[2] -= dist[2]
-                    out = dist
-                if path is None or layer == last:
-                    delivered[0] += out[0]
-                    delivered[1] += out[1]
-                    delivered[2] += out[2]
+                    d0, d1, du = held
+                    in_corrupt[0] -= d0
+                    in_corrupt[1] -= d1
+                    in_corrupt[2] -= du
+                if layer == last:
+                    delivered[0] += d0
+                    delivered[1] += d1
+                    delivered[2] += du
+                    heappop(heap)
                     continue
                 layer += 1
-                mix, dist = layer * w + path[layer], out
-        elif refill_t < emit_t or (refill_t == emit_t and refill_seq < emit_seq):
-            t = refill_t
-            if t > end:
-                break
-            b0 += 1
-            b1 += 1
-            if t + 1.0 < end:
-                refill_t, refill_seq = t + 1.0, seq
-                seq += 1
-            else:
-                refill_t = math.inf
-            continue
+                mix = path[layer]
         else:
-            t = emit_t
+            t = next_t
             if t > end:
                 break
+            if next_seq == refill_seq:
+                b0 += 1
+                b1 += 1
+                if t + 1.0 < end:
+                    refill_t, refill_seq = t + 1.0, seq
+                    seq += 1
+                else:
+                    refill_t = math.inf
+                next_t, next_seq = (refill_t, refill_seq) if refill_t < emit_t else (emit_t, emit_seq)
+                continue
             r = getrandbits(user_bits)
             while r >= n_users:
                 r = getrandbits(user_bits)
@@ -244,40 +268,46 @@ def simulate_label_flow(cfg: SimConfig) -> LabelFlowResult:
                     b1 -= 1
                     label = 1
             emitted[label] += 1
-            dist = _LABELS[label]
+            d0, d1, du = _LABELS[label]
             hops = []
-            for _ in range(l):
+            for start in layer_starts:
                 r = getrandbits(mix_bits)
                 while r >= w:
                     r = getrandbits(mix_bits)
-                hops.append(r)
+                hops.append(start + r)
             path = tuple(hops)
             layer, mix = 0, path[0]
 
-        # The arrival of dist at mix. Only a loop injection arrives without a
-        # path and only an emission arrives at layer 0 with one; each re-arms
-        # its stream after the arrival's draw.
-        if mix in corrupt:
-            in_corrupt[0] += dist[0]
-            in_corrupt[1] += dist[1]
-            in_corrupt[2] += dist[2]
-            held = dist
+        # The arrival of (d0, d1, du) at mix. A loop injection (path None)
+        # and a relayed departure (layer > 0) replace the head they came
+        # from; an emission, at layer 0, comes from outside the heap. Each
+        # stream re-arms after the arrival's draw.
+        if is_corrupt[mix]:
+            in_corrupt[0] += d0
+            in_corrupt[1] += d1
+            in_corrupt[2] += du
+            held = (d0, d1, du)
         else:
-            pool0[mix] += dist[0]
-            pool1[mix] += dist[1]
-            poolu[mix] += dist[2]
+            pool0[mix] += d0
+            pool1[mix] += d1
+            poolu[mix] += du
             count[mix] += 1
             held = None
-        heappush(heap, (t - log(1.0 - rand()) / mu, seq, mix, layer, path, held))
+        departure = (t - log(1.0 - rand()) / mu, seq, mix, layer, path, held)
         seq += 1
         if path is None:
+            heapreplace(heap, departure)
             heappush(heap, (t - log(1.0 - rand()) / lambda_M, seq, mix, _LOOP, None, None))
             seq += 1
-        elif layer == 0:
+        elif layer:
+            heapreplace(heap, departure)
+        else:
+            heappush(heap, departure)
             emit_t, emit_seq = t - log(1.0 - rand()) / total_rate, seq
             seq += 1
+            next_t, next_seq = (refill_t, refill_seq) if refill_t <= emit_t else (emit_t, emit_seq)
 
-    candidates = [m for m in last_layer if m not in corrupt and count[m] > 0]
+    candidates = [m for m in last_layer if not is_corrupt[m] and count[m] > 0]
     if not candidates:
         final_mix, final_pool, eps = None, None, math.nan
     else:
@@ -323,6 +353,7 @@ def run_epsilon_batch(cfg: SimConfig, reps: int) -> EpsilonBatch:
     empty candidate pool; n_finite reports how many repetitions counted and
     n_inf how many were infinite, the adversary's best case.
     """
+    bounded_events(f"{reps} repetitions", reps * cfg.expected_events)
     values = [run_epsilon_experiment(replace(cfg, seed=cfg.seed + i)) for i in range(reps)]
     finite = [v for v in values if math.isfinite(v)]
     n_inf = sum(map(math.isinf, values))

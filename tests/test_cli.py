@@ -592,6 +592,43 @@ def test_bad_traces_file_prints_one_error_line(runner, tmp_path, command, text, 
     assert_one_error_line(runner.invoke(main, args), message)
 
 
+C07_ARGS = ["--users", "100", "--lambda", "2", "--mu", "1", "--layers", "3", "--per-layer", "3"]
+# Runs one command line through cli.main in a fresh interpreter that has
+# already imported the simulator, then prints the command's CPU seconds.
+_TIMED_RUN = """
+import sys, time
+from loopmix import cli, simulator
+started = time.process_time()
+try:
+    cli.main(sys.argv[1:])
+finally:
+    print(time.process_time() - started)
+"""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # each expects just over 10**7 events, the cap
+        ["pool", "--lambda", "1e7", "--mu", "1e7", "--duration", "1.000001"],
+        ["entropy", "--lambda", "1e7", "--mu", "1", "--duration", "1.000001"],
+        ["epsilon", *C07_ARGS, "--reps", "1", "--run-time", "49976"],
+        ["epsilon", *C07_ARGS, "--reps", "401"],
+    ],
+    ids=["pool", "entropy", "epsilon-run-time", "epsilon-reps"],
+)
+def test_study_run_past_the_event_cap_prints_one_error_line(args):
+    # unchecked, each ran past the timeout, and sim pool kept every departure time
+    proc = subprocess.run(
+        [sys.executable, "-c", _TIMED_RUN, "sim", *args], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}, timeout=10,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+    assert "expected events, above the cap of 10000000" in proc.stderr
+    assert float(proc.stdout) < 1.0
+
+
 # Runs each command line through cli.main in a fresh interpreter, then prints
 # which study-side modules are loaded.
 _IMPORTS_AFTER = """

@@ -357,6 +357,7 @@ def test_metrics_line_schema():
         "forwarded",
         "dropped_replay",
         "dropped_mac",
+        "dropped_overflow",
         "loops_sent",
         "loops_returned",
     }

@@ -219,8 +219,8 @@ def assert_same_result(fast, reference):
 
 def test_fast_loop_matches_reference_loop():
     grid = itertools.product((1, 2, 3, 4), (0.0, 0.3), (0.0, 1.5), (1, 2), (1, 3))
-    for layers, corrupt, lambda_M, seed, width in grid:
-        cfg = small_cfg(
+    configs = [
+        small_cfg(
             seed=seed,
             U=20,
             rates=Rates(2.0, 0.5, 0.5, lambda_M, 1.0),
@@ -229,7 +229,26 @@ def test_fast_loop_matches_reference_loop():
             corrupt_fraction=corrupt,
             run_time=10.0,
         )
-        reference, _ = reference_label_flow(cfg, random.Random(seed))
+        for layers, corrupt, lambda_M, seed, width in grid
+    ]
+    # the shape c07 measures epsilon on, over a shorter run
+    configs += [
+        small_cfg(
+            seed=seed,
+            U=100,
+            rates=Rates(2.0, 0.0, 0.0, 0.0, mu),
+            layers=layers,
+            nodes_per_layer=3,
+            corrupt_fraction=corrupt,
+            burn_in=5.0,
+            run_time=10.0,
+        )
+        for layers, mu, corrupt, seed in itertools.product(
+            (1, 2, 3), (0.5, 2.0), (0.0, 0.3), (1, 2, 3)
+        )
+    ]
+    for cfg in configs:
+        reference, _ = reference_label_flow(cfg, random.Random(cfg.seed))
         assert_same_result(simulate_label_flow(cfg), reference)
 
 
