@@ -12,7 +12,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from ..bounds import non_negative, positive
+from ..bounds import count, non_negative, positive
 from ..client import Rates
 
 
@@ -54,8 +54,7 @@ def delay_attack_prob(k_links: int, Lambda: float, Delta: float, t: float) -> fl
     probability no confusing packet appears before the deadline decays with
     the holding time t at rate Delta, giving exp(-k*Lambda*exp(-Delta*t)/Delta).
     """
-    if k_links < 0:
-        raise ValueError("link count must be non-negative")
+    count("k_links", k_links)
     non_negative("Lambda", Lambda)
     positive("Delta", Delta)
     non_negative("holding time t", t)
@@ -76,14 +75,9 @@ class LinkParams:
     rates: Rates
 
     def __post_init__(self):
-        if self.U < 0:
-            raise ValueError("user count must be non-negative")
-        if self.N < 1 or self.P < 1:
-            raise ValueError("need at least one mix and one provider")
-        if self.k_links < 1:
-            raise ValueError("per-node connectivity must be positive")
-        if self.ell < 1:
-            raise ValueError("paths must cross at least one link")
+        count("U", self.U)
+        for name in ("N", "P", "k_links", "ell"):
+            count(name, getattr(self, name), lo=1)
 
 
 def link_rate(params: LinkParams) -> float:

@@ -15,7 +15,8 @@ from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from ..bounds import non_negative, positive
+from ..bounds import bounded_events, count, non_negative, positive
+from .pools import PoolObservation, entropy_step
 
 ARRIVAL = "A"
 DEPARTURE = "D"
@@ -49,10 +50,11 @@ def pool_race_estimate_with_loops(
     The construction of pool_race_estimate plus one Exp(lambda_M) clock for
     the mix's next self-loop emission, which never wins when lambda_M is 0.
     """
-    if not 1 <= k <= n or l < 0:
-        raise ValueError("need 1 <= k <= n and l >= 0")
+    PoolObservation(n, k, l)
     positive("mu", mu)
     non_negative("lambda_M", lambda_M)
+    count("trials", trials, lo=1)
+    bounded_events("trials * (n + k + l + 1)", trials * (n + k + l + 1))
     delays = rng.exponential(1.0 / mu, size=(trials, n))
     if k == n:
         observe_at = np.zeros(trials)
@@ -92,6 +94,8 @@ def blocking_estimate(
     positive("mu", mu)
     non_negative("lambda_M", lambda_M)
     non_negative("lambda_R", lambda_R)
+    count("trials", trials, lo=1)
+    bounded_events("3 * trials", 3 * trials)
     pool = rng.poisson((lambda_R / s + lambda_M) / mu, size=trials)
     target = rng.exponential(1.0 / mu, size=trials)
     # min of N iid Exp(mu) clocks is Exp(N*mu); empty pools never compete
@@ -140,8 +144,6 @@ def departure_entropies_incremental(events: Iterable[str]) -> List[float]:
     This is the series `sim entropy` reports; departure_entropies_exact is
     its reference.
     """
-    from .pools import entropy_step
-
     h = 0.0
     fresh = 0
     held = 0

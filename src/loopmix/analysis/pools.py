@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from ..bounds import non_negative, positive
+from ..bounds import count, non_negative, positive
 
 
 @dataclass(frozen=True)
@@ -30,12 +30,9 @@ class PoolObservation:
     l_late: int
 
     def __post_init__(self):
-        if self.n_initial < 1:
-            raise ValueError("initial pool must hold at least one message")
-        if not 1 <= self.k_remaining <= self.n_initial:
-            raise ValueError("need 1 <= k_remaining <= n_initial")
-        if self.l_late < 0:
-            raise ValueError("late arrivals must be non-negative")
+        count("n_initial", self.n_initial, lo=1)
+        count("k_remaining", self.k_remaining, lo=1, hi=self.n_initial)
+        count("l_late", self.l_late)
 
 
 class PoolProbs(NamedTuple):
@@ -100,7 +97,9 @@ def entropy_step(H_prev: float, k: int, l: int) -> float:
     H_0 = 0.
     """
     non_negative("H_prev", H_prev)
-    if k < 0 or l < 0 or k + l < 1:
+    count("k", k)
+    count("l", l)
+    if k + l < 1:
         raise ValueError("need a non-empty pool")
     if l == 0:
         return math.log2(k)

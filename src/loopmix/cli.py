@@ -48,6 +48,7 @@ from .analysis.pools import (
     steady_pool_size,
 )
 from .analysis.traces import Trace, Transmission, anonymity_condition_holds, trace_join
+from .bounds import count
 from .client import ClientConfig, Rates
 from .mixnode import MixConfig
 from .provider import ProviderConfig
@@ -88,7 +89,7 @@ def _runtime(role: str, directory_path: str, node_id: str, key_file: str, **sett
 
 
 def _report_metrics(runtime) -> None:
-    click.echo(runtime.mix.metrics_line(asyncio.get_running_loop().time()))
+    click.echo(runtime.node.metrics_line(asyncio.get_running_loop().time()))
 
 
 def _report_mail(runtime) -> None:
@@ -562,6 +563,7 @@ def analyze_anon_condition(traces_file, simulate, seed, users, hops, duration, l
 
 def generate_vectors(seed: int, cases: int) -> dict:
     """Deterministic packet vectors: keys, path, per-hop state, final payload."""
+    count("cases", cases)
     rng = random.Random(seed)
     out = []
     for case_idx in range(cases):

@@ -237,7 +237,8 @@ class MixNode:
             self.loops_sent, self.loops_returned, self.cfg.loop_return_fraction_r
         )
 
-    def metrics_line(self, now: float) -> str:
+    def metrics_line(self, now: float, **extra) -> str:
+        """One JSON object of the node's counters at now, then extra's."""
         return json.dumps(
             {
                 "time": now,
@@ -249,5 +250,6 @@ class MixNode:
                 "dropped_overflow": self.dropped_overflow,
                 "loops_sent": self.loops_sent,
                 "loops_returned": self.loops_returned,
+                **extra,
             }
         )

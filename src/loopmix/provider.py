@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, Tuple
 
 from . import crypto, packet as pkt
+from .bounds import count
 from .mixnode import MixConfig, MixNode
 from .transport import PULL_ITEM_LEN
 
@@ -90,10 +91,8 @@ class ProviderConfig:
     client_tokens: Dict[str, bytes] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.pull_max_items < 1:
-            raise ValueError("pull_max_items must be at least 1")
-        if self.inbox_capacity < 1:
-            raise ValueError("inbox_capacity must be at least 1")
+        count("pull_max_items", self.pull_max_items, lo=1)
+        count("inbox_capacity", self.inbox_capacity, lo=1)
 
 
 class Provider:
@@ -116,6 +115,10 @@ class Provider:
 
     def next_release(self, now: float):
         return self.node.next_release(now)
+
+    def metrics_line(self, now: float) -> str:
+        """The mix's metrics line, then the drop counters and pulls served."""
+        return self.node.metrics_line(now, **self.counters, pulls_served=self.pulls_served)
 
     def on_pull(self, client_id: str, token: bytes, rng) -> PullResponse:
         """Serve one authenticated pull: up to pull_max_items queued blobs in

@@ -24,7 +24,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..analysis.pools import epsilon_of
-from ..bounds import bounded_events, positive
+from ..bounds import bounded_events, count, positive
 from ..client import Rates
 
 
@@ -59,10 +59,9 @@ class SimConfig:
     challenge: Tuple[int, int]
 
     def __post_init__(self):
-        if self.U < 2:
-            raise ValueError("need at least two senders")
-        if self.layers < 1 or self.nodes_per_layer < 1:
-            raise ValueError("topology must be non-empty")
+        count("U", self.U, lo=2)
+        count("layers", self.layers, lo=1)
+        count("nodes_per_layer", self.nodes_per_layer, lo=1)
         if not 0.0 <= self.corrupt_fraction < 1.0:
             raise ValueError("corrupt_fraction must lie in [0, 1)")
         positive("burn_in", self.burn_in)
@@ -76,11 +75,14 @@ class SimConfig:
 
     @property
     def expected_events(self) -> float:
-        """Messages the clients emit and the mixes loop in one repetition."""
+        """Messages the clients emit and the mixes loop in one repetition,
+        the messages of the stationary fill, and the mixes themselves."""
         r = self.rates
+        users = self.U * (r.lambda_P + r.lambda_L + r.lambda_D)
         n_mixes = self.layers * self.nodes_per_layer
-        per_second = self.U * (r.lambda_P + r.lambda_L + r.lambda_D) + n_mixes * r.lambda_M
-        return per_second * (self.burn_in + self.run_time)
+        emitted = (users + n_mixes * r.lambda_M) * (self.burn_in + self.run_time)
+        filled = (self.layers * users + n_mixes * r.lambda_M) / r.mu
+        return emitted + filled + n_mixes
 
 
 @dataclass
@@ -353,6 +355,7 @@ def run_epsilon_batch(cfg: SimConfig, reps: int) -> EpsilonBatch:
     empty candidate pool; n_finite reports how many repetitions counted and
     n_inf how many were infinite, the adversary's best case.
     """
+    count("reps", reps, lo=1)
     bounded_events(f"{reps} repetitions", reps * cfg.expected_events)
     values = [run_epsilon_experiment(replace(cfg, seed=cfg.seed + i)) for i in range(reps)]
     finite = [v for v in values if math.isfinite(v)]

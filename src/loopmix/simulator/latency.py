@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..bounds import non_negative
+from ..bounds import bounded_events, count, non_negative
 from ..client import Rates
 
 
@@ -20,11 +20,10 @@ def run_latency_experiment(
     processing_s: float = 0.0,
 ) -> np.ndarray:
     """Sample n_messages end-to-end latencies over a fixed-length path."""
-    if hops < 1:
-        raise ValueError("need at least one hop")
-    if n_messages < 1:
-        raise ValueError("need at least one message")
+    count("hops", hops, lo=1)
+    count("n_messages", n_messages, lo=1)
     non_negative("processing_s", processing_s)
+    bounded_events("n_messages * hops", n_messages * hops)
     rng = np.random.default_rng(seed)
     delays = rng.exponential(1.0 / rates.mu, size=(n_messages, hops))
     return delays.sum(axis=1) + hops * processing_s

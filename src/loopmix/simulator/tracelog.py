@@ -14,28 +14,30 @@ from dataclasses import dataclass
 from typing import FrozenSet, List, Tuple
 
 from ..analysis.traces import Trace, Transmission
-from ..bounds import positive
+from ..bounds import bounded_events, count, positive
+
+N_PROVIDERS = 4
+N_MIXES = 9
+MU = 1.0  # per-hop delay parameter: mean hold 1/MU
 
 
 @dataclass(frozen=True)
 class TraceSimConfig:
     seed: int
     n_users: int = 20
-    n_providers: int = 4
-    n_mixes: int = 9
     hops: int = 3
     lambda_D: float = 1.0
-    mu: float = 1.0
     duration: float = 10.0
 
     def __post_init__(self):
-        if self.n_users < 2:
-            raise ValueError("need at least two users for a challenge pair")
-        if self.n_providers < 1 or self.n_mixes < 1 or self.hops < 1:
-            raise ValueError("topology must be non-empty")
+        count("n_users", self.n_users, lo=2)  # a challenge pair
+        count("hops", self.hops, lo=1)
         positive("lambda_D", self.lambda_D)
-        positive("mu", self.mu)
         positive("duration", self.duration)
+        # anonymity_condition_holds tries each drop trace against each other
+        # one at each hop
+        drops = self.n_users * self.lambda_D * self.duration
+        bounded_events("join search over the drop traces", drops * drops * self.hops)
 
 
 @dataclass
@@ -54,7 +56,6 @@ def _emit_trace(
     mixes: List[str],
     providers: List[str],
     hops: int,
-    mu: float,
     start: float,
     handle_counter: List[int],
 ) -> Trace:
@@ -66,7 +67,7 @@ def _emit_trace(
     for a, b in zip(path, path[1:]):
         handle_counter[0] += 1
         records.append(Transmission(a, t, f"h{handle_counter[0]}", b))
-        t += rng.expovariate(mu)
+        t += rng.expovariate(MU)
     return tuple(records)
 
 
@@ -74,25 +75,23 @@ def run_trace_experiment(cfg: TraceSimConfig) -> TraceRun:
     """Simulate drop traffic plus one challenge pair and return all traces."""
     rng = random.Random(cfg.seed)
     users = [f"u{i}" for i in range(cfg.n_users)]
-    providers = [f"p{i}" for i in range(cfg.n_providers)]
-    mixes = [f"m{i}" for i in range(cfg.n_mixes)]
-    home = {u: providers[i % cfg.n_providers] for i, u in enumerate(users)}
+    providers = [f"p{i}" for i in range(N_PROVIDERS)]
+    mixes = [f"m{i}" for i in range(N_MIXES)]
+    home = {u: providers[i % N_PROVIDERS] for i, u in enumerate(users)}
     counter = [0]
 
     drops: List[Tuple[float, Trace]] = []
     for u in users:
         t = rng.expovariate(cfg.lambda_D)
         while t < cfg.duration:
-            drops.append(
-                (t, _emit_trace(rng, u, home[u], mixes, providers, cfg.hops, cfg.mu, t, counter))
-            )
+            drops.append((t, _emit_trace(rng, u, home[u], mixes, providers, cfg.hops, t, counter)))
             t += rng.expovariate(cfg.lambda_D)
     drops.sort(key=lambda pair: pair[0])
 
     mid = cfg.duration / 2
     s0, s1 = rng.sample(users, 2)
-    tr_c = _emit_trace(rng, s0, home[s0], mixes, providers, cfg.hops, cfg.mu, mid, counter)
-    tr_d = _emit_trace(rng, s1, home[s1], mixes, providers, cfg.hops, cfg.mu, mid, counter)
+    tr_c = _emit_trace(rng, s0, home[s0], mixes, providers, cfg.hops, mid, counter)
+    tr_d = _emit_trace(rng, s1, home[s1], mixes, providers, cfg.hops, mid, counter)
 
     return TraceRun(
         challenge=(tr_c, tr_d),

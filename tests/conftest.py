@@ -23,6 +23,14 @@ from loopmix.topology import (
 DATA_DIR = Path(__file__).parent / "data"
 
 
+class NoDraws:
+    """An rng that fails the test on any draw, for calls that must be
+    refused before they sample."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"drew {name} before checking the input")
+
+
 @pytest.fixture(scope="session")
 def data_dir() -> Path:
     return DATA_DIR

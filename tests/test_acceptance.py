@@ -13,10 +13,12 @@ from __future__ import annotations
 import asyncio
 import gc
 import math
+import multiprocessing
 import random
 import socket
 import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -254,8 +256,8 @@ def test_c06_entropy_trends():
 def test_c07_epsilon_trends():
     started = time.perf_counter()
 
-    def batch(mu: float, layers: int, corrupt: float, seed: int):
-        cfg = SimConfig(
+    def config(mu: float, layers: int, corrupt: float, seed: int):
+        return SimConfig(
             seed=seed,
             U=100,
             rates=Rates(2.0, 0.0, 0.0, 0.0, mu),
@@ -266,18 +268,21 @@ def test_c07_epsilon_trends():
             run_time=100.0,
             challenge=(0, 1),
         )
-        return run_epsilon_batch(cfg, 100)
 
     # common seeds across configs so differences come from the parameters
-    slow_mix = batch(0.5, 3, 0.0, 700)
-    fast_mix = batch(2.0, 3, 0.0, 700)
+    configs = [config(0.5, 3, 0.0, 700), config(2.0, 3, 0.0, 700)]
+    configs += [config(1.0, layers, 0.0, 710) for layers in (1, 2, 3, 4)]
+    configs += [config(1.0, 3, 0.0, 720), config(1.0, 3, 0.3, 720)]
+    # each batch is seeded, so which worker runs it changes nothing; leaving
+    # the with block ends both workers, also when a batch fails
+    with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("spawn")) as pool:
+        batches = list(pool.map(run_epsilon_batch, configs, [100] * len(configs), timeout=1800.0))
+    slow_mix, fast_mix, *layer_batches, clean, corrupted = batches
     assert slow_mix.mean < fast_mix.mean
 
-    by_layers = [batch(1.0, layers, 0.0, 710).mean for layers in (1, 2, 3, 4)]
+    by_layers = [b.mean for b in layer_batches]
     assert all(b <= a for a, b in zip(by_layers, by_layers[1:]))
 
-    clean = batch(1.0, 3, 0.0, 720)
-    corrupted = batch(1.0, 3, 0.3, 720)
     assert corrupted.mean >= clean.mean
 
     elapsed = time.perf_counter() - started
@@ -287,7 +292,7 @@ def test_c07_epsilon_trends():
         f"mean eps {slow_mix.mean:.3f} (mu=0.5) < {fast_mix.mean:.3f} (mu=2.0); "
         f"layers 1-4 non-increasing ({', '.join(f'{e:.3f}' for e in by_layers)}); "
         f"30% corrupt {corrupted.mean:.3f} >= clean {clean.mean:.3f}; "
-        f"100 reps each in {elapsed:.0f}s",
+        f"100 reps each, on 2 workers, in {elapsed:.0f}s",
     )
 
 
@@ -544,16 +549,7 @@ def test_c12_trace_join_suite():
     checks = 0
     for seed in range(125):
         run = run_trace_experiment(
-            TraceSimConfig(
-                seed=seed,
-                n_users=10,
-                n_providers=3,
-                n_mixes=6,
-                hops=3,
-                lambda_D=1.0,
-                mu=1.0,
-                duration=6.0,
-            )
+            TraceSimConfig(seed=seed, n_users=10, hops=3, lambda_D=1.0, duration=6.0)
         )
         challenge = run.challenge
         drops = list(run.drop_traces)

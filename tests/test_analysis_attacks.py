@@ -12,7 +12,10 @@ from loopmix.analysis.attacks import (
     link_rate,
 )
 from loopmix.analysis.montecarlo import blocking_estimate
+from loopmix.bounds import MAX_EVENTS
 from loopmix.client import Rates
+
+from conftest import NoDraws
 
 
 def test_blocking_formula_case():
@@ -75,6 +78,9 @@ def test_delay_attack_validation():
         delay_attack_prob(3, 1.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         delay_attack_prob(3, 1.0, 1.0, -2.0)
+    # a link count too large for a float raised OverflowError
+    with pytest.raises(ValueError, match="^k_links must be at least 0 and at most"):
+        delay_attack_prob(10**400, 1.0, 1.0, 0.0)
 
 
 def per_minute_params(users=100):
@@ -122,3 +128,15 @@ def test_link_params_validation():
         LinkParams(U=1, N=9, P=4, k_links=0, ell=3, rates=rates)
     with pytest.raises(ValueError):
         LinkParams(U=1, N=9, P=4, k_links=3, ell=0, rates=rates)
+    # a count too large for a float raised OverflowError in link_rate
+    with pytest.raises(ValueError, match="^U must be at least 0 and at most 9007199254740992$"):
+        link_rate(LinkParams(U=10**400, N=9, P=4, k_links=3, ell=3, rates=rates))
+    with pytest.raises(ValueError, match="^k_links must be at least 1 and at most"):
+        link_rate(LinkParams(U=1, N=9, P=4, k_links=10**400, ell=3, rates=rates))
+
+
+def test_blocking_oracle_checks_its_input_before_drawing():
+    with pytest.raises(ValueError, match=r"^3 \* trials: 10000002 expected events"):
+        blocking_estimate(2.0, 1.0, 1.0, 2.0, MAX_EVENTS // 3 + 1, NoDraws())
+    with pytest.raises(ValueError, match="^trials must be at least 1"):
+        blocking_estimate(2.0, 1.0, 1.0, 2.0, 0, NoDraws())

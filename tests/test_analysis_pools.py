@@ -1,6 +1,7 @@
 """Closed-form pool probabilities, entropy updates, and the epsilon gap."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,9 @@ from loopmix.analysis.pools import (
     pool_match_prob_with_loops,
     steady_pool_size,
 )
+from loopmix.bounds import MAX_EVENTS
+
+from conftest import NoDraws
 
 
 def test_match_prob_small_cases():
@@ -55,6 +59,20 @@ def test_observation_validation():
         PoolObservation(2, 0, 1)
     with pytest.raises(ValueError):
         PoolObservation(2, 1, -1)
+    with pytest.raises(ValueError, match="^l_late must be at least 0 and at most"):
+        PoolObservation(2, 1, 2**53 + 1)
+
+
+def test_race_oracle_checks_its_input_before_drawing():
+    # the observation as PoolObservation checks it
+    with pytest.raises(ValueError, match="^k_remaining must be at least 1 and at most 2$"):
+        pool_race_estimate(2, 3, 0, 1.0, 10, NoDraws())
+    with pytest.raises(ValueError, match="^trials must be at least 1"):
+        pool_race_estimate(2, 1, 0, 1.0, 0, NoDraws())
+    # trials * (n + k + l + 1) = 10**7 + 1
+    message = re.escape("trials * (n + k + l + 1): 10000001 expected events")
+    with pytest.raises(ValueError, match=message):
+        pool_race_estimate_with_loops(1, 1, MAX_EVENTS - 2, 1.0, 0.0, 1, NoDraws())
 
 
 def test_loop_variant_formula_case():
@@ -148,6 +166,9 @@ def test_entropy_step_validation():
         entropy_step(0.0, 0, 0)
     with pytest.raises(ValueError):
         entropy_step(0.0, -1, 2)
+    for k, l in ((2**53 + 1, 0), (0, 2**53 + 1)):
+        with pytest.raises(ValueError, match="must be at least 0 and at most 9007199254740992$"):
+            entropy_step(0.0, k, l)
 
 
 def test_epsilon_examples():

@@ -1,5 +1,6 @@
 """Command-line surface: every subcommand, JSON output, and error exits."""
 
+import asyncio
 import dataclasses
 import importlib
 import json
@@ -535,29 +536,78 @@ FLOAT_OPTIONS = {
     "analyze steady-pool": (["--lambda", "2", "--mu", "1"], ["--lambda", "--mu"]),
     "analyze anon-condition": (["--simulate", "--duration", "2"], ["--duration", "--lambda-d"]),
 }
-FLOAT_ROWS = [(command, option) for command, (_, options) in FLOAT_OPTIONS.items()
-              for option in options]
+# Every integer option of every command, in the same form: each is a count,
+# at most 2**53, unless INT_EXEMPT gives the reason it is none.
+INT_OPTIONS = {
+    "provider": (None, ["--pull-max", "--inbox-capacity"]),
+    "sim latency": (FLOAT_OPTIONS["sim latency"][0], ["--hops", "--n"]),
+    "sim epsilon": (FLOAT_OPTIONS["sim epsilon"][0], ["--users", "--layers", "--per-layer", "--reps"]),
+    "analyze pool": (FLOAT_OPTIONS["analyze pool"][0], ["--n", "--k", "--l", "--trials"]),
+    "analyze pool-loops": (FLOAT_OPTIONS["analyze pool-loops"][0],
+                           ["--n", "--k", "--l", "--trials"]),
+    "analyze entropy-step": (FLOAT_OPTIONS["analyze entropy-step"][0], ["--k", "--l"]),
+    "analyze blocking": (FLOAT_OPTIONS["analyze blocking"][0], ["--trials"]),
+    "analyze delay-attack": (FLOAT_OPTIONS["analyze delay-attack"][0], ["--k-links"]),
+    "analyze link-rate": (FLOAT_OPTIONS["analyze link-rate"][0],
+                          ["--users", "--n-mixes", "--n-providers", "--k-links", "--ell"]),
+    "analyze anon-condition": (FLOAT_OPTIONS["analyze anon-condition"][0], ["--users", "--hops"]),
+    "vectors": (["--cases", "1"], ["--cases"]),
+}
+SEED = "a seed: random.Random takes any integer, and numpy any non-negative one"
+TRACE_INDEX = "an index into the traces file: one past its end is already an error line"
+INT_EXEMPT = {
+    **{(command, "--seed"): SEED for command in (
+        "sim pool", "sim entropy", "sim latency", "sim epsilon", "analyze pool",
+        "analyze pool-loops", "analyze blocking", "analyze anon-condition", "vectors")},
+    **{("analyze trace-join", option): TRACE_INDEX for option in ("--x", "--y", "--i")},
+}
+
+
+def rows(table):
+    return [(command, option) for command, (_, options) in table.items() for option in options]
+
+
+FLOAT_ROWS = rows(FLOAT_OPTIONS)
+INT_ROWS = rows(INT_OPTIONS)
 DAEMON_IDS = {"mix": "mix-0-0", "provider": "prov-0", "client": "client-0"}
 
 
-def float_options(command, path=()):
-    """(command path, option) for each float option under command."""
+def options_of_type(command, kind, path=()):
+    """(command path, option) for each option of click type kind under command."""
     if isinstance(command, click.Group):
         for name, sub in command.commands.items():
-            yield from float_options(sub, (*path, name))
+            yield from options_of_type(sub, kind, (*path, name))
     else:
         for param in command.params:
-            if isinstance(param.type, click.types.FloatParamType):
+            if isinstance(param.type, kind):
                 yield " ".join(path), param.opts[0]
 
 
 def test_every_float_option_has_a_row():
-    assert set(float_options(main)) == set(FLOAT_ROWS)
+    assert set(options_of_type(main, click.types.FloatParamType)) == set(FLOAT_ROWS)
+
+
+def test_every_int_option_has_a_row_or_a_reason():
+    assert not set(INT_ROWS) & set(INT_EXEMPT)
+    assert set(options_of_type(main, click.types.IntParamType)) == {*INT_ROWS, *INT_EXEMPT}
 
 
 @pytest.mark.parametrize("command", [c for c, (valid, _) in FLOAT_OPTIONS.items() if valid])
 def test_float_option_rows_are_valid_runs(runner, command):
     run_json(runner, [*command.split(), *FLOAT_OPTIONS[command][0]])
+
+
+@pytest.mark.parametrize("command", [c for c, (valid, _) in INT_OPTIONS.items() if valid])
+def test_int_option_rows_are_valid_runs(runner, command):
+    run_json(runner, [*command.split(), *INT_OPTIONS[command][0]])
+
+
+def args_of_a_row(tmp_path, table, command):
+    """The row's valid run; a daemon's start with a bad --listen."""
+    valid = table[command][0]
+    if valid is None:
+        return daemon_args(tmp_path, command, DAEMON_IDS[command], "--listen", "nonsense")
+    return [*command.split(), *valid]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -566,12 +616,20 @@ def test_nan_or_inf_in_a_float_option_prints_one_error_line(
     runner, tmp_path, command, option, value
 ):
     # unchecked, some of these ran forever and others printed NaN
-    valid = FLOAT_OPTIONS[command][0]
-    if valid is None:
-        args = daemon_args(tmp_path, command, DAEMON_IDS[command], "--listen", "nonsense")
-    else:
-        args = [*command.split(), *valid]
+    args = args_of_a_row(tmp_path, FLOAT_OPTIONS, command)
     assert_one_error_line(runner.invoke(main, [*args, option, value]), "must")
+
+
+@pytest.mark.parametrize("command, option", INT_ROWS)
+def test_count_past_2_53_in_an_int_option_prints_one_error_line(
+    runner, tmp_path, command, option
+):
+    # unchecked, a count this large raised OverflowError in sim epsilon,
+    # analyze link-rate and analyze delay-attack, built an unbounded list in
+    # anon-condition --simulate, and ran for days in vectors
+    args = args_of_a_row(tmp_path, INT_OPTIONS, command)
+    result = runner.invoke(main, [*args, option, str(2**53 + 1)])
+    assert_one_error_line(result, "must be at least")
 
 
 @pytest.mark.parametrize(
@@ -610,17 +668,32 @@ finally:
     "args",
     [
         # each expects just over 10**7 events, the cap
-        ["pool", "--lambda", "1e7", "--mu", "1e7", "--duration", "1.000001"],
-        ["entropy", "--lambda", "1e7", "--mu", "1", "--duration", "1.000001"],
-        ["epsilon", *C07_ARGS, "--reps", "1", "--run-time", "49976"],
-        ["epsilon", *C07_ARGS, "--reps", "401"],
+        ["sim", "pool", "--lambda", "1e7", "--mu", "1e7", "--duration", "1.000001"],
+        ["sim", "entropy", "--lambda", "1e7", "--mu", "1", "--duration", "1.000001"],
+        ["sim", "epsilon", *C07_ARGS, "--reps", "1", "--run-time", "49976"],
+        ["sim", "epsilon", *C07_ARGS, "--reps", "401"],
+        # 25 009 events, and a stationary fill of 600 / mu messages
+        ["sim", "epsilon", *C07_ARGS, "--reps", "1", "--mu", "6e-5"],
+        ["sim", "epsilon", "--users", "2", "--lambda", "1e-9", "--mu", "1", "--layers", "1",
+         "--per-layer", "10000001", "--reps", "1"],
+        ["sim", "latency", "--mu", "1", "--hops", "10000001", "--n", "1"],
+        ["analyze", "pool", "--n", "1", "--k", "1", "--l", "9999998", "--trials", "1"],
+        ["analyze", "pool-loops", "--n", "1", "--k", "1", "--l", "9999998", "--mu", "1",
+         "--lambda-m", "1", "--trials", "1"],
+        ["analyze", "blocking", "--s", "2", "--mu", "1", "--lambda-m", "1", "--lambda-r", "2",
+         "--trials", "3333334"],
+        # 1826 drop traces, each tried against each at 3 hops
+        ["analyze", "anon-condition", "--simulate", "--lambda-d", "9.13"],
     ],
-    ids=["pool", "entropy", "epsilon-run-time", "epsilon-reps"],
+    ids=["pool", "entropy", "epsilon-run-time", "epsilon-reps", "epsilon-fill",
+         "epsilon-mixes", "latency", "analyze-pool", "analyze-pool-loops", "analyze-blocking",
+         "anon-condition"],
 )
 def test_study_run_past_the_event_cap_prints_one_error_line(args):
-    # unchecked, each ran past the timeout, and sim pool kept every departure time
+    # unchecked, sim pool kept every departure time, sim epsilon ran past the
+    # timeout or out of memory, and the rest ran all their events
     proc = subprocess.run(
-        [sys.executable, "-c", _TIMED_RUN, "sim", *args], capture_output=True, text=True,
+        [sys.executable, "-c", _TIMED_RUN, *args], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}, timeout=10,
     )
     assert proc.returncode == 1
@@ -698,6 +771,28 @@ def test_client_report_prints_new_mail_then_drops_it(capsys):
     runtime.received_messages.append(b"again")
     cli._report_mail(runtime)
     assert capsys.readouterr().out == "again\n"
+
+
+@pytest.mark.parametrize(
+    "command, node_id, added",
+    [("mix", "mix-0-0", {}),
+     ("provider", "prov-0", {"dropped_cover": 0, "unknown_recipient": 0, "bad_payload": 0,
+                             "evicted": 0, "pulls_served": 1})],
+)
+def test_node_report_prints_its_metrics_line(tmp_path, capsys, command, node_id, added):
+    # a provider printed only its mix's line
+    runtime = cli._runtime(command, DIRECTORY, node_id, key_file_for(tmp_path, node_id))
+    if runtime.provider:
+        (client_id, token), *_ = runtime.provider.cfg.client_tokens.items()
+        runtime.provider.on_pull(client_id, token, random.Random(0))
+
+    async def report():
+        cli._report_metrics(runtime)
+
+    asyncio.run(report())
+    line = json.loads(capsys.readouterr().out)
+    mix_line = json.loads(runtime.mix.metrics_line(line["time"]))
+    assert line == {**mix_line, **added}
 
 
 def test_client_takes_no_pull_max(runner, tmp_path):

@@ -26,6 +26,7 @@ from loopmix.simulator import (
 from loopmix.simulator import epsilon
 from loopmix.simulator.epsilon import LabelFlowResult, simulate_label_flow
 from loopmix.analysis.traces import validate_trace
+from loopmix.bounds import MAX_EVENTS
 
 RATES = Rates(lambda_P=2.0, lambda_L=1.0, lambda_D=1.0, lambda_M=0.5, mu=1.0)
 
@@ -306,6 +307,28 @@ def test_sim_config_validation():
         small_cfg(run_time=-1.0)
     with pytest.raises(ValueError):
         small_cfg(rates=Rates(0.0, 1.0, 1.0, 0.0, 1.0))
+    # a user or repetition count too large for a float raised OverflowError
+    for field in ("U", "layers", "nodes_per_layer"):
+        with pytest.raises(ValueError, match=f"^{field} must be at least"):
+            small_cfg(**{field: 10**400})
+    with pytest.raises(ValueError, match="^reps must be at least 1 and at most"):
+        run_epsilon_batch(small_cfg(), 10**400)
+
+
+C07 = dict(U=100, rates=Rates(2.0, 0.0, 0.0, 0.0, 1.0), layers=3, nodes_per_layer=3,
+           burn_in=25.0, run_time=100.0)
+
+
+def test_expected_events_count_the_stationary_fill_and_the_mixes():
+    # 25 000 messages emitted, 600 / mu filled, 9 mixes
+    assert small_cfg(**C07).expected_events == 25_609
+    # at mu = 6e-5 the fill alone is 10**7 messages
+    with pytest.raises(ValueError, match="^one repetition: 10025009 expected events"):
+        small_cfg(**{**C07, "rates": Rates(2.0, 0.0, 0.0, 0.0, 6e-5)})
+    # 10**7 + 1 mixes, whose pools hold next to nothing
+    with pytest.raises(ValueError, match="^one repetition: 10000001 expected events"):
+        small_cfg(U=2, rates=Rates(1e-9, 0.0, 0.0, 0.0, 1.0), layers=1,
+                  nodes_per_layer=MAX_EVENTS + 1)
 
 
 def test_label_distribution_validation():
@@ -368,6 +391,11 @@ def test_latency_validation():
         run_latency_experiment(rates, hops=1, n_messages=0, seed=0)
     with pytest.raises(ValueError):
         run_latency_experiment(rates, hops=1, n_messages=10, seed=0, processing_s=-1.0)
+    with pytest.raises(ValueError, match="^n_messages must be at least 1 and at most"):
+        run_latency_experiment(rates, hops=1, n_messages=10**400, seed=0)
+    # the delays of one message over 10**7 + 1 hops
+    with pytest.raises(ValueError, match=r"^n_messages \* hops: 10000001 expected events"):
+        run_latency_experiment(rates, hops=MAX_EVENTS + 1, n_messages=1, seed=0)
 
 
 def test_trace_run_shape_and_determinism():
@@ -392,6 +420,12 @@ def test_trace_config_validation():
         TraceSimConfig(seed=0, lambda_D=-1.0)
     with pytest.raises(ValueError):
         TraceSimConfig(seed=0, hops=0)
+    # 20 users at 9.12/s for 10 s: 1824 drop traces, 1824**2 * 3 joins tried
+    TraceSimConfig(seed=0, lambda_D=9.12)
+    with pytest.raises(ValueError, match="^join search over the drop traces: 10002.* expected events"):
+        TraceSimConfig(seed=0, lambda_D=9.13)
+    with pytest.raises(ValueError, match="^n_users must be at least 2 and at most"):
+        TraceSimConfig(seed=0, n_users=2**53 + 1)
 
 
 def test_pool_experiment_validation_and_determinism():
