@@ -624,9 +624,9 @@ def test_nan_or_inf_in_a_float_option_prints_one_error_line(
 def test_count_past_2_53_in_an_int_option_prints_one_error_line(
     runner, tmp_path, command, option
 ):
-    # unchecked, a count this large raised OverflowError in sim epsilon,
-    # analyze link-rate and analyze delay-attack, built an unbounded list in
-    # anon-condition --simulate, and ran for days in vectors
+    # unchecked, such a count ended in a numpy allocation or MemoryError
+    # traceback, ran for days (vectors) or was taken; a 400-digit one raised
+    # OverflowError in sim epsilon, link-rate and delay-attack
     args = args_of_a_row(tmp_path, INT_OPTIONS, command)
     result = runner.invoke(main, [*args, option, str(2**53 + 1)])
     assert_one_error_line(result, "must be at least")
