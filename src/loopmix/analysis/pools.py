@@ -97,9 +97,7 @@ def entropy_step(H_prev: float, k: int, l: int) -> float:
     H_0 = 0.
     """
     non_negative("H_prev", H_prev)
-    count("k", k)
-    count("l", l)
-    if k + l < 1:
+    if k < 0 or l < 0 or k + l < 1:
         raise ValueError("need a non-empty pool")
     if l == 0:
         return math.log2(k)

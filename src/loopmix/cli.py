@@ -405,6 +405,8 @@ def analyze_pool_loops(n, k, l_late, mu, lambda_m, trials, seed):
 @click.option("--l", "l_held", type=int, required=True, help="Held messages in the pool.")
 def analyze_entropy_step(h_prev, k, l_held):
     """One incremental entropy update."""
+    count("k", k)
+    count("l", l_held)
     _emit({"entropy": entropy_step(h_prev, k, l_held)})
 
 

@@ -34,10 +34,11 @@ class TraceSimConfig:
         count("hops", self.hops, lo=1)
         positive("lambda_D", self.lambda_D)
         positive("duration", self.duration)
-        # anonymity_condition_holds tries each drop trace against each other
-        # one at each hop
+        # anonymity_condition_holds searches each direction over (drop
+        # trace, hop) states, and each state tries every drop trace at every
+        # later hop
         drops = self.n_users * self.lambda_D * self.duration
-        bounded_events("join search over the drop traces", drops * drops * self.hops)
+        bounded_events("join search over the drop traces", 2 * (drops * self.hops) ** 2)
 
 
 @dataclass

@@ -549,7 +549,7 @@ def test_c12_trace_join_suite():
     checks = 0
     for seed in range(125):
         run = run_trace_experiment(
-            TraceSimConfig(seed=seed, n_users=10, hops=3, lambda_D=1.0, duration=6.0)
+            TraceSimConfig(seed=seed, n_users=16, hops=3, lambda_D=1.0, duration=8.0)
         )
         challenge = run.challenge
         drops = list(run.drop_traces)

@@ -166,9 +166,6 @@ def test_entropy_step_validation():
         entropy_step(0.0, 0, 0)
     with pytest.raises(ValueError):
         entropy_step(0.0, -1, 2)
-    for k, l in ((2**53 + 1, 0), (0, 2**53 + 1)):
-        with pytest.raises(ValueError, match="must be at least 0 and at most 9007199254740992$"):
-            entropy_step(0.0, k, l)
 
 
 def test_epsilon_examples():

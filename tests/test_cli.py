@@ -682,8 +682,8 @@ finally:
          "--lambda-m", "1", "--trials", "1"],
         ["analyze", "blocking", "--s", "2", "--mu", "1", "--lambda-m", "1", "--lambda-r", "2",
          "--trials", "3333334"],
-        # 1826 drop traces, each tried against each at 3 hops
-        ["analyze", "anon-condition", "--simulate", "--lambda-d", "9.13"],
+        # 746 drop traces at 3 hops, each (trace, hop) tried against each
+        ["analyze", "anon-condition", "--simulate", "--lambda-d", "3.73"],
     ],
     ids=["pool", "entropy", "epsilon-run-time", "epsilon-reps", "epsilon-fill",
          "epsilon-mixes", "latency", "analyze-pool", "analyze-pool-loops", "analyze-blocking",

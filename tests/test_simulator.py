@@ -420,10 +420,11 @@ def test_trace_config_validation():
         TraceSimConfig(seed=0, lambda_D=-1.0)
     with pytest.raises(ValueError):
         TraceSimConfig(seed=0, hops=0)
-    # 20 users at 9.12/s for 10 s: 1824 drop traces, 1824**2 * 3 joins tried
-    TraceSimConfig(seed=0, lambda_D=9.12)
-    with pytest.raises(ValueError, match="^join search over the drop traces: 10002.* expected events"):
-        TraceSimConfig(seed=0, lambda_D=9.13)
+    # 20 users at 3.72/s for 10 s: 744 drop traces at 3 hops, and at most
+    # 2 * (744 * 3)**2 joins tried
+    TraceSimConfig(seed=0, lambda_D=3.72)
+    with pytest.raises(ValueError, match="^join search over the drop traces: 10017288 expected events"):
+        TraceSimConfig(seed=0, lambda_D=3.73)
     with pytest.raises(ValueError, match="^n_users must be at least 2 and at most"):
         TraceSimConfig(seed=0, n_users=2**53 + 1)
 

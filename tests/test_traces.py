@@ -137,7 +137,7 @@ def test_anonymity_condition_two_step_chain():
 
 
 def random_instance(seed):
-    cfg = TraceSimConfig(seed=seed, n_users=8, duration=4.0)
+    cfg = TraceSimConfig(seed=seed, n_users=14, duration=6.0)
     run = run_trace_experiment(cfg)
     return run.challenge, list(run.drop_traces), sorted(run.mixes)
 
