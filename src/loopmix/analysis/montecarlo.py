@@ -11,7 +11,7 @@ beside its reference departure_entropies_exact.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,20 +22,6 @@ ARRIVAL = "A"
 DEPARTURE = "D"
 
 
-def pool_race_estimate(
-    n: int, k: int, l: int, mu: float, trials: int, rng: np.random.Generator
-) -> Tuple[float, float]:
-    """Empirical (p_initial, p_late) for the observed-pool race.
-
-    Simulates n residents with iid Exp(mu) delays, observes once n-k of them
-    have left, resamples the survivors' remaining clocks (memoryless) along
-    with l fresh arrivals, and races everyone. The tracked original is slot 0;
-    it can only win if it outlived the observation point. This is
-    pool_race_estimate_with_loops with no loop stream, on the same draws.
-    """
-    return pool_race_estimate_with_loops(n, k, l, mu, 0.0, trials, rng)[:2]
-
-
 def pool_race_estimate_with_loops(
     n: int,
     k: int,
@@ -44,11 +30,15 @@ def pool_race_estimate_with_loops(
     lambda_M: float,
     trials: int,
     rng: np.random.Generator,
-) -> Tuple[float, float, float]:
-    """Empirical (p_initial, p_late, p_loop) with the mix's loop stream racing.
+) -> Tuple[float, Optional[float], float]:
+    """Empirical (p_initial, p_late, p_loop) for the observed-pool race.
 
-    The construction of pool_race_estimate plus one Exp(lambda_M) clock for
+    Simulates n residents with iid Exp(mu) delays, observes once n-k of them
+    have left, resamples the survivors' remaining clocks (memoryless) along
+    with l fresh arrivals, and races everyone and one Exp(lambda_M) clock for
     the mix's next self-loop emission, which never wins when lambda_M is 0.
+    The tracked original is slot 0; it can only win if it outlived the
+    observation point. p_late is None when there is no late arrival (l = 0).
     """
     PoolObservation(n, k, l)
     positive("mu", mu)
@@ -70,7 +60,7 @@ def pool_race_estimate_with_loops(
     race = np.hstack([clocks, loop_clock])
     winner = np.argmin(race, axis=1)
     p_initial = float(np.mean(target_survives & (winner == 0)))
-    p_late = float(np.mean(winner == k)) if l > 0 else math.nan
+    p_late = float(np.mean(winner == k)) if l > 0 else None
     p_loop = float(np.mean(winner == k + l))
     return p_initial, p_late, p_loop
 

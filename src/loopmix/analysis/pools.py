@@ -67,12 +67,13 @@ def pool_match_prob_with_loops(
 
     Each resident message fires at rate mu and loop output adds rate
     lambda_M, so the next emission splits the total (k+l)*mu + lambda_M.
-    lambda_M = 0 reduces exactly to pool_match_prob.
+    lambda_M = 0 reduces to pool_match_prob, to within rounding.
     """
     positive("mu", mu)
     non_negative("lambda_M", lambda_M)
     resident = obs.k_remaining + obs.l_late
     total = resident * mu + lambda_M
+    positive("(k + l) * mu + lambda_M", total)
     p_late = mu / total
     return PoolLoopProbs(
         (obs.k_remaining / obs.n_initial) * p_late,

@@ -11,7 +11,7 @@ provably interchangeable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Set, Tuple
+from typing import Iterable, Sequence, Set, Tuple
 
 
 class InvalidTrace(ValueError):
@@ -33,12 +33,8 @@ class Transmission:
 Trace = Tuple[Transmission, ...]
 
 
-def validate_trace(
-    trace: Sequence[Transmission],
-    users: Optional[Set[str]] = None,
-    providers: Optional[Set[str]] = None,
-) -> Trace:
-    """Check linkage and time order; endpoint role checks when sets given."""
+def validate_trace(trace: Sequence[Transmission]) -> Trace:
+    """Check linkage and time order."""
     if len(trace) < 1:
         raise InvalidTrace("empty trace")
     for a, b in zip(trace, trace[1:]):
@@ -48,13 +44,6 @@ def validate_trace(
             )
         if not a.time < b.time:
             raise InvalidTrace(f"times not strictly increasing at {b.time}")
-    if users is not None and trace[0].sender not in users:
-        raise InvalidTrace(f"originator {trace[0].sender!r} is not a user")
-    if providers is not None:
-        if trace[0].recipient not in providers:
-            raise InvalidTrace("first hop must reach a provider")
-        if trace[-1].recipient not in providers:
-            raise InvalidTrace("trace must terminate at a provider")
     return tuple(trace)
 
 

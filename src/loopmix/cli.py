@@ -57,6 +57,12 @@ from .topology import ClientDescriptor, MixDescriptor, ProviderDescriptor, load_
 
 
 def _emit(obj) -> None:
+    """Print obj as one line of strict JSON. A number that is not finite has
+    no JSON form, so it is refused by its key: it comes from input whose
+    figures overflow a float."""
+    for key, value in obj.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{key} is {value}, not a finite number: the input overflows")
     click.echo(json.dumps(obj, sort_keys=True))
 
 
@@ -270,11 +276,17 @@ def sim_entropy(lambda_in, mu, duration, seed, out):
 @click.option("--out", type=click.Path(), default=None, help="CSV of latency samples.")
 def sim_latency(mu, hops, n_messages, processing, seed, out):
     """Sample end-to-end latencies over a fixed-length path."""
+    import numpy as np
     from .simulator import run_latency_experiment
 
-    samples = run_latency_experiment(
-        Rates(1.0, 0.0, 0.0, 0.0, mu), hops, n_messages, seed, processing_s=processing
-    )
+    # an overflowed sum shows as a figure that is not finite, which _emit refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples = run_latency_experiment(
+            Rates(1.0, 0.0, 0.0, 0.0, mu), hops, n_messages, seed, processing_s=processing
+        )
+        mean = float(samples.mean())
+        # null, not NaN: one sample has no spread
+        std = float(samples.std(ddof=1)) if n_messages > 1 else None
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write("latency_s\n")
@@ -285,8 +297,8 @@ def sim_latency(mu, hops, n_messages, processing, seed, out):
             "mu": mu,
             "hops": hops,
             "n": n_messages,
-            "mean_s": float(samples.mean()),
-            "std_s": float(samples.std(ddof=1)),
+            "mean_s": mean,
+            "std_s": std,
         }
     )
 
@@ -362,9 +374,11 @@ def analyze_pool(n, k, l_late, trials, mu, seed):
     result = {"p_initial": probs.p_initial, "p_late": probs.p_late}
     if trials > 0:
         import numpy as np
-        from .analysis.montecarlo import pool_race_estimate
+        from .analysis.montecarlo import pool_race_estimate_with_loops
 
-        est = pool_race_estimate(n, k, l_late, mu, trials, np.random.default_rng(seed))
+        est = pool_race_estimate_with_loops(
+            n, k, l_late, mu, 0.0, trials, np.random.default_rng(seed)
+        )
         result["mc_p_initial"], result["mc_p_late"] = est[0], est[1]
     _emit(result)
 

@@ -23,7 +23,7 @@ from . import crypto, packet as pkt
 from .bounds import non_negative, positive
 from .mixnode import LoopTracker
 from .packet import HopFlags
-from .topology import Topology, path_to_packet_hops, sample_forward_path
+from .topology import Topology, build_onion, sample_forward_path
 from .transport import PULL_ITEM_LEN
 
 # Fixed-size sealed envelope: [32 ephemeral pub][16 tag + 4 length + body].
@@ -76,11 +76,6 @@ class Rates:
         positive("mu", self.mu)
 
 
-def aggregate_output_rate(rates: Rates) -> float:
-    """Total client emission intensity; constant regardless of queued mail."""
-    return rates.lambda_P + rates.lambda_L + rates.lambda_D
-
-
 @dataclass
 class ClientConfig:
     client_id: str
@@ -129,11 +124,6 @@ class Client:
         dest = topology.node(dest_provider_id)
         return sample_forward_path(topology, own, dest, rng)
 
-    def _build(self, descriptors, recipient_id, body, flags, rng):
-        delays = [rng.expovariate(self.cfg.rates.mu) for _ in descriptors]
-        hops = path_to_packet_hops(descriptors, delays, "", flags)
-        return pkt.create_packet(hops, recipient_id, body, rng)
-
     def payload_tick(self, topology: Topology, rng, now: float):
         """Emit one payload-stream packet: queued mail, else drop cover.
 
@@ -146,7 +136,9 @@ class Client:
             recipient = topology.client(recipient_id)
             descriptors = self._mix_path(topology, recipient.provider_id, rng)
             body = seal_envelope(recipient.pubkey, message, rng)
-            packet = self._build(descriptors, recipient_id, body, HopFlags.FINAL, rng)
+            packet = build_onion(
+                descriptors, "", HopFlags.FINAL, recipient_id, body, self.cfg.rates.mu, rng
+            )
             self.sent_real += 1
             kind = PACKET_REAL
         else:
@@ -166,8 +158,8 @@ class Client:
         descriptors = self._mix_path(topology, own.id, rng)
         me = topology.client(self.cfg.client_id)
         body = seal_envelope(me.pubkey, self.loops.emit(rng, now), rng)
-        packet = self._build(
-            descriptors, self.cfg.client_id, body, HopFlags.FINAL, rng
+        packet = build_onion(
+            descriptors, "", HopFlags.FINAL, self.cfg.client_id, body, self.cfg.rates.mu, rng
         )
         return packet, now + rng.expovariate(self.cfg.rates.lambda_L)
 
@@ -183,7 +175,9 @@ class Client:
         dest = topology.providers[rng.randrange(len(topology.providers))]
         descriptors = self._mix_path(topology, dest.id, rng)
         body = rng.randbytes(USER_MESSAGE_CAPACITY)
-        return self._build(descriptors, self.cfg.client_id, body, HopFlags.DROP, rng)
+        return build_onion(
+            descriptors, "", HopFlags.DROP, self.cfg.client_id, body, self.cfg.rates.mu, rng
+        )
 
     def process_pull_items(self, blobs, now: float) -> List[bytes]:
         """Sort pull items into real mail, returned loops, and dummies."""

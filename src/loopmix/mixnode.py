@@ -19,7 +19,7 @@ from typing import Any, Callable, Optional
 from . import crypto, packet as pkt
 from .bounds import non_negative, positive
 from .packet import HopFlags, SphinxPacket
-from .topology import ProviderDescriptor, Topology, path_to_packet_hops
+from .topology import ProviderDescriptor, Topology, build_onion, walk_ring
 
 HEALTHY = "HEALTHY"
 UNDER_ATTACK = "UNDER_ATTACK"
@@ -211,23 +211,14 @@ class MixNode:
             raise ValueError("loops disabled: lambda_M is zero")
 
         me = topology.node(self.cfg.node_id)
-        i = self.cfg.layer_index
-        if isinstance(me, ProviderDescriptor):
-            route = range(topology.n_layers)
-        else:  # None stands for the provider between the last and first layer
-            route = [*range(i + 1, topology.n_layers), None, *range(i)]
-        descriptors = []
-        for layer in route:
-            nodes = topology.providers if layer is None else topology.layers[layer]
-            descriptors.append(nodes[rng.randrange(len(nodes))])
-        descriptors.append(me)
-
+        stop = topology.n_layers if isinstance(me, ProviderDescriptor) else self.cfg.layer_index
+        route = [*walk_ring(topology, stop, rng), me]
         send_time = now + rng.expovariate(self.cfg.lambda_M)
         body = self.loops.emit(rng, send_time)
-        delays = [rng.expovariate(self.cfg.mu) for _ in descriptors]
-        hops = path_to_packet_hops(descriptors, delays, self.cfg.addr, HopFlags.FINAL)
-        loop_packet = pkt.create_packet(hops, self.cfg.node_id, body, rng)
-        self.last_loop_first_hop = descriptors[0].addr
+        loop_packet = build_onion(
+            route, self.cfg.addr, HopFlags.FINAL, self.cfg.node_id, body, self.cfg.mu, rng
+        )
+        self.last_loop_first_hop = route[0].addr
         return send_time, loop_packet
 
     def health(self) -> str:

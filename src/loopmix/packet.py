@@ -237,7 +237,9 @@ def build_packet(
     message: bytes,
     rng,
 ) -> tuple[SphinxPacket, SenderTrace]:
-    """create_packet plus the sender-side trace of alphas and shared secrets."""
+    """The packet that carries message along path, each hop's public key with
+    the HopSpec it recovers, and the sender-side trace of alphas and shared
+    secrets."""
     nu = len(path)
     if nu < 1 or nu > MAX_HOPS:
         raise PathTooLong("path length must be in 1..%d" % MAX_HOPS)
@@ -277,16 +279,6 @@ def build_packet(
 
     packet = SphinxPacket(SphinxHeader(alphas[0], beta, mac), payload)
     return packet, SenderTrace(alphas, secrets)
-
-
-def create_packet(
-    path: list[tuple[GroupElement, HopSpec]],
-    recipient_id: str,
-    message: bytes,
-    rng,
-) -> SphinxPacket:
-    packet, _ = build_packet(path, recipient_id, message, rng)
-    return packet
 
 
 def process_packet(secret_key: crypto.Scalar, packet: SphinxPacket) -> ProcessResult:

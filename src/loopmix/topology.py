@@ -1,4 +1,6 @@
-"""Static network map: layered mixes, providers, clients, and path sampling.
+"""Static network map: layered mixes, providers, clients, and the one sender
+path over them: walk_ring draws a route round the stratified ring, and
+build_onion wraps a route in a packet, for client packets and loops alike.
 
 The directory is a JSON file with hex-encoded public keys. A signature field is
 reserved but not verified, and a version field is not read; key distribution
@@ -17,6 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from . import packet as pkt
 from .crypto import GroupElement, GroupError
 from .packet import ADDR_LEN, MAX_HOPS, HopFlags, HopSpec, resolve_addr
 from .transport import TOKEN_LEN
@@ -238,6 +241,17 @@ def load_directory(path) -> Topology:
     return loads_directory(text)
 
 
+def walk_ring(topology: Topology, start: int, rng) -> list:
+    """One node drawn uniformly at each stop of the stratified ring after
+    stop start, going round until the walk is back at start.
+
+    Stops 0..L-1 are the mix layers and stop L, between the last layer and
+    the first, is the providers.
+    """
+    ring = (*topology.layers, topology.providers)
+    return [rng.choice(nodes) for nodes in ring[start + 1 :] + ring[:start]]
+
+
 def sample_forward_path(
     topology: Topology,
     sender_provider: ProviderDescriptor,
@@ -245,30 +259,28 @@ def sample_forward_path(
     rng,
 ) -> list:
     """[sender provider, one uniform mix per layer, recipient provider]."""
-    hops = [sender_provider]
-    for layer in topology.layers:
-        hops.append(layer[rng.randrange(len(layer))])
-    hops.append(recipient_provider)
-    return hops
+    return [sender_provider, *walk_ring(topology, topology.n_layers, rng), recipient_provider]
 
 
-def path_to_packet_hops(
-    descriptors: list,
-    delays: list[float],
+def build_onion(
+    route: list,
     final_addr: str,
     final_flags: HopFlags,
-) -> list[tuple[GroupElement, HopSpec]]:
-    """Pair each hop's pubkey with the HopSpec it should recover.
+    recipient_id: str,
+    message: bytes,
+    mu: float,
+    rng,
+) -> pkt.SphinxPacket:
+    """The packet that carries message along route's descriptors.
 
-    Hop i's next_addr points at hop i+1; the last hop gets final_addr and the
-    terminal flags. delays align with descriptors.
+    Each hop waits an Exp(mu) delay, drawn in route order, and points at the
+    next hop's address; the last hop points at final_addr with final_flags.
     """
-    if len(delays) != len(descriptors):
-        raise ValueError("need one delay per hop")
-    out = []
-    for i, desc in enumerate(descriptors):
-        last = i == len(descriptors) - 1
-        addr = final_addr if last else descriptors[i + 1].addr
-        flags = final_flags if last else HopFlags.NONE
-        out.append((desc.pubkey, HopSpec(addr, delays[i], flags)))
-    return out
+    delays = [rng.expovariate(mu) for _ in route]
+    hops = [
+        (desc.pubkey, HopSpec(after.addr, delay, HopFlags.NONE))
+        for desc, after, delay in zip(route, route[1:], delays)
+    ]
+    hops.append((route[-1].pubkey, HopSpec(final_addr, delays[-1], final_flags)))
+    # through the module attribute, so a wrapper installed there sees every build
+    return pkt.build_packet(hops, recipient_id, message, rng)[0]

@@ -28,7 +28,6 @@ from loopmix import crypto, transport
 from loopmix.analysis.montecarlo import (
     departure_entropies_exact,
     departure_entropies_incremental,
-    pool_race_estimate,
     pool_race_estimate_with_loops,
 )
 from loopmix.analysis.pools import (
@@ -50,7 +49,7 @@ from loopmix.packet import (
     HopFlags,
     HopSpec,
     Relay,
-    create_packet,
+    build_packet,
     process_packet,
 )
 from loopmix.runtime import build_runtime, resolve_addr
@@ -86,12 +85,12 @@ def test_c01_packet_round_trip_property_suite():
             for hop in range(nu - 1)
         ]
         specs.append(HopSpec("", 0.0, HopFlags.FINAL))
-        packet = create_packet(
+        packet = build_packet(
             [(keys[i][1], spec) for i, spec in zip(picks, specs)],
             recipient,
             message,
             rng,
-        )
+        )[0]
         for hop, i in enumerate(picks):
             result = process_packet(keys[i][0], packet)
             if hop < nu - 1:
@@ -118,7 +117,9 @@ def test_c02_match_probability_oracle_grid():
                 # the closed forms, written out so this check stands alone
                 assert probs.p_initial == pytest.approx(k / (n * (l + k)), abs=1e-15)
                 assert probs.p_late == pytest.approx(1 / (l + k), abs=1e-15)
-                est_initial, est_late = pool_race_estimate(n, k, l, 1.0, 100_000, gen)
+                est_initial, est_late = pool_race_estimate_with_loops(
+                    n, k, l, 1.0, 0.0, 100_000, gen
+                )[:2]
                 assert est_initial == pytest.approx(probs.p_initial, abs=0.01)
                 assert est_late == pytest.approx(probs.p_late, abs=0.01)
                 cells += 1
@@ -363,7 +364,7 @@ async def _run_live_smoke() -> str:
                 (pub["mix-2-0"], HopSpec(addr["prov-0"], build_rng.expovariate(50.0), HopFlags.NONE)),
                 (pub["prov-0"], HopSpec("", 0.0, HopFlags.DROP)),
             ]
-            packet = create_packet(hops, "cover", b"", build_rng)
+            packet = build_packet(hops, "cover", b"", build_rng)[0]
             datagrams.append(transport.frame(transport.KIND_PACKET, packet.to_bytes()))
 
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)

@@ -7,10 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loopmix.analysis.montecarlo import (
-    pool_race_estimate,
-    pool_race_estimate_with_loops,
-)
+from loopmix.analysis.montecarlo import pool_race_estimate_with_loops
 from loopmix.analysis.pools import (
     PoolObservation,
     entropy_step,
@@ -44,7 +41,7 @@ def test_match_prob_total_probability_grid():
 
 def test_match_prob_against_race_oracle():
     rng = np.random.default_rng(2024)
-    est_init, est_late = pool_race_estimate(3, 2, 1, mu=1.0, trials=100_000, rng=rng)
+    est_init, est_late = pool_race_estimate_with_loops(3, 2, 1, 1.0, 0.0, 100_000, rng)[:2]
     exact = pool_match_prob(PoolObservation(3, 2, 1))
     assert est_init == pytest.approx(exact.p_initial, abs=0.01)
     assert est_late == pytest.approx(exact.p_late, abs=0.01)
@@ -66,9 +63,9 @@ def test_observation_validation():
 def test_race_oracle_checks_its_input_before_drawing():
     # the observation as PoolObservation checks it
     with pytest.raises(ValueError, match="^k_remaining must be at least 1 and at most 2$"):
-        pool_race_estimate(2, 3, 0, 1.0, 10, NoDraws())
+        pool_race_estimate_with_loops(2, 3, 0, 1.0, 0.0, 10, NoDraws())
     with pytest.raises(ValueError, match="^trials must be at least 1"):
-        pool_race_estimate(2, 1, 0, 1.0, 0, NoDraws())
+        pool_race_estimate_with_loops(2, 1, 0, 1.0, 0.0, 0, NoDraws())
     # trials * (n + k + l + 1) = 10**7 + 1
     message = re.escape("trials * (n + k + l + 1): 10000001 expected events")
     with pytest.raises(ValueError, match=message):

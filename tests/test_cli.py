@@ -34,10 +34,15 @@ def runner():
     return CliRunner()
 
 
+def _not_json(constant):
+    raise AssertionError(f"{constant} is not JSON")
+
+
 def run_json(runner, args):
+    """The command's output, parsed as strict JSON: NaN and Infinity fail."""
     result = runner.invoke(main, args)
     assert result.exit_code == 0, result.output
-    return json.loads(result.output)
+    return json.loads(result.output, parse_constant=_not_json)
 
 
 def test_analyze_pool(runner):
@@ -459,6 +464,45 @@ def assert_one_error_line(result, message):
 )
 def test_failures_print_one_error_line(runner, args, message):
     assert_one_error_line(runner.invoke(main, args), message)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["analyze", "delay-attack", "--k-links", "2", "--link-rate", "1e308", "--delta", "1e300",
+          "--time", "1"], "probability is nan"),
+        (["analyze", "link-rate", "--users", "1", "--n-mixes", "1", "--n-providers", "1",
+          "--k-links", "1", "--ell", "1", "--lambda-p", "1e308", "--lambda-l", "1e308",
+          "--lambda-d", "0", "--lambda-m", "0"], "rate is inf"),
+        (["analyze", "steady-pool", "--lambda", "1e308", "--mu", "1e-10"], "size is inf"),
+        (["analyze", "blocking", "--s", "1e308", "--mu", "1e308", "--lambda-m", "1e308",
+          "--lambda-r", "1"], "probability is nan"),
+        (["sim", "latency", "--mu", "1e-308", "--n", "3", "--hops", "2"], "mean_s is inf"),
+        (["analyze", "pool-loops", "--n", "1", "--k", "1", "--l", "0", "--mu", "1e308",
+          "--lambda-m", "1e308"], "(k + l) * mu + lambda_M must be positive and finite"),
+    ],
+    ids=["delay-attack", "link-rate", "steady-pool", "blocking", "sim-latency", "pool-loops"],
+)
+def test_overflowing_input_prints_one_error_line(runner, args, message):
+    # each printed NaN or Infinity, which is not JSON, and latency also numpy
+    # warnings; pool-loops printed four probabilities of 0.0
+    assert_one_error_line(runner.invoke(main, args), message)
+
+
+@pytest.mark.parametrize(
+    "args, key",
+    [
+        (["analyze", "pool", "--n", "3", "--k", "2", "--l", "0", "--trials", "50"], "mc_p_late"),
+        (["analyze", "pool-loops", "--n", "3", "--k", "2", "--l", "0", "--mu", "1",
+          "--lambda-m", "1", "--trials", "50"], "mc_p_late"),
+        (["sim", "latency", "--mu", "1", "--n", "1"], "std_s"),
+    ],
+    ids=["pool-no-late", "pool-loops-no-late", "latency-one-sample"],
+)
+def test_a_figure_with_no_value_prints_null(runner, args, key):
+    # each printed NaN; with no late arrival there is no race for one to win,
+    # and one sample has no spread
+    assert run_json(runner, args)[key] is None
 
 
 # A daemon that got past its checks would serve forever; the bad --listen

@@ -14,7 +14,6 @@ from loopmix.client import (
     Client,
     ClientConfig,
     Rates,
-    aggregate_output_rate,
     open_envelope,
     seal_envelope,
 )
@@ -270,12 +269,6 @@ def test_disabled_streams_raise():
     with pytest.raises(ValueError):
         client.drop_tick(topology, rng, 0.0)
     assert client.loops_sent == 0
-
-
-def test_aggregate_rate_is_sum_of_streams():
-    per_min = Rates(3 / 60, 1 / 60, 1 / 60, 0.0, 1.0)
-    assert aggregate_output_rate(per_min) * 60 == pytest.approx(5.0)
-    assert aggregate_output_rate(Rates(0, 0, 0, 0, 1.0)) == 0.0
 
 
 def test_rates_validation():

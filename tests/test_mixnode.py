@@ -19,7 +19,7 @@ from loopmix.mixnode import (
     MixPool,
     loop_health,
 )
-from loopmix.packet import HopFlags, HopSpec, Relay, create_packet
+from loopmix.packet import HopFlags, HopSpec, Relay, build_packet
 from loopmix.simulator.queues import run_pool_experiment
 from loopmix.topology import InvariantViolation, sample_forward_path
 
@@ -48,7 +48,7 @@ def relay_packet(pub, delay, rng, next_addr="10.0.0.9:9000"):
         (pub, HopSpec(next_addr=next_addr, delay_s=delay, flags=HopFlags.NONE)),
         (pub2, HopSpec(next_addr="10.0.0.8:9000", delay_s=0.1, flags=HopFlags.FINAL)),
     ]
-    return create_packet(path, "rcpt", b"x", rng)
+    return build_packet(path, "rcpt", b"x", rng)[0]
 
 
 def test_on_receive_schedules_at_now_plus_delay():
@@ -151,7 +151,7 @@ def test_overflow_drops_above_watermark(monkeypatch):
 def test_deliver_at_plain_mix_is_junk():
     node, pub, rng = make_mix()
     path = [(pub, HopSpec("10.0.0.8:1", 0.2, HopFlags.FINAL))]
-    packet = create_packet(path, "not-this-mix", b"hi", rng)
+    packet = build_packet(path, "not-this-mix", b"hi", rng)[0]
     assert node.on_receive(packet, now=0.0) is None
     assert node.dropped_mac == 1
     assert len(node.pool) == 0
@@ -235,7 +235,7 @@ def test_forged_loop_to_a_mix_is_junk():
     node.loops.emit(rng, at=0.0)
     forged = b"MIXLOOP1" + rng.randbytes(16) + struct.pack(">d", 0.0)
     path = [(pub, HopSpec("10.0.0.8:1", 0.2, HopFlags.FINAL))]
-    assert node.on_receive(create_packet(path, "m0", forged, rng), now=1.0) is None
+    assert node.on_receive(build_packet(path, "m0", forged, rng)[0], now=1.0) is None
     assert node.dropped_mac == 1
     assert node.loops_returned == 0
     assert len(node.loops.outstanding) == 1

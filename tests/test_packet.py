@@ -33,7 +33,6 @@ from loopmix.packet import (
     _encode_block,
     _shared_secret_chain,
     build_packet,
-    create_packet,
     process_packet,
     resolve_addr,
 )
@@ -85,7 +84,7 @@ def test_constants_lock_the_wire_format():
 def test_round_trip_reproduces_hops_and_message(nu, message, seed):
     rng = random.Random(seed)
     secrets, path = make_path(rng, nu)
-    packet = create_packet(path, "rcpt", message, rng)
+    packet = build_packet(path, "rcpt", message, rng)[0]
     assert len(packet.to_bytes()) == PACKET_LEN
     seen, terminal = walk(secrets, packet)
     assert [h.next_addr for h in seen] == [h.next_addr for _, h in path[:-1]]
@@ -100,7 +99,7 @@ def test_round_trip_reproduces_hops_and_message(nu, message, seed):
 def test_all_relayed_packets_have_identical_length():
     rng = random.Random(3)
     secrets, path = make_path(rng, MAX_HOPS)
-    packet = create_packet(path, "rcpt", b"x", rng)
+    packet = build_packet(path, "rcpt", b"x", rng)[0]
     current = packet
     for sk in secrets[:-1]:
         result = process_packet(sk, current)
@@ -112,7 +111,7 @@ def test_all_relayed_packets_have_identical_length():
 def test_drop_flag_terminates_without_payload():
     rng = random.Random(4)
     secrets, path = make_path(rng, 3, final_flags=HopFlags.DROP)
-    packet = create_packet(path, "whoever", b"cover", rng)
+    packet = build_packet(path, "whoever", b"cover", rng)[0]
     _, terminal = walk(secrets, packet)
     assert isinstance(terminal, Drop)
 
@@ -120,7 +119,7 @@ def test_drop_flag_terminates_without_payload():
 def test_header_tamper_fails_mac():
     rng = random.Random(5)
     secrets, path = make_path(rng, 3)
-    packet = create_packet(path, "rcpt", b"m", rng)
+    packet = build_packet(path, "rcpt", b"m", rng)[0]
     beta = bytearray(packet.header.beta)
     beta[10] ^= 0x01
     tampered = SphinxPacket(
@@ -134,7 +133,7 @@ def test_header_tamper_fails_mac():
 def test_payload_tamper_fails_at_delivery():
     rng = random.Random(6)
     secrets, path = make_path(rng, 2)
-    packet = create_packet(path, "rcpt", b"m", rng)
+    packet = build_packet(path, "rcpt", b"m", rng)[0]
     payload = bytearray(packet.payload)
     payload[100] ^= 0x01
     tampered = SphinxPacket(packet.header, bytes(payload))
@@ -147,7 +146,7 @@ def test_payload_tamper_fails_at_delivery():
 def test_wrong_key_fails_mac():
     rng = random.Random(7)
     secrets, path = make_path(rng, 2)
-    packet = create_packet(path, "rcpt", b"m", rng)
+    packet = build_packet(path, "rcpt", b"m", rng)[0]
     wrong, _ = crypto.generate_keypair(rng)
     with pytest.raises(MacMismatch):
         process_packet(wrong, packet)
@@ -156,7 +155,7 @@ def test_wrong_key_fails_mac():
 def test_malformed_sizes_rejected():
     rng = random.Random(8)
     secrets, path = make_path(rng, 1)
-    packet = create_packet(path, "rcpt", b"m", rng)
+    packet = build_packet(path, "rcpt", b"m", rng)[0]
     with pytest.raises(MalformedPacket):
         SphinxPacket.from_bytes(packet.to_bytes()[:-1])
     short = SphinxPacket(packet.header, packet.payload[:-1])
@@ -167,8 +166,8 @@ def test_malformed_sizes_rejected():
 def test_replay_tags_differ_per_hop_and_packet():
     rng = random.Random(9)
     secrets, path = make_path(rng, 3)
-    p1 = create_packet(path, "rcpt", b"m", rng)
-    p2 = create_packet(path, "rcpt", b"m", rng)
+    p1 = build_packet(path, "rcpt", b"m", rng)[0]
+    p2 = build_packet(path, "rcpt", b"m", rng)[0]
     tags = set()
     for packet in (p1, p2):
         current = packet
@@ -185,7 +184,7 @@ def test_replay_tags_differ_per_hop_and_packet():
 def test_same_packet_same_tag():
     rng = random.Random(10)
     secrets, path = make_path(rng, 1)
-    packet = create_packet(path, "rcpt", b"m", rng)
+    packet = build_packet(path, "rcpt", b"m", rng)[0]
     r1 = process_packet(secrets[0], packet)
     r2 = process_packet(secrets[0], packet)
     assert r1.replay_tag == r2.replay_tag
@@ -406,7 +405,7 @@ def test_relayed_bytes_look_uniform():
     # A GPA comparing input and output of a hop should see unrelated bytes.
     rng = random.Random(12)
     secrets, path = make_path(rng, 3)
-    packet = create_packet(path, "rcpt", bytes(MESSAGE_CAPACITY), rng)
+    packet = build_packet(path, "rcpt", bytes(MESSAGE_CAPACITY), rng)[0]
     result = process_packet(secrets[0], packet)
     a = packet.to_bytes()
     b = result.packet.to_bytes()
@@ -421,13 +420,13 @@ def test_path_and_message_limits():
     rng = random.Random(13)
     secrets, path = make_path(rng, MAX_HOPS)
     with pytest.raises(MessageTooLarge):
-        create_packet(path, "rcpt", bytes(MESSAGE_CAPACITY + 1), rng)
+        build_packet(path, "rcpt", bytes(MESSAGE_CAPACITY + 1), rng)[0]
     sk, pub = crypto.generate_keypair(rng)
     too_long = path + [(pub, HopSpec("10.0.0.9:1", 0.1, HopFlags.FINAL))]
     with pytest.raises(PathTooLong):
-        create_packet(too_long, "rcpt", b"", rng)
+        build_packet(too_long, "rcpt", b"", rng)[0]
     with pytest.raises(PathTooLong):
-        create_packet([], "rcpt", b"", rng)
+        build_packet([], "rcpt", b"", rng)[0]
 
 
 def test_committed_vectors_replay(packet_vectors):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from loopmix import crypto, provider as provider_module
 from loopmix.mixnode import MixConfig
-from loopmix.packet import Deliver, Drop, HopFlags, HopSpec, Relay, create_packet
+from loopmix.packet import Deliver, Drop, HopFlags, HopSpec, Relay, build_packet
 from loopmix.provider import (
     DUMMY,
     REAL,
@@ -207,12 +207,12 @@ def test_terminal_packets_land_in_inboxes(network):
 
     mail = [(prov_desc.pubkey, HopSpec("c:1", 0.1, HopFlags.FINAL))]
     body = rng.randbytes(PULL_ITEM_LEN)
-    assert isinstance(provider.on_receive(create_packet(mail, "alice", body, rng), 0.0), Deliver)
+    assert isinstance(provider.on_receive(build_packet(mail, "alice", body, rng)[0], 0.0), Deliver)
     assert list(provider.inboxes["alice"]) == [body]
 
     cover = [(prov_desc.pubkey, HopSpec("c:1", 0.1, HopFlags.DROP))]
     junk = rng.randbytes(PULL_ITEM_LEN)
-    assert isinstance(provider.on_receive(create_packet(cover, "alice", junk, rng), 1.0), Drop)
+    assert isinstance(provider.on_receive(build_packet(cover, "alice", junk, rng)[0], 1.0), Drop)
     assert list(provider.inboxes["alice"]) == [body]
     assert provider.counters["dropped_cover"] == 1
 
@@ -225,7 +225,7 @@ def test_terminal_results_go_through_the_module_function(monkeypatch):
     monkeypatch.setattr(provider_module, "on_packet_result", lambda p, r: seen.append((p, r)))
     rng = random.Random(5)
     cover = [(PUBKEY, HopSpec("c:1", 0.1, HopFlags.DROP))]
-    result = provider.on_receive(create_packet(cover, "alice", b"", rng), 0.0)
+    result = provider.on_receive(build_packet(cover, "alice", b"", rng)[0], 0.0)
     assert isinstance(result, Drop)
     assert seen == [(provider, result)]
     assert provider.counters["dropped_cover"] == 0

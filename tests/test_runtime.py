@@ -99,7 +99,7 @@ async def relay_after_hostile_hops():
         for name in ("port-70000", "non-utf8", "nul")
     ]
     honest = [(pub, HopSpec(sink_addr, 0.0)), (next_pub, HopSpec("", 0.0, HopFlags.FINAL))]
-    packets.append(packet.create_packet(honest, "sink", b"honest", rng))
+    packets.append(packet.build_packet(honest, "sink", b"honest", rng)[0])
     for p in packets:
         sink_transport.sendto(transport.frame(transport.KIND_PACKET, p.to_bytes()), node_addr)
         await asyncio.sleep(0.01)

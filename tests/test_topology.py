@@ -1,14 +1,16 @@
-"""Directory loading, topology invariants, and path sampling."""
+"""Directory loading, topology invariants, the ring walk, and the onion builder."""
 
+import hashlib
 import json
 import random
 import re
+import struct
 from collections import Counter
 
 import pytest
 
-from loopmix import crypto
-from loopmix.packet import HopFlags
+from loopmix import crypto, packet
+from loopmix.packet import Deliver, Drop, HopFlags, HopSpec, Relay, process_packet
 from loopmix.topology import (
     ClientDescriptor,
     InvariantViolation,
@@ -16,11 +18,14 @@ from loopmix.topology import (
     ParseError,
     ProviderDescriptor,
     Topology,
+    build_onion,
     load_directory,
     loads_directory,
-    path_to_packet_hops,
     sample_forward_path,
+    walk_ring,
 )
+
+from conftest import build_network
 
 
 def test_example_directory_loads(data_dir):
@@ -209,22 +214,76 @@ def test_layer_choice_is_uniform(data_dir):
         assert abs(c - n / 2) < 5 * (n * 0.25) ** 0.5, (node_id, c)
 
 
-def test_path_to_packet_hops_wires_addresses():
-    rng = random.Random(3)
-    descs = []
-    for i in range(3):
-        _, pub = crypto.generate_keypair(rng)
-        descs.append(MixDescriptor(f"m{i}", f"127.0.0.1:{7000 + i}", pub, i))
-    hops = path_to_packet_hops(descs, [0.1, 0.2, 0.3], "127.0.0.1:7009", HopFlags.FINAL)
-    assert [h.next_addr for _, h in hops] == [
-        "127.0.0.1:7001",
-        "127.0.0.1:7002",
-        "127.0.0.1:7009",
-    ]
-    assert hops[-1][1].flags == HopFlags.FINAL
-    assert all(h.flags == HopFlags.NONE for _, h in hops[:-1])
-    with pytest.raises(ValueError):
-        path_to_packet_hops(descs, [0.1], "x", HopFlags.FINAL)
+def test_ring_walk_visits_each_other_stop_in_ring_order(data_dir):
+    topo = load_directory(data_dir / "directory_example.json")
+    ring = (*topo.layers, topo.providers)  # the providers sit after the last layer
+    rng = random.Random(4)
+    for start in range(len(ring)):
+        route = walk_ring(topo, start, rng)
+        stops = [(start + j) % len(ring) for j in range(1, len(ring))]
+        assert len(route) == len(stops) == topo.n_layers
+        assert all(node in ring[stop] for node, stop in zip(route, stops))
+
+
+@pytest.mark.parametrize(
+    "final_addr, flags, terminal",
+    [("127.0.0.1:7009", HopFlags.FINAL, Deliver), ("", HopFlags.DROP, Drop)],
+    ids=["loop", "drop"],
+)
+def test_onion_peels_hop_by_hop(monkeypatch, final_addr, flags, terminal):
+    topology, net = build_network(seed=42)
+    me = topology.node("mix-1-0")
+    route = [*walk_ring(topology, me.layer, random.Random(1)), me]
+    rng = random.Random(9)
+    twin = random.Random()
+    twin.setstate(rng.getstate())
+    delays = [twin.expovariate(2.0) for _ in route]  # drawn first, in route order
+    built, real = [], packet.build_packet
+
+    def spy(path, *args):  # the builder calls the module attribute
+        built.append(path)
+        return real(path, *args)
+
+    monkeypatch.setattr(packet, "build_packet", spy)
+    onion = build_onion(route, final_addr, flags, me.id, b"m", 2.0, rng)
+    assert [pub for pub, _ in built[0]] == [desc.pubkey for desc in route]
+    assert built[0][-1][1] == HopSpec(final_addr, delays[-1], flags)
+    for desc, after, delay in zip(route, route[1:], delays):
+        step = process_packet(net.runtimes[desc.id].mix.cfg.secret_key, onion)
+        assert isinstance(step, Relay)
+        assert step.next == HopSpec(after.addr, delay, HopFlags.NONE)
+        onion = step.packet
+    last = process_packet(net.runtimes[me.id].mix.cfg.secret_key, onion)
+    assert isinstance(last, terminal)
+
+
+def test_seeded_sender_bytes_are_pinned():
+    # one SHA-256 over 30 seeded rounds of every client tick, with real mail
+    # queued, then 10 loops from each mix and provider: a change that moves,
+    # adds or drops a draw on the sender path changes the digest
+    topology, net = build_network(seed=42)
+    rng, digest = random.Random(5), hashlib.sha256()
+    clients = [net.runtimes[c.id].client for c in topology.clients]
+    for client, peer in zip(clients, ("bob", "alice")):
+        for i in range(12):
+            client.enqueue_message(peer, b"mail %d" % i)
+    for _ in range(30):
+        for client in clients:
+            onion, kind, t = client.payload_tick(topology, rng, 0.0)
+            digest.update(onion.to_bytes() + kind.encode() + struct.pack(">d", t))
+            for tick in (client.loop_tick, client.drop_tick):
+                onion, t = tick(topology, rng, 0.0)
+                digest.update(onion.to_bytes() + struct.pack(">d", t))
+    for desc in topology.all_nodes():
+        node = net.runtimes[desc.id].mix
+        node.cfg.lambda_M = 1.0
+        for _ in range(10):
+            t, onion = node.generate_mix_loop(topology, rng, 1.0)
+            digest.update(onion.to_bytes() + struct.pack(">d", t))
+            digest.update(node.last_loop_first_hop.encode())
+    assert digest.hexdigest() == (
+        "292dbaf6bdb8d231108249d3e8d723d515e470a11e482730c865dd7473c2e123"
+    )
 
 
 def test_node_lookup_and_type_checks(data_dir):

@@ -44,17 +44,6 @@ def test_validate_rejects_non_increasing_times():
         validate_trace(())
 
 
-def test_validate_role_checks():
-    trace = chain(("u", 1.0, "p0"), ("p0", 2.0, "m1"), ("m1", 3.0, "p1"))
-    validate_trace(trace, users={"u"}, providers={"p0", "p1"})
-    with pytest.raises(InvalidTrace):
-        validate_trace(trace, users={"someone-else"})
-    with pytest.raises(InvalidTrace):
-        validate_trace(trace, providers={"p1"})
-    with pytest.raises(InvalidTrace):
-        validate_trace(trace, providers={"p0"})
-
-
 def test_join_holds_when_stays_overlap():
     x = chain(("u1", 5.0, "m"), ("m", 8.0, "p1"))
     y = chain(("u2", 6.0, "m"), ("m", 9.0, "p2"))
@@ -179,4 +168,6 @@ def test_exported_log_is_replayable():
     log = [*run.challenge, *run.drop_traces]
     assert len(log) == 2 + len(run.drop_traces)
     for trace in log:
-        validate_trace(trace, users=set(run.users), providers=set(run.providers))
+        validate_trace(trace)
+        assert trace[0].sender in run.users
+        assert {trace[0].recipient, trace[-1].recipient} <= set(run.providers)
