@@ -48,7 +48,7 @@ from .analysis.pools import (
     steady_pool_size,
 )
 from .analysis.traces import Trace, Transmission, anonymity_condition_holds, trace_join
-from .bounds import count
+from .bounds import bounded_events, count
 from .client import ClientConfig, Rates
 from .mixnode import MixConfig
 from .provider import ProviderConfig
@@ -56,14 +56,34 @@ from .runtime import build_runtime, configure_logging, log, resolve_addr
 from .topology import ClientDescriptor, MixDescriptor, ProviderDescriptor, load_directory
 
 
-def _emit(obj) -> None:
-    """Print obj as one line of strict JSON. A number that is not finite has
-    no JSON form, so it is refused by its key: it comes from input whose
-    figures overflow a float."""
+def _emit(obj, out=None, header="", rows=()) -> None:
+    """The one output of every sim and analyze command: check each figure of
+    obj, write header and the comma-joined rows to the CSV file out if one is
+    given, then print obj as one line of strict JSON. A number that is not
+    finite has no JSON form, so it is refused by its key: it comes from input
+    whose figures overflow a float. So a refused run writes no file, and one
+    whose file cannot be written prints nothing on stdout."""
     for key, value in obj.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{key} is {value}, not a finite number: the input overflows")
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(header + "\n")
+            fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
     click.echo(json.dumps(obj, sort_keys=True))
+
+
+def _monte_carlo(estimator: str, trials: int, seed: int, *args):
+    """The `--trials` check: analysis.montecarlo's estimator run on args with
+    trials trials drawn from a generator seeded with seed, or None when
+    trials is 0."""
+    count("trials", trials)
+    if not trials:
+        return None
+    import numpy as np
+    from .analysis import montecarlo
+
+    return getattr(montecarlo, estimator)(*args, trials, np.random.default_rng(seed))
 
 
 def _secret_key(path: str) -> bytes:
@@ -223,11 +243,6 @@ def sim_pool(lambda_in, mu, duration, seed, out):
     from .simulator.queues import SAMPLE_EVERY, run_pool_experiment
 
     run = run_pool_experiment(lambda_in, mu, duration, seed)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write("time,size\n")
-            for i, size in enumerate(run.sampled_sizes):
-                fh.write(f"{(i + 1) * SAMPLE_EVERY},{size}\n")
     _emit(
         {
             "lambda": lambda_in,
@@ -236,7 +251,9 @@ def sim_pool(lambda_in, mu, duration, seed, out):
             "time_avg_size": run.time_avg_size,
             "expected_size": steady_pool_size(lambda_in, mu),
             "departures": len(run.departure_times),
-        }
+        },
+        out, "time,size",
+        (((i + 1) * SAMPLE_EVERY, size) for i, size in enumerate(run.sampled_sizes)),
     )
 
 
@@ -251,11 +268,6 @@ def sim_entropy(lambda_in, mu, duration, seed, out):
     from .simulator import run_entropy_experiment
 
     run = run_entropy_experiment(lambda_in, mu, duration, seed)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write("time,entropy\n")
-            for t, h in run.series:
-                fh.write(f"{t},{h}\n")
     _emit(
         {
             "lambda": lambda_in,
@@ -263,7 +275,8 @@ def sim_entropy(lambda_in, mu, duration, seed, out):
             "duration": duration,
             "steady_entropy": run.steady_mean,
             "departures": len(run.series),
-        }
+        },
+        out, "time,entropy", run.series,
     )
 
 
@@ -287,11 +300,6 @@ def sim_latency(mu, hops, n_messages, processing, seed, out):
         mean = float(samples.mean())
         # null, not NaN: one sample has no spread
         std = float(samples.std(ddof=1)) if n_messages > 1 else None
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write("latency_s\n")
-            for s in samples:
-                fh.write(f"{s}\n")
     _emit(
         {
             "mu": mu,
@@ -299,7 +307,8 @@ def sim_latency(mu, hops, n_messages, processing, seed, out):
             "n": n_messages,
             "mean_s": mean,
             "std_s": std,
-        }
+        },
+        out, "latency_s", zip(samples),
     )
 
 
@@ -339,10 +348,6 @@ def sim_epsilon(users, lambda_p, mu, layers, per_layer, reps, seed, corrupt_frac
         f"users={users};lambda={lambda_p};mu={mu};layers={layers};"
         f"per_layer={per_layer};corrupt={corrupt_fraction}"
     )
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write("param,mean_eps,std\n")
-            fh.write(f"{param},{batch.mean},{batch.std}\n")
     _emit(
         {
             "param": param,
@@ -352,7 +357,8 @@ def sim_epsilon(users, lambda_p, mu, layers, per_layer, reps, seed, corrupt_frac
             "reps": reps,
             "finite_reps": batch.n_finite,
             "inf_reps": batch.n_inf,
-        }
+        },
+        out, "param,mean_eps,std", [(param, batch.mean, batch.std)],
     )
 
 
@@ -371,15 +377,11 @@ def analyze() -> None:
 def analyze_pool(n, k, l_late, trials, mu, seed):
     """Match probabilities for a departure from an observed pool."""
     probs = pool_match_prob(PoolObservation(n, k, l_late))
-    result = {"p_initial": probs.p_initial, "p_late": probs.p_late}
-    if trials > 0:
-        import numpy as np
-        from .analysis.montecarlo import pool_race_estimate_with_loops
-
-        est = pool_race_estimate_with_loops(
-            n, k, l_late, mu, 0.0, trials, np.random.default_rng(seed)
-        )
-        result["mc_p_initial"], result["mc_p_late"] = est[0], est[1]
+    # null, as mc_p_late is, when no late arrival races
+    result = {"p_initial": probs.p_initial, "p_late": probs.p_late if l_late else None}
+    est = _monte_carlo("pool_race_estimate_with_loops", trials, seed, n, k, l_late, mu, 0.0)
+    if est is not None:
+        result["mc_p_initial"], result["mc_p_late"], _ = est
     _emit(result)
 
 
@@ -396,20 +398,13 @@ def analyze_pool_loops(n, k, l_late, mu, lambda_m, trials, seed):
     probs = pool_match_prob_with_loops(PoolObservation(n, k, l_late), mu, lambda_m)
     result = {
         "p_initial": probs.p_initial,
-        "p_late": probs.p_late,
+        "p_late": probs.p_late if l_late else None,
         "p_loop": probs.p_loop,
         "p_noloop": probs.p_noloop,
     }
-    if trials > 0:
-        import numpy as np
-        from .analysis.montecarlo import pool_race_estimate_with_loops
-
-        est = pool_race_estimate_with_loops(
-            n, k, l_late, mu, lambda_m, trials, np.random.default_rng(seed)
-        )
-        result["mc_p_initial"] = est[0]
-        result["mc_p_late"] = est[1]
-        result["mc_p_loop"] = est[2]
+    est = _monte_carlo("pool_race_estimate_with_loops", trials, seed, n, k, l_late, mu, lambda_m)
+    if est is not None:
+        result["mc_p_initial"], result["mc_p_late"], result["mc_p_loop"] = est
     _emit(result)
 
 
@@ -444,13 +439,9 @@ def analyze_blocking(s, mu, lambda_m, lambda_r, trials, seed):
     """Chance a blocking adversary isolates the target message."""
     prob = blocking_attack_prob(s, mu, lambda_m, lambda_r)
     result = {"probability": prob}
-    if trials > 0:
-        import numpy as np
-        from .analysis.montecarlo import blocking_estimate
-
-        result["mc_probability"] = blocking_estimate(
-            s, mu, lambda_m, lambda_r, trials, np.random.default_rng(seed)
-        )
+    est = _monte_carlo("blocking_estimate", trials, seed, s, mu, lambda_m, lambda_r)
+    if est is not None:
+        result["mc_probability"] = est
     _emit(result)
 
 
@@ -509,12 +500,18 @@ def _trace_from_json(raw) -> Trace:
     )
 
 
-def _load_traces(path: str):
+def _read_traces(path: str, read):
+    """read(doc) for the JSON document in path. A file that cannot be loaded,
+    or a document without what read takes, is a ValueError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except (OSError, ValueError) as exc:
         raise ValueError(f"cannot load traces from {path}: {exc}") from exc
+    try:
+        return read(doc)
+    except (KeyError, IndexError, TypeError) as exc:
+        raise ValueError(f"bad traces file: {exc}") from exc
 
 
 @analyze.command("trace-join")
@@ -526,11 +523,7 @@ def _load_traces(path: str):
 @click.option("--i", "hop", type=int, required=True, help="1-based hop at which to join.")
 def analyze_trace_join(traces_file, x_idx, y_idx, hop):
     """Whether two observed traces could be one route switched at a hop."""
-    doc = _load_traces(traces_file)
-    try:
-        traces = [_trace_from_json(t) for t in doc["traces"]]
-    except (KeyError, IndexError, TypeError) as exc:
-        raise ValueError(f"bad traces file: {exc}") from exc
+    traces = _read_traces(traces_file, lambda doc: [_trace_from_json(t) for t in doc["traces"]])
     for option, idx in (("--x", x_idx), ("--y", y_idx)):
         if idx >= len(traces):
             raise ValueError(f"{option} {idx} is past the last trace: {traces_file} holds "
@@ -561,16 +554,11 @@ def analyze_anon_condition(traces_file, simulate, seed, users, hops, duration, l
         )
         challenge, drops, compromised = run.challenge, run.drop_traces, frozenset()
     elif traces_file:
-        doc = _load_traces(traces_file)
-        try:
-            challenge = (
-                _trace_from_json(doc["challenge"][0]),
-                _trace_from_json(doc["challenge"][1]),
-            )
-            drops = [_trace_from_json(t) for t in doc.get("drops", [])]
-            compromised = frozenset(doc.get("compromised", []))
-        except (KeyError, IndexError, TypeError) as exc:
-            raise ValueError(f"bad traces file: {exc}") from exc
+        challenge, drops, compromised = _read_traces(traces_file, lambda doc: (
+            (_trace_from_json(doc["challenge"][0]), _trace_from_json(doc["challenge"][1])),
+            [_trace_from_json(t) for t in doc.get("drops", [])],
+            frozenset(doc.get("compromised", [])),
+        ))
     else:
         raise click.UsageError("need --traces-file or --simulate")
     holds = anonymity_condition_holds(challenge, drops, compromised)
@@ -580,6 +568,8 @@ def analyze_anon_condition(traces_file, simulate, seed, users, hops, duration, l
 def generate_vectors(seed: int, cases: int) -> dict:
     """Deterministic packet vectors: keys, path, per-hop state, final payload."""
     count("cases", cases)
+    # case i builds and peels i % MAX_HOPS + 1 hops
+    bounded_events("hops built and peeled", cases * (pkt.MAX_HOPS + 1) / 2)
     rng = random.Random(seed)
     out = []
     for case_idx in range(cases):

@@ -91,8 +91,10 @@ class ProviderConfig:
     client_tokens: Dict[str, bytes] = field(default_factory=dict)
 
     def __post_init__(self):
-        count("pull_max_items", self.pull_max_items, lo=1)
         count("inbox_capacity", self.inbox_capacity, lo=1)
+        # each pull builds pull_max_items items, so it is bounded by the
+        # most one inbox can hold
+        count("pull_max_items", self.pull_max_items, lo=1, hi=self.inbox_capacity)
 
 
 class Provider:

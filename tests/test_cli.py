@@ -2,6 +2,7 @@
 
 import asyncio
 import dataclasses
+import hashlib
 import importlib
 import json
 import math
@@ -490,18 +491,47 @@ def test_overflowing_input_prints_one_error_line(runner, args, message):
 
 
 @pytest.mark.parametrize(
+    "args, message",
+    [
+        (["sim", "pool", "--lambda", "1e300", "--mu", "1e-10", "--duration", "1e-297"],
+         "expected_size is inf"),
+        (["sim", "latency", "--mu", "1e-308", "--n", "3", "--hops", "2"], "mean_s is inf"),
+    ],
+    ids=["sim-pool", "sim-latency"],
+)
+def test_refused_run_writes_no_out_file(runner, tmp_path, args, message):
+    # the CSV was written before the figures were checked, and latency's
+    # held an inf sample
+    out = tmp_path / "out.csv"
+    assert_one_error_line(runner.invoke(main, [*args, "--out", str(out)]), message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze pool", "analyze pool-loops", "analyze blocking"])
+def test_negative_trials_prints_one_error_line(runner, command):
+    # a negative count ran no check and exited 0
+    args = [*command.split(), *INT_OPTIONS[command][0], "--trials", "-5"]
+    assert_one_error_line(runner.invoke(main, args), "trials must be at least 0")
+
+
+@pytest.mark.parametrize(
     "args, key",
     [
         (["analyze", "pool", "--n", "3", "--k", "2", "--l", "0", "--trials", "50"], "mc_p_late"),
         (["analyze", "pool-loops", "--n", "3", "--k", "2", "--l", "0", "--mu", "1",
           "--lambda-m", "1", "--trials", "50"], "mc_p_late"),
         (["sim", "latency", "--mu", "1", "--n", "1"], "std_s"),
+        (["analyze", "pool", "--n", "3", "--k", "2", "--l", "0"], "p_late"),
+        (["analyze", "pool-loops", "--n", "3", "--k", "2", "--l", "0", "--mu", "1",
+          "--lambda-m", "1"], "p_late"),
     ],
-    ids=["pool-no-late", "pool-loops-no-late", "latency-one-sample"],
+    ids=["pool-no-late", "pool-loops-no-late", "latency-one-sample", "pool-no-late-closed-form",
+         "pool-loops-no-late-closed-form"],
 )
 def test_a_figure_with_no_value_prints_null(runner, args, key):
-    # each printed NaN; with no late arrival there is no race for one to win,
-    # and one sample has no spread
+    # the Monte-Carlo figures and latency printed NaN, and the closed forms
+    # the chance of a late entry that did not exist; with no late arrival
+    # there is no race for one to win, and one sample has no spread
     assert run_json(runner, args)[key] is None
 
 
@@ -516,6 +546,9 @@ def test_a_figure_with_no_value_prints_null(runner, args, key):
         ("client", "client-0", [], "bad address 'nonsense'"),
         ("provider", "prov-0", ["--pull-max", "0"], "pull_max_items must be at least 1"),
         ("provider", "prov-0", ["--inbox-capacity", "-5"], "inbox_capacity must be at least 1"),
+        # each pull built that many items
+        ("provider", "prov-0", ["--pull-max", "10001"],
+         "pull_max_items must be at least 1 and at most 10000"),
         ("client", "client-0", ["--send", "client-1:hi", "--send", "nobody:hi"],
          "cannot enqueue 'nobody:hi': nobody: unknown id 'nobody'"),
         # the last of a repeated option wins
@@ -536,9 +569,9 @@ def test_a_figure_with_no_value_prints_null(runner, args, key):
          "pull_interval_s must be positive and finite"),
     ],
     ids=["mix-listen", "mix-listen-port-range", "provider-listen", "client-listen",
-         "pull-max-zero", "inbox-negative", "send-unknown-recipient", "no-directory",
-         "key-not-hex", "key-mismatch", "wrong-role", "mix-lambda-m-inf", "mix-mu-nan",
-         "provider-mu-nan", "client-pull-interval-inf"],
+         "pull-max-zero", "inbox-negative", "pull-max-above-capacity", "send-unknown-recipient",
+         "no-directory", "key-not-hex", "key-mismatch", "wrong-role", "mix-lambda-m-inf",
+         "mix-mu-nan", "provider-mu-nan", "client-pull-interval-inf"],
 )
 def test_daemon_start_failures_print_one_error_line(
     runner, tmp_path, command, node_id, extra, message
@@ -654,6 +687,61 @@ def args_of_a_row(tmp_path, table, command):
     return [*command.split(), *valid]
 
 
+# The SHA-256 of the stdout, then the --out file, of one fixed-seed valid run
+# of every sim and analyze command: the float option rows' runs, and
+# trace-join on two_traces_file. The output path may change; the bytes of a
+# valid run may not.
+OUTPUT_SHA256 = {
+    "sim pool":
+        "b13503955271a8a79ac22cc7d42428325bbd01813a75e1f7f9ded0cf101e3841",
+    "sim entropy":
+        "f4bbd1fa4fd18045172d5acc30decdc68cfba1b64d5dfb6a1aa169fb1de034e6",
+    "sim latency":
+        "500615f72f117254d90bcfb8435c4d6574990d915067eeb4cb042c6bccea9b13",
+    "sim epsilon":
+        "94aec3f931e538d6e3a4f6f3c3c595c537570e68b8d1b36208d68ed60c8709f5",
+    "analyze pool":
+        "4c39f877b54056563f4bb666e9e7f811c9056bf9e0f7288637a72555b601d2c3",
+    "analyze pool-loops":
+        "b76cc92d026684bd12c1b18e869f02bc9546829bf2138d283e0bd9daeac064e5",
+    "analyze entropy-step":
+        "efcdebb1d92fdccb9bdab045798d5cb20965e4360c5ed63a795a527a336588d6",
+    "analyze epsilon":
+        "a8252464f1be0e289102f92dbb0aff2c276784f4cdc8df41948bcf4fec89231d",
+    "analyze blocking":
+        "d62dc6ee44af1d055c445930baa78049b565fbf20f74a401a718edf062bcce6f",
+    "analyze delay-attack":
+        "4f02480acc6164469c35d11b11b58e121a8c240586812e66e29ee7ba05eb3c3e",
+    "analyze link-rate":
+        "37e3fb6b729a2583bb6d69d26af5fb3e9fe46b128581c7053438567fb9c8b47a",
+    "analyze steady-pool":
+        "791e0571698ff17d2f23b42a11d9b64d0f64cd93fc8ef6e36741107ed48ddef8",
+    "analyze trace-join":
+        "e9648fd3455f398d840ddf2770f5eee36e65ebf260a7c07447206cee4c8f975e",
+    "analyze anon-condition":
+        "c841c83954f15013381a08282c9523020dab86636b9d6f8433af3e62f46112f6",
+}
+STUDY_COMMANDS = [
+    (group, name) for group in ("sim", "analyze") for name in main.commands[group].commands
+]
+
+
+@pytest.mark.parametrize("group, name", STUDY_COMMANDS)
+def test_study_command_output_bytes_are_pinned(runner, tmp_path, group, name):
+    command = f"{group} {name}"
+    if name == "trace-join":
+        args = trace_join_args(two_traces_file(tmp_path), "0", "1")
+    else:
+        args = [group, name, *FLOAT_OPTIONS[command][0]]
+    out = tmp_path / "out.csv"
+    if any(p.name == "out" for p in main.commands[group].commands[name].params):
+        args += ["--out", str(out)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    written = out.read_bytes() if out.exists() else b""
+    assert hashlib.sha256(result.stdout_bytes + written).hexdigest() == OUTPUT_SHA256[command]
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("command, option", FLOAT_ROWS)
 def test_nan_or_inf_in_a_float_option_prints_one_error_line(
@@ -728,14 +816,17 @@ finally:
          "--trials", "3333334"],
         # 746 drop traces at 3 hops, each (trace, hop) tried against each
         ["analyze", "anon-condition", "--simulate", "--lambda-d", "3.73"],
+        # 3 hops built and peeled per case
+        ["vectors", "--cases", "3333334"],
     ],
     ids=["pool", "entropy", "epsilon-run-time", "epsilon-reps", "epsilon-fill",
          "epsilon-mixes", "latency", "analyze-pool", "analyze-pool-loops", "analyze-blocking",
-         "anon-condition"],
+         "anon-condition", "vectors"],
 )
 def test_study_run_past_the_event_cap_prints_one_error_line(args):
     # unchecked, sim pool kept every departure time, sim epsilon ran past the
-    # timeout or out of memory, and the rest ran all their events
+    # timeout or out of memory, vectors ran for hours, and the rest ran all
+    # their events
     proc = subprocess.run(
         [sys.executable, "-c", _TIMED_RUN, *args], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}, timeout=10,

@@ -82,7 +82,7 @@ def test_relay_result_is_a_programming_error():
 
 
 def test_capacity_evicts_oldest():
-    provider = make_provider(inbox_capacity=3)
+    provider = make_provider(pull_max_items=3, inbox_capacity=3)
     for i in range(4):
         on_packet_result(provider, deliver("bob", bytes([i])))
     assert provider.counters["evicted"] == 1
@@ -154,7 +154,7 @@ def test_provider_config_rejects_empty_pulls_and_inboxes(field, value):
     mix = MixConfig(bytes(32), "prov-0", "127.0.0.1:9200", 0)
     with pytest.raises(ValueError, match=field):
         ProviderConfig(mix, **{field: value})
-    assert ProviderConfig(mix, **{field: 1})
+    assert ProviderConfig(mix, **{"pull_max_items": 1, field: 1})
 
 
 def test_pull_item_validation():
