@@ -56,7 +56,9 @@ def main(argv=None) -> int:
             if point not in done:
                 done[point] = run_point(args, *point)
             param, batch = done[point]
-            fh.write(f"{param},{batch.mean},{batch.std}\n")
+            # empty fields, as `loopmix sim epsilon` writes, when no rep was finite
+            mean, std = (batch.mean, batch.std) if batch.n_finite else ("", "")
+            fh.write(f"{param},{mean},{std}\n")
             print(param, "->", round(batch.mean, 4), "+/-", round(batch.std, 4))
     print(f"wrote {args.out}")
     return 0

@@ -62,14 +62,17 @@ def _emit(obj, out=None, header="", rows=()) -> None:
     given, then print obj as one line of strict JSON. A number that is not
     finite has no JSON form, so it is refused by its key: it comes from input
     whose figures overflow a float. So a refused run writes no file, and one
-    whose file cannot be written prints nothing on stdout."""
+    whose file cannot be written prints nothing on stdout. A None, printed
+    as null, is an empty CSV field."""
     for key, value in obj.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{key} is {value}, not a finite number: the input overflows")
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(header + "\n")
-            fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
+            fh.writelines(
+                ",".join("" if v is None else str(v) for v in row) + "\n" for row in rows
+            )
     click.echo(json.dumps(obj, sort_keys=True))
 
 
@@ -348,17 +351,18 @@ def sim_epsilon(users, lambda_p, mu, layers, per_layer, reps, seed, corrupt_frac
         f"users={users};lambda={lambda_p};mu={mu};layers={layers};"
         f"per_layer={per_layer};corrupt={corrupt_fraction}"
     )
+    # null in the JSON and an empty CSV field, not NaN, when no repetition was finite
+    mean, std = (batch.mean, batch.std) if batch.n_finite else (None, None)
     _emit(
         {
             "param": param,
-            # null, not NaN, when no repetition was finite
-            "mean_eps": batch.mean if batch.n_finite else None,
-            "std_eps": batch.std if batch.n_finite else None,
+            "mean_eps": mean,
+            "std_eps": std,
             "reps": reps,
             "finite_reps": batch.n_finite,
             "inf_reps": batch.n_inf,
         },
-        out, "param,mean_eps,std", [(param, batch.mean, batch.std)],
+        out, "param,mean_eps,std", [(param, mean, std)],
     )
 
 

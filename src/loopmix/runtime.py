@@ -8,7 +8,8 @@ datagram transport (sendto() and close()), then armed. start() attaches it to
 the running asyncio loop and a bound UDP socket; netsim.Net supplies a
 virtual clock and an in-memory network instead, so the same scheduling runs
 on both. build_runtime() turns a directory entry into the right runtime, for
-the daemon commands, netsim and the tests alike.
+the daemon commands, netsim and the tests alike. Each directory entry checks
+its own fields, so no bad key or address of a Topology reaches a runtime.
 
 Each node or client holds one timer per stream in one dict, armed at that
 stream's next event. A node's "release" timer sits at its pool head and sends
@@ -24,7 +25,7 @@ import asyncio
 import logging
 import os
 
-from . import crypto, packet as pkt, transport
+from . import packet as pkt, transport
 from .client import Client, ClientConfig
 from .mixnode import MixConfig, MixNode
 from .packet import resolve_addr
@@ -153,11 +154,7 @@ class NodeRuntime(_Runtime):
         topology or while lambda_M is zero."""
         if self.topology is None or self.mix.cfg.lambda_M <= 0:
             return
-        try:
-            send_time, packet = self.mix.generate_mix_loop(self.topology, self.rng, now)
-        except crypto.GroupError as exc:  # a low-order key in the directory
-            log.warning("loop generation failed: %s", exc)
-            return
+        send_time, packet = self.mix.generate_mix_loop(self.topology, self.rng, now)
         first_addr = self.mix.last_loop_first_hop
 
         def fire():
@@ -174,7 +171,7 @@ class ClientRuntime(_Runtime):
     def __init__(self, client: Client, topology: Topology, rng):
         super().__init__(client, topology, rng)
         self.client = client
-        self.provider_addr = topology.provider_of(client.cfg.client_id).addr
+        self.provider_addr = resolve_addr(topology.provider_of(client.cfg.client_id).addr)
         # mail not yet taken by the caller, in arrival order
         self.received_messages: list[bytes] = []
 
@@ -193,7 +190,7 @@ class ClientRuntime(_Runtime):
         self._arm("pull", now + self.client.cfg.pull_interval_s, self._pull)
 
     def _send(self, kind: int, body: bytes) -> None:
-        self._transport.sendto(transport.frame(kind, body), resolve_addr(self.provider_addr))
+        self._transport.sendto(transport.frame(kind, body), self.provider_addr)
 
     def _emit(self, tick) -> None:
         """Send one packet of a stream; a tick returns (packet, ..., next_tick_time)."""

@@ -6,12 +6,14 @@ The directory is a JSON file with hex-encoded public keys. A signature field is
 reserved but not verified, and a version field is not read; key distribution
 is out of scope. Topologies are immutable after loading and safe to share.
 
-A directory is checked once, here: loads_directory reads every section
-through one entry reader and raises ParseError at a malformed entry's
-location, and Topology raises InvariantViolation when the entries do not
-form a network, including one whose client paths exceed a packet's hops.
-Both are ValueErrors. Loading does no group operation: a low-order public
-key, whose exchange is all zero, is told by its encoding.
+Each descriptor checks its own fields as it is built, loaded or built in
+code: an id or addr fits a packet's 31-byte name field, an addr is a
+host:port, a public key is not low-order (told by its encoding, with no
+group operation), and a token is 16 bytes. Topology raises
+InvariantViolation when the entries do not form a network, including one
+whose client paths exceed a packet's hops. loads_directory reads only JSON
+shape and hex, and puts a malformed entry's location in a ParseError. All
+are ValueErrors, and every Topology holds only entries a runtime can use.
 """
 
 from __future__ import annotations
@@ -35,12 +37,49 @@ class InvariantViolation(ValueError):
         self.location = location
 
 
+_P = 2**255 - 19
+# The u-coordinates whose X25519 exchange is all zero whatever the secret
+# (the blocklist libsodium checks): 0 and 1, the two points of order 8, p - 1, and
+# the non-canonical p and p + 1. The top bit is ignored, as X25519 ignores it.
+_LOW_ORDER_U = frozenset({
+    0,
+    1,
+    325606250916557431795983626356110631294008115727848805560023387167927233504,
+    39382357235489614581723060781553021112529911719440698176882885853963445705823,
+    _P - 1,
+    _P,
+    _P + 1,
+})
+
+
+def _check_entry(self, *names: str) -> None:
+    """Each named field fits the id and address fields of packets and pull
+    requests (31 UTF-8 bytes behind a length byte), and the key is not
+    low-order."""
+    for name in names:
+        if len(getattr(self, name).encode()) > ADDR_LEN - 1:
+            raise ValueError(f"{name} too long")
+    if int.from_bytes(self.pubkey.data, "little") & ~(1 << 255) in _LOW_ORDER_U:
+        raise ValueError("low-order pubkey")
+
+
+def _check_node(self) -> None:
+    """A mix's or provider's fields; its addr is a host:port (packet.resolve_addr)."""
+    _check_entry(self, "id", "addr")
+    try:
+        resolve_addr(self.addr)
+    except ValueError:
+        raise ValueError("bad addr") from None
+
+
 @dataclass(frozen=True)
 class MixDescriptor:
     id: str
     addr: str
     pubkey: GroupElement
     layer: int
+
+    __post_init__ = _check_node
 
 
 @dataclass(frozen=True)
@@ -49,6 +88,8 @@ class ProviderDescriptor:
     addr: str
     pubkey: GroupElement
 
+    __post_init__ = _check_node
+
 
 @dataclass(frozen=True)
 class ClientDescriptor:
@@ -56,6 +97,11 @@ class ClientDescriptor:
     provider_id: str
     pubkey: GroupElement
     token: bytes
+
+    def __post_init__(self):
+        _check_entry(self, "id")
+        if not isinstance(self.token, bytes) or len(self.token) != TOKEN_LEN:
+            raise ValueError(f"token must be {TOKEN_LEN} bytes")
 
 
 @dataclass(frozen=True)
@@ -125,8 +171,9 @@ class Topology:
 
 
 def _entries(raw, location: str, read) -> tuple:
-    """read(entry, location[j]) for each entry of raw, which must be a list
-    of objects; a key an entry lacks is a ParseError at that entry."""
+    """read(entry) for each entry of raw, which must be a list of objects; a
+    key an entry lacks, or a ValueError its fields raise, is a ParseError at
+    that entry."""
     if not isinstance(raw, list):
         raise ParseError(f"{location}: not a list")
     out = []
@@ -135,77 +182,28 @@ def _entries(raw, location: str, read) -> tuple:
         if not isinstance(entry, dict):
             raise ParseError(f"{loc}: not an object")
         try:
-            out.append(read(entry, loc))
+            out.append(read(entry))
         except KeyError as exc:
             raise ParseError(f"{loc}: missing key {exc}") from exc
+        except ValueError as exc:
+            raise ParseError(f"{loc}: {exc}") from exc
     return tuple(out)
 
 
-def _name(entry: dict, key: str, location: str) -> str:
-    """entry[key] as text that fits the id and address fields of packets and
-    pull requests: 31 UTF-8 bytes behind a length byte."""
-    value = str(entry[key])
-    if len(value.encode()) > ADDR_LEN - 1:
-        raise ParseError(f"{location}: {key} too long")
-    return value
-
-
-_P = 2**255 - 19
-# The u-coordinates whose X25519 exchange is all zero whatever the secret
-# (the blocklist libsodium checks): 0 and 1, the two points of order 8, p - 1, and
-# the non-canonical p and p + 1. The top bit is ignored, as X25519 ignores it.
-_LOW_ORDER_U = frozenset({
-    0,
-    1,
-    325606250916557431795983626356110631294008115727848805560023387167927233504,
-    39382357235489614581723060781553021112529911719440698176882885853963445705823,
-    _P - 1,
-    _P,
-    _P + 1,
-})
-
-
-def _pubkey(entry: dict, location: str) -> GroupElement:
+def _pubkey(entry: dict) -> GroupElement:
     try:
-        key = GroupElement.from_hex(entry["pubkey"])
-    except (GroupError, TypeError) as exc:
-        raise ParseError(f"{location}: {exc}") from exc
-    except (KeyError, ValueError) as exc:
-        raise ParseError(f"{location}: bad or missing pubkey") from exc
-    if int.from_bytes(key.data, "little") & ~(1 << 255) in _LOW_ORDER_U:
-        raise ParseError(f"{location}: low-order pubkey")
-    return key
+        return GroupElement.from_hex(entry["pubkey"])
+    except (GroupError, TypeError) as exc:  # each keeps its text
+        raise ValueError(exc) from exc
+    except (KeyError, ValueError):
+        raise ValueError("bad or missing pubkey") from None
 
 
-def _token(entry: dict, location: str) -> bytes:
+def _token(entry: dict) -> bytes:
     try:
-        token = bytes.fromhex(entry["token"])
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{location}: bad token hex") from exc
-    if len(token) != TOKEN_LEN:
-        raise ParseError(f"{location}: token must be {TOKEN_LEN} bytes")
-    return token
-
-
-def _addr(entry: dict, location: str) -> str:
-    """entry["addr"], a name that is also a host:port (packet.resolve_addr)."""
-    addr = _name(entry, "addr", location)
-    try:
-        resolve_addr(addr)
-    except ValueError:
-        raise ParseError(f"{location}: bad addr") from None
-    return addr
-
-
-def _node(e: dict, loc: str) -> tuple:
-    """The id, address and public key of a mix or provider entry."""
-    return _name(e, "id", loc), _addr(e, loc), _pubkey(e, loc)
-
-
-def _client(e: dict, loc: str) -> ClientDescriptor:
-    return ClientDescriptor(
-        _name(e, "id", loc), str(e["provider_id"]), _pubkey(e, loc), _token(e, loc)
-    )
+        return bytes.fromhex(entry["token"])
+    except (TypeError, ValueError):
+        raise ValueError("bad token hex") from None
 
 
 def loads_directory(text: str) -> Topology:
@@ -224,11 +222,14 @@ def loads_directory(text: str) -> Topology:
         raise ParseError("layers: not a list")
     return Topology(
         tuple(
-            _entries(raw, f"layers[{i}]", lambda e, loc: MixDescriptor(*_node(e, loc), i))
+            _entries(raw, f"layers[{i}]",
+                     lambda e: MixDescriptor(str(e["id"]), str(e["addr"]), _pubkey(e), i))
             for i, raw in enumerate(raw_layers)
         ),
-        _entries(raw_providers, "providers", lambda e, loc: ProviderDescriptor(*_node(e, loc))),
-        _entries(doc.get("clients", []), "clients", _client),
+        _entries(raw_providers, "providers",
+                 lambda e: ProviderDescriptor(str(e["id"]), str(e["addr"]), _pubkey(e))),
+        _entries(doc.get("clients", []), "clients", lambda e: ClientDescriptor(
+            str(e["id"]), str(e["provider_id"]), _pubkey(e), _token(e))),
     )
 
 

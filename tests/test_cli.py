@@ -309,7 +309,7 @@ def test_sim_epsilon_zero_reps_is_a_usage_error(runner):
     assert "Invalid value for '--reps': 0 is not in the range x>=1" in result.output
 
 
-def test_sim_epsilon_without_a_finite_rep_prints_strict_json(runner, monkeypatch):
+def test_sim_epsilon_without_a_finite_rep_prints_strict_json(runner, monkeypatch, tmp_path):
     from loopmix import simulator
     from loopmix.simulator.epsilon import EpsilonBatch
 
@@ -318,7 +318,8 @@ def test_sim_epsilon_without_a_finite_rep_prints_strict_json(runner, monkeypatch
         "run_epsilon_batch",
         lambda cfg, reps: EpsilonBatch(math.nan, math.nan, 0, reps, [math.inf] * reps),
     )
-    result = runner.invoke(main, EPSILON_ARGS + ["--reps", "2"])
+    csv = tmp_path / "eps.csv"
+    result = runner.invoke(main, EPSILON_ARGS + ["--reps", "2", "--out", str(csv)])
     assert result.exit_code == 0, result.output
 
     def reject(constant):
@@ -327,6 +328,10 @@ def test_sim_epsilon_without_a_finite_rep_prints_strict_json(runner, monkeypatch
     out = json.loads(result.output, parse_constant=reject)
     assert out["mean_eps"] is None and out["std_eps"] is None
     assert (out["reps"], out["finite_reps"], out["inf_reps"]) == (2, 0, 2)
+    # the CSV row leaves the figures the JSON prints as null empty, not nan
+    header, row = csv.read_text().splitlines()
+    assert header == "param,mean_eps,std"
+    assert row == out["param"] + ",,"
 
 
 @pytest.mark.parametrize(

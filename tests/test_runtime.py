@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import loopmix.simulator.epsilon  # noqa: F401  (imported before the tracer test's snapshot)
 from loopmix import crypto, packet, transport
 from loopmix.client import Client, ClientConfig, Rates
@@ -202,16 +204,13 @@ def test_benchmark_smoke_run_is_correct():
     assert json.loads(result.stdout.splitlines()[-1])["correct"] is True, result.stderr
 
 
-def test_loop_stream_stops_with_a_warning_at_a_low_order_key(caplog):
-    # loads_directory rejects low-order keys, but a Topology built directly
-    # can hold one; the loop it breaks is the one failure the loop stream
-    # handles.
-    topology, net = build_network(layers=1, per_layer=1, n_providers=1, client_specs=())
+def test_topology_refuses_the_low_order_key_a_loop_would_draw():
+    # A Topology built in code holds only usable keys, as a loaded one does,
+    # so no loop stream meets a key whose exchange is all zero.
+    topology, _ = build_network(layers=1, per_layer=1, n_providers=1, client_specs=())
     (mix,) = topology.layers[0]
-    low_order = dataclasses.replace(mix, pubkey=crypto.GroupElement(bytes(32)))
-    runtime = net.runtimes["prov-0"]
-    runtime.topology = Topology(((low_order,),), topology.providers)
-    runtime.mix.cfg.lambda_M = 1.0
-    runtime.arm()
-    assert "loop generation failed: degenerate shared secret" in caplog.text
-    assert "loop" not in runtime._timers
+    with pytest.raises(ValueError, match="^low-order pubkey$"):
+        Topology(
+            ((dataclasses.replace(mix, pubkey=crypto.GroupElement(bytes(32))),),),
+            topology.providers,
+        )

@@ -2,6 +2,7 @@
 
 import csv
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
@@ -57,3 +58,21 @@ def test_epsilon_sweep_simulates_each_distinct_point_once(tmp_path, monkeypatch)
     assert rows[1] == rows[4] == rows[5]
     first = batch(calls[0], 2)
     assert rows[1][1:] == [str(first.mean), str(first.std)]
+
+
+def test_epsilon_sweep_leaves_the_figures_of_a_point_without_a_finite_rep_empty(
+    tmp_path, monkeypatch
+):
+    from loopmix.simulator.epsilon import EpsilonBatch
+
+    sweep = load_script("epsilon_sweep")
+    monkeypatch.setattr(
+        sweep,
+        "run_epsilon_batch",
+        lambda cfg, reps: EpsilonBatch(math.nan, math.nan, 0, reps, [math.inf] * reps),
+    )
+    out = tmp_path / "sweep.csv"
+    argv = ["--mus", "1.0", "--layer-counts", "3", "--corruptions", "0.0", "--out", str(out)]
+    assert sweep.main(argv) == 0
+    rows = list(csv.reader(out.open()))
+    assert rows[1:] == [["mu=1.0;layers=3;corrupt=0.0", "", ""]] * 3

@@ -1,5 +1,6 @@
 """Directory loading, topology invariants, the ring walk, and the onion builder."""
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -25,7 +26,7 @@ from loopmix.topology import (
     walk_ring,
 )
 
-from conftest import build_network
+from conftest import build_network, make_directory
 
 
 def test_example_directory_loads(data_dir):
@@ -181,6 +182,27 @@ def test_keys_beside_the_low_order_ones_load(example_directory):
     for j, n in enumerate([2, 9, 2**255 - 21]):  # 9 is the base point; p - 2
         doc["providers"][j]["pubkey"] = n.to_bytes(32, "little").hex()
     loads_directory(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "entry_id, change, message",
+    [
+        ("alice", dict(token=bytes(17)), "token must be 16 bytes"),
+        ("mix-1-0", dict(addr="127.0.0.1"), "bad addr"),
+        ("bob", dict(id="b" * 40), "id too long"),
+        ("prov-1", dict(pubkey=crypto.GroupElement(bytes(32))), "low-order pubkey"),
+    ],
+    ids=["token-17-bytes", "addr-no-port", "id-40-bytes", "low-order-key"],
+)
+def test_descriptor_built_in_code_is_refused_at_construction(entry_id, change, message):
+    # The loader's field rules hold for every Topology, so one built in code
+    # for netsim, build_runtime or a test is refused before any runtime
+    # exists; only the loader adds a location.
+    topology, _ = make_directory(
+        random.Random(3), 2, 2, 2, [("alice", "prov-0"), ("bob", "prov-1")]
+    )
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        dataclasses.replace(topology.node(entry_id), **change)
 
 
 def test_missing_file_raises_parse_error(tmp_path):
