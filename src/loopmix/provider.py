@@ -22,6 +22,9 @@ from .transport import PULL_ITEM_LEN
 
 REAL = "REAL"
 DUMMY = "DUMMY"
+# The most items one pull may carry: each dummy costs a key build, so a pull
+# of an empty inbox costs at most this many.
+MAX_PULL_ITEMS = 64
 
 
 class UnknownClient(ValueError):
@@ -93,8 +96,9 @@ class ProviderConfig:
     def __post_init__(self):
         count("inbox_capacity", self.inbox_capacity, lo=1)
         # each pull builds pull_max_items items, so it is bounded by the
-        # most one inbox can hold
-        count("pull_max_items", self.pull_max_items, lo=1, hi=self.inbox_capacity)
+        # most one inbox can hold and by a fixed ceiling
+        count("pull_max_items", self.pull_max_items, lo=1,
+              hi=min(self.inbox_capacity, MAX_PULL_ITEMS))
 
 
 class Provider:

@@ -3,25 +3,34 @@
 Two challenge senders feed tagged payload messages into a stratified network
 while everyone else supplies untagged traffic. Inside an honest mix the tags
 blur: every departure carries the pool's average label distribution, which is
-exactly the per-message match weighting for an exponential pool, so aggregate
-masses are all the state a pool needs. Corrupt mixes forward each message's
-own distribution untouched. The observable at the end is how far apart the
-two labels remain in a last-layer pool, summarized as |ln(p_S0 / p_S1)|.
+exactly the per-message match weighting for an exponential pool, so a pool's
+average and its count are all the state it needs. Corrupt mixes forward each
+message's own distribution untouched. The observable at the end is how far
+apart the two labels remain in a last-layer pool, summarized as
+|ln(p_S0 / p_S1)|.
 
 Pools start from their stationary occupancy (Poisson counts, exponential
 residuals) instead of an empty network, so the configured burn-in only needs
 to wash out scheduling artifacts, not grow the pools.
+
+Three facts of the model let a run be solved in bulk rather than event by
+event. A message departs at its arrival time plus its own Exp(mu) draw,
+whatever else is in the pool. No message goes back a layer. And a pool's
+average label changes only at arrivals, avg <- c * avg + (1 - c) * x with
+c = N / (N + 1), while a departure carries avg away and leaves it as it is.
+So the run is cut into chunks of virtual time. Each chunk draws its
+messages with their whole routes and delays, runs the layers in order, and
+solves each honest pool's recurrence in vectorised blocks (_scan).
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-import random
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
+from numpy.random import default_rng
 
 from ..analysis.pools import epsilon_of
 from ..bounds import bounded_events, count, positive
@@ -64,6 +73,10 @@ class SimConfig:
         count("nodes_per_layer", self.nodes_per_layer, lo=1)
         if not 0.0 <= self.corrupt_fraction < 1.0:
             raise ValueError("corrupt_fraction must lie in [0, 1)")
+        n_mixes = self.layers * self.nodes_per_layer
+        if round(self.corrupt_fraction * n_mixes) == n_mixes:
+            # no draw of the corrupt set could leave a last-layer mix honest
+            raise ValueError(f"corrupt_fraction rounds to all {n_mixes} mixes")
         positive("burn_in", self.burn_in)
         positive("run_time", self.run_time)
         if self.rates.lambda_P <= 0:
@@ -98,226 +111,319 @@ class LabelFlowResult:
     delivered: Tuple[float, float, float]
 
 
-_LABELS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))  # S0, S1, unlabeled
-_UNLABELED = _LABELS[2]
-# Heap entries are (t, seq, mix, layer, path, held): a departure from mix, or
-# with layer _LOOP the mix's next loop injection. path[j] is the mix the
-# message visits at layer j, from its current layer on; a mix loop has no
-# path (None). held is the label mass a corrupt mix holds for the message;
-# it is None for a message in an honest pool, whose label is the pool's
-# average at departure.
-_LOOP = -1
-_NEVER = (math.inf, math.inf)  # stays in the heap, later than every event
+# A chunk spans the virtual time in which this many messages are expected to
+# enter the network (6.25 s at c07's 200 per second), so the memory a run
+# takes does not grow with its length.
+_CHUNK_MESSAGES = 1250
+# Arrivals per block of a recurrence solve. Every factor c = N / (N + 1) in
+# a block is 0 or at least 1/2, so a block's running product of the nonzero
+# ones stays above 2**-256, far from underflow.
+_BLOCK = 256
+_UNLABELED = np.array([0.0, 0.0, 1.0])
+
+
+class Messages(NamedTuple):
+    """Messages at one layer, one row each: the mix a message is in, its
+    arrival and departure times there, its label mass, its mix and delay at
+    every layer, and whether it goes on to the next layer. The mass of a
+    message in an honest pool is the one it arrived with; it leaves with the
+    pool's average instead."""
+
+    mix: np.ndarray  # (n,) int
+    t: np.ndarray  # (n,)
+    dep: np.ndarray  # (n,)
+    mass: np.ndarray  # (n, 3): S0, S1, unlabeled
+    route: np.ndarray  # (n, layers) int
+    delay: np.ndarray  # (n, layers)
+    on: np.ndarray  # (n,) bool
+
+
+class Chunk(NamedTuple):
+    """The draws of one chunk of virtual time, up to stop: the emissions,
+    with their senders, whether each is a payload, and their routes and
+    delays; then each mix loop injected, with its delay."""
+
+    stop: float
+    t: np.ndarray
+    sender: np.ndarray
+    payload: np.ndarray
+    route: np.ndarray
+    delay: np.ndarray
+    loop_mix: np.ndarray
+    loop_t: np.ndarray
+    loop_delay: np.ndarray
+
+
+def _cat(parts) -> Messages:
+    return Messages(*map(np.concatenate, zip(*parts)))
+
+
+def _take(msgs: Messages, index: np.ndarray) -> Messages:
+    """The rows at the integer index."""
+    return Messages(*(column.take(index, axis=0) for column in msgs))
+
+
+def _routes(rng, cfg: SimConfig, n: int):
+    """n uniform routes, as mix indices, and their Exp(mu) delays per layer."""
+    l, w = cfg.layers, cfg.nodes_per_layer
+    route = rng.integers(w, size=(n, l)) + np.arange(0, l * w, w)
+    return route, rng.exponential(1.0 / cfg.rates.mu, size=(n, l))
+
+
+def corrupt_mixes(cfg: SimConfig, rng) -> frozenset:
+    """A uniform corrupt set, redrawn until a last-layer mix is honest."""
+    n_mixes = cfg.layers * cfg.nodes_per_layer
+    n_corrupt = round(cfg.corrupt_fraction * n_mixes)
+    last_layer = range(n_mixes - cfg.nodes_per_layer, n_mixes)
+    while True:
+        corrupt = frozenset(rng.choice(n_mixes, n_corrupt, replace=False).tolist())
+        if any(m not in corrupt for m in last_layer):
+            return corrupt
+
+
+def stationary_fill(cfg: SimConfig, rng) -> Messages:
+    """The messages in the pools at time 0, sorted by mix.
+
+    Each mix sees the whole client volume spread over its layer plus its own
+    loop stream, so its occupancy is Poisson(rate / mu) with Exp(mu)
+    residual holding times (memoryless). Every filled message is unlabeled
+    and goes on through the layers after its own.
+    """
+    l, w = cfg.layers, cfg.nodes_per_layer
+    rates = cfg.rates
+    per_mix_rate = cfg.U * (rates.lambda_P + rates.lambda_L + rates.lambda_D) / w + rates.lambda_M
+    mix = np.repeat(np.arange(l * w), rng.poisson(per_mix_rate / rates.mu, size=l * w))
+    n = len(mix)
+    route, delay = _routes(rng, cfg, n)
+    layer = mix // w
+    route[np.arange(n), layer] = mix
+    return Messages(mix, np.zeros(n), delay[np.arange(n), layer], np.tile(_UNLABELED, (n, 1)),
+                    route, delay, layer < l - 1)
+
+
+def draw_chunks(cfg: SimConfig, rng):
+    """Yield the draws of each chunk of [0, burn_in + run_time] in turn.
+
+    Emissions are a Poisson process over all users, each from a uniform user
+    and a payload with probability lambda_P over the user's total rate; each
+    mix injects loops as a Poisson process of rate lambda_M.
+    """
+    rates = cfg.rates
+    n_mixes = cfg.layers * cfg.nodes_per_layer
+    emit_rate = cfg.U * (rates.lambda_P + rates.lambda_L + rates.lambda_D)
+    p_payload = rates.lambda_P / (rates.lambda_P + rates.lambda_L + rates.lambda_D)
+    end = cfg.burn_in + cfg.run_time
+    n_chunks = math.ceil(end * (emit_rate + n_mixes * rates.lambda_M) / _CHUNK_MESSAGES)
+    edges = np.linspace(0.0, end, max(n_chunks, 1) + 1).tolist()
+    for start, stop in zip(edges, edges[1:]):
+        span = stop - start
+        n = rng.poisson(emit_rate * span)
+        t = rng.uniform(start, stop, n)
+        sender = rng.integers(cfg.U, size=n)
+        payload = rng.random(n) < p_payload
+        route, delay = _routes(rng, cfg, n)
+        loops = rng.poisson(rates.lambda_M * span, size=n_mixes)
+        loop_mix = np.repeat(np.arange(n_mixes), loops)
+        loop_t = rng.uniform(start, stop, len(loop_mix))
+        loop_delay = rng.exponential(1.0 / rates.mu, len(loop_mix))
+        yield Chunk(stop, t, sender, payload, route, delay, loop_mix, loop_t, loop_delay)
+
+
+def _buffered(t: np.ndarray, cfg: SimConfig, taken: int):
+    """Which of one challenge sender's payloads, at times t in order, take a
+    buffered message, given that `taken` were taken before.
+
+    A refill at burn_in + k, for k = 0 and every k with burn_in + k < end,
+    buffers one message, before a payload at the same instant. The k-th
+    payload takes one if any is buffered: L_k = min(L_{k-1} + 1, R(t_k)),
+    with R(t) the refills up to t, so L_k = k + min(L_0, min_{j<=k} R_j - j).
+    Returns the mask and the count taken after the last payload.
+    """
+    refills = np.clip(np.floor(t - cfg.burn_in) + 1, 0, math.ceil(cfg.run_time)).astype(np.int64)
+    k = np.arange(1, len(t) + 1)
+    total = k + np.minimum(taken, np.minimum.accumulate(refills - k))
+    return np.diff(total, prepend=taken) > 0, int(total[-1]) if len(total) else taken
+
+
+def _scan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve y[k] = a[k] * y[k-1] + b[k] for every k, where a[0] == 0.
+
+    a has shape (n,), with each entry 0 or in [1/2, 1), and b shape (n, 3),
+    with entries >= 0. Blocks of _BLOCK entries are solved side by side:
+    within a block, y = A * cumsum(b / A) with A the running product of a,
+    restarted after each a == 0. Then the value each block carries in is
+    passed on block by block: a block's whole product may be as small as
+    2**-256, too small to divide by again.
+    """
+    n = len(a)
+    n_blocks = -(-n // _BLOCK)
+    pad = n_blocks * _BLOCK - n  # a = 1, b = 0 carries the last y on
+    a = np.concatenate((a, np.ones(pad))).reshape(n_blocks, _BLOCK)
+    b = np.concatenate((b, np.zeros((pad, 3)))).reshape(n_blocks, _BLOCK, 3)
+    reset = a == 0
+    prod = np.cumprod(np.where(reset, 1.0, a), axis=1)
+    y = b / prod[..., None]
+    np.cumsum(y, axis=1, out=y)
+    # the last reset at or before each position, -1 before a block's first
+    last = np.maximum.accumulate(np.where(reset, np.arange(_BLOCK), -1), axis=1)
+    y -= np.where((last > 0)[..., None], y[np.arange(n_blocks)[:, None], last - 1], 0.0)
+    y *= prod[..., None]
+    if n_blocks > 1:
+        carry = np.where(last < 0, prod, 0.0)
+        ends = y[:, -1].tolist()
+        for i, g in enumerate(carry[1:, -1].tolist(), 1):
+            ends[i] = [e + g * p for e, p in zip(ends[i], ends[i - 1])]
+        y[1:] += carry[1:, :, None] * np.array(ends[:-1])[:, None, :]
+    return y.reshape(-1, 3)[:n]
+
+
+def _solve_pools(pools, avg, n, arrivals, departures) -> np.ndarray:
+    """Run one chunk of the pools of one layer and return the masses the
+    departures carry; avg and n, each pool's average label and count, are
+    updated in place. arrivals is (mix, t, mass), departures (mix, t).
+    The caller gives a corrupt mix's departures their own masses instead.
+
+    Each pool's events run in time order, arrivals before departures at one
+    instant. A virtual first event per pool sets y to the pool's average,
+    each arrival of x at count N sets y <- N/(N+1) * y + x/(N+1), and a
+    departure carries the y of the last event before it.
+    """
+    (arr_mix, arr_t, arr_mass), (dep_mix, dep_t) = arrivals, departures
+    h, na = len(pools), len(arr_mix)
+    size = h + na + len(dep_mix)
+    # Times are >= +0.0, so their bits sort as they do; the low bit puts an
+    # arrival before a departure at one instant, and key 0 a virtual event
+    # before both. Then pool * size + rank in that order groups the events
+    # by pool and keeps their order within each.
+    key = np.concatenate((np.zeros(h), arr_t, dep_t)).view(np.uint64) << np.uint64(1)
+    key[h:] += np.uint64(1)
+    key[h + na:] += np.uint64(1)
+    rank = np.empty(size, np.uint64)
+    rank[np.argsort(key)] = np.arange(size, dtype=np.uint64)
+    rank += np.concatenate((pools, arr_mix, dep_mix)).astype(np.uint64) * np.uint64(size)
+    order = np.argsort(rank)
+    kept = order < h + na  # the virtual events and the arrivals
+    virtual = order < h
+    starts = np.flatnonzero(virtual)
+    total = np.cumsum(np.where(kept, 1, -1) - virtual)
+    after = (n[pools] - total[starts])[np.cumsum(virtual) - 1] + total  # the count after each event
+    src = order[kept]
+    count_in = np.where(src < h, 1, after[kept])  # 1 makes a virtual event's a 0 and b avg
+    b = np.concatenate((avg[pools], arr_mass)).take(src, axis=0)
+    b /= count_in[:, None]
+    y = _scan((count_in - 1) / count_in, b)
+    at = np.cumsum(kept) - 1  # the row of y each event reads
+    out = np.empty((size - h - na, 3))
+    out[order[~kept] - h - na] = y.take(at[~kept], axis=0)
+    last = np.append(starts[1:], size) - 1
+    avg[pools] = y.take(at[last], axis=0)
+    n[pools] = after[last]
+    return out
 
 
 def simulate_label_flow(cfg: SimConfig) -> LabelFlowResult:
     """Run one seeded repetition and return the full label accounting.
 
-    The event loop draws from rng in a fixed order, so a seed fixes every
-    field of the result. It inlines two stdlib draws exactly as
-    random.Random computes them: expovariate(rate) is
-    -log(1.0 - random()) / rate, and randrange(n) is getrandbits(k) for
-    k = n.bit_length(), redrawn while it is >= n.
+    Every draw comes from one np.random.default_rng(cfg.seed), in a fixed
+    order: the corrupt set, the stationary fill, each chunk's draws in turn
+    (draw_chunks), and the final mix. So a seed fixes every field of the
+    result. The draws do not depend on the label flow.
 
-    Events run in (t, seq) order, one heap's order: seq is unique, so the
-    order is total and ties break as one heap holding every event would
-    break them. A departure relayed to the next layer, and a loop injection,
-    replace the heap head with the arrival's departure (heapreplace) instead
-    of popping the head and pushing the new entry. Both leave the heap the
-    same set of entries, and the head was its minimum, so every later event,
-    and every draw, comes in the same order; replacing sifts once, where pop
-    and push sift twice.
+    The run is cut into chunks of virtual time in which about
+    _CHUNK_MESSAGES messages enter, so its memory does not grow with
+    run_time. Each chunk runs the layers in order. A layer's arrivals are
+    the chunk's emissions (layer 0), the messages the layer before sent on
+    in this chunk, its mixes' loop injections and, in the first chunk, the
+    stationary fill. A challenge sender's payload is labeled S0 or S1 while
+    the sender has a buffered message, one a second from burn_in on
+    (_buffered). A layer's departures are its resident messages and
+    arrivals whose departure falls in the chunk; the rest stay resident for
+    the next chunk. An honest pool runs its events in time order, and at
+    one instant its arrivals before its departures. A corrupt mix passes
+    each message's own masses through. A message leaves the network from
+    the last layer, or from the pool it looped into. Events up to
+    burn_in + run_time inclusive take part.
     """
-    rng = random.Random(cfg.seed)
-    fill_rng = np.random.default_rng(cfg.seed)
+    rng = default_rng(cfg.seed)
     l, w = cfg.layers, cfg.nodes_per_layer
     n_mixes = l * w
-    rates = cfg.rates
-    mu = rates.mu
-    lambda_M = rates.lambda_M
-
-    n_corrupt = round(cfg.corrupt_fraction * n_mixes)
-    last_layer = range((l - 1) * w, n_mixes)
-    while True:
-        corrupt = frozenset(rng.sample(range(n_mixes), n_corrupt))
-        if any(m not in corrupt for m in last_layer):
-            break
-    is_corrupt = [m in corrupt for m in range(n_mixes)]
-
-    s0, s1 = cfg.challenge
-    per_sender = rates.lambda_P + rates.lambda_L + rates.lambda_D
-    total_rate = cfg.U * per_sender
-    p_payload = rates.lambda_P / per_sender
     end = cfg.burn_in + cfg.run_time
+    corrupt = corrupt_mixes(cfg, rng)
+    is_corrupt = np.zeros(n_mixes, bool)
+    is_corrupt[list(corrupt)] = True
 
-    pool0 = [0.0] * n_mixes
-    pool1 = [0.0] * n_mixes
-    poolu = [0.0] * n_mixes
-    count = [0] * n_mixes
-    in_corrupt = [0.0, 0.0, 0.0]
-    delivered = [0.0, 0.0, 0.0]
-    emitted = [0, 0, 0]
+    avg = np.zeros((n_mixes, 3))
+    n = np.zeros(n_mixes, np.int64)
+    delivered = np.zeros(3)
+    fill = stationary_fill(cfg, rng)
+    emitted = np.array([0, 0, len(fill.mix)])
+    edges = np.searchsorted(fill.mix, np.arange(0, n_mixes + 1, w))
+    entering = [[_take(fill, np.arange(lo, hi))] for lo, hi in zip(edges, edges[1:])]
+    resident = [_take(fill, np.arange(0))] * l
+    taken = [0, 0]
 
-    rand = rng.random
-    getrandbits = rng.getrandbits
-    log = math.log
-    heappush, heappop, heapreplace = heapq.heappush, heapq.heappop, heapq.heapreplace
-    last = l - 1
-    layer_starts = range(0, n_mixes, w)
-    n_users = cfg.U
-    user_bits = n_users.bit_length()
-    mix_bits = w.bit_length()
-    heap: List[tuple] = [_NEVER]
-    seq = 0
+    for chunk in draw_chunks(cfg, rng):
+        label = np.full(len(chunk.t), 2)
+        for i, sender in enumerate(cfg.challenge):
+            mine = np.flatnonzero(chunk.payload & (chunk.sender == sender))
+            t = chunk.t[mine].tolist()
+            # a handful a chunk: sorted stably, in time and then draw order
+            mine = mine[sorted(range(len(t)), key=t.__getitem__)]
+            got, taken[i] = _buffered(chunk.t[mine], cfg, taken[i])
+            label[mine[got]] = i
+        emitted += np.bincount(label, minlength=3)
+        emitted[2] += len(chunk.loop_mix)
+        entering[0].append(Messages(chunk.route[:, 0], chunk.t, chunk.t + chunk.delay[:, 0],
+                                    np.eye(3)[label], chunk.route, chunk.delay,
+                                    np.full(len(label), l > 1)))
+        loop_layer = chunk.loop_mix // w
+        for j in range(l):
+            mine = loop_layer == j
+            k = int(np.count_nonzero(mine))
+            loop_t = chunk.loop_t[mine]
+            entering[j].append(Messages(
+                chunk.loop_mix[mine], loop_t, loop_t + chunk.loop_delay[mine],
+                np.tile(_UNLABELED, (k, 1)), np.zeros((k, l), np.int64), np.zeros((k, l)),
+                np.zeros(k, bool)))
 
-    # Stationary fill: each mix sees the whole client volume spread over its
-    # layer plus its own loop stream, so occupancy is Poisson(rate/mu) with
-    # Exp(mu) residual holding times (memoryless). Every filled message is
-    # unlabeled and the pools start empty, so its arrival adds 1.0 to the
-    # untagged mass alone.
-    per_mix_rate = total_rate / w + rates.lambda_M
-    for mix in range(n_mixes):
-        layer = mix // w
-        for _ in range(int(fill_rng.poisson(per_mix_rate / mu))):
-            path = [0] * l
-            path[layer] = mix
-            for j in range(layer + 1, l):
-                r = getrandbits(mix_bits)
-                while r >= w:
-                    r = getrandbits(mix_bits)
-                path[j] = j * w + r
-            emitted[2] += 1
-            if is_corrupt[mix]:
-                in_corrupt[2] += 1.0
-                held = _UNLABELED
-            else:
-                poolu[mix] += 1.0
-                count[mix] += 1
-                held = None
-            heappush(heap, (-log(1.0 - rand()) / mu, seq, mix, layer, tuple(path), held))
-            seq += 1
+        final = chunk.stop == end
+        for j in range(l):
+            pending = _cat([resident[j], *entering[j]])
+            entering[j] = []
+            k = len(resident[j].mix)  # the rest of pending arrived in this chunk
+            due = pending.dep <= end if final else pending.dep < chunk.stop
+            resident[j] = _take(pending, np.flatnonzero(~due))
+            leave = np.flatnonzero(due)
+            mix = pending.mix.take(leave)
+            # every pool of the layer is solved; a corrupt one's average is
+            # never read, and its messages leave with their own masses
+            out = _solve_pools(np.arange(j * w, (j + 1) * w), avg, n,
+                               (pending.mix[k:], pending.t[k:], pending.mass[k:]),
+                               (mix, pending.dep.take(leave)))
+            held = np.flatnonzero(is_corrupt[mix])
+            out[held] = pending.mass.take(leave[held], axis=0)
+            on = pending.on.take(leave)
+            delivered += out[~on].sum(axis=0)
+            if j + 1 < l:
+                go = leave[on]
+                route, delay = pending.route.take(go, axis=0), pending.delay.take(go, axis=0)
+                dep = pending.dep.take(go)
+                entering[j + 1].append(Messages(route[:, j + 1], dep, dep + delay[:, j + 1],
+                                                out[on], route, delay,
+                                                np.full(len(go), j + 2 < l)))
 
-    # The pending emission and the next refill stay outside the heap, and
-    # (next_t, next_seq) is whichever of the two comes first. Of two events
-    # at one instant the one armed later has the larger seq and runs second.
-    emit_t, emit_seq = -log(1.0 - rand()) / total_rate, seq
-    refill_t, refill_seq = cfg.burn_in, seq + 1
-    seq += 2
-    next_t, next_seq = (refill_t, refill_seq) if refill_t < emit_t else (emit_t, emit_seq)
-    if lambda_M > 0:
-        for mix in range(n_mixes):
-            heappush(heap, (-log(1.0 - rand()) / lambda_M, seq, mix, _LOOP, None, None))
-            seq += 1
-    b0 = b1 = 0  # payloads the challenge senders have buffered
-
-    while True:
-        head = heap[0]
-        t = head[0]
-        if t < next_t or (t == next_t and head[1] < next_seq):
-            if t > end:
-                break
-            _, _, mix, layer, path, held = head
-            if layer == _LOOP:
-                emitted[2] += 1
-                layer = last
-                d0, d1, du = _UNLABELED
-            else:
-                if held is None:
-                    c = count[mix]
-                    d0 = pool0[mix] / c
-                    d1 = pool1[mix] / c
-                    du = poolu[mix] / c
-                    pool0[mix] -= d0
-                    pool1[mix] -= d1
-                    poolu[mix] -= du
-                    count[mix] = c - 1
-                else:
-                    d0, d1, du = held
-                    in_corrupt[0] -= d0
-                    in_corrupt[1] -= d1
-                    in_corrupt[2] -= du
-                if layer == last:
-                    delivered[0] += d0
-                    delivered[1] += d1
-                    delivered[2] += du
-                    heappop(heap)
-                    continue
-                layer += 1
-                mix = path[layer]
-        else:
-            t = next_t
-            if t > end:
-                break
-            if next_seq == refill_seq:
-                b0 += 1
-                b1 += 1
-                if t + 1.0 < end:
-                    refill_t, refill_seq = t + 1.0, seq
-                    seq += 1
-                else:
-                    refill_t = math.inf
-                next_t, next_seq = (refill_t, refill_seq) if refill_t < emit_t else (emit_t, emit_seq)
-                continue
-            r = getrandbits(user_bits)
-            while r >= n_users:
-                r = getrandbits(user_bits)
-            label = 2
-            if rand() < p_payload:
-                if r == s0 and b0 > 0:
-                    b0 -= 1
-                    label = 0
-                elif r == s1 and b1 > 0:
-                    b1 -= 1
-                    label = 1
-            emitted[label] += 1
-            d0, d1, du = _LABELS[label]
-            hops = []
-            for start in layer_starts:
-                r = getrandbits(mix_bits)
-                while r >= w:
-                    r = getrandbits(mix_bits)
-                hops.append(start + r)
-            path = tuple(hops)
-            layer, mix = 0, path[0]
-
-        # The arrival of (d0, d1, du) at mix. A loop injection (path None)
-        # and a relayed departure (layer > 0) replace the head they came
-        # from; an emission, at layer 0, comes from outside the heap. Each
-        # stream re-arms after the arrival's draw.
-        if is_corrupt[mix]:
-            in_corrupt[0] += d0
-            in_corrupt[1] += d1
-            in_corrupt[2] += du
-            held = (d0, d1, du)
-        else:
-            pool0[mix] += d0
-            pool1[mix] += d1
-            poolu[mix] += du
-            count[mix] += 1
-            held = None
-        departure = (t - log(1.0 - rand()) / mu, seq, mix, layer, path, held)
-        seq += 1
-        if path is None:
-            heapreplace(heap, departure)
-            heappush(heap, (t - log(1.0 - rand()) / lambda_M, seq, mix, _LOOP, None, None))
-            seq += 1
-        elif layer:
-            heapreplace(heap, departure)
-        else:
-            heappush(heap, departure)
-            emit_t, emit_seq = t - log(1.0 - rand()) / total_rate, seq
-            seq += 1
-            next_t, next_seq = (refill_t, refill_seq) if refill_t <= emit_t else (emit_t, emit_seq)
-
-    candidates = [m for m in last_layer if not is_corrupt[m] and count[m] > 0]
+    in_corrupt = np.zeros(3)
+    for msgs in resident:
+        in_corrupt += msgs.mass[is_corrupt[msgs.mix]].sum(axis=0)
+    n[is_corrupt] = 0
+    masses = n[:, None] * avg
+    candidates = [m for m in range(n_mixes - w, n_mixes) if not is_corrupt[m] and n[m] > 0]
     if not candidates:
         final_mix, final_pool, eps = None, None, math.nan
     else:
-        final_mix = candidates[rng.randrange(len(candidates))]
-        c = count[final_mix]
-        final_pool = LabelDistribution(
-            pool0[final_mix] / c, pool1[final_mix] / c, poolu[final_mix] / c
-        )
+        final_mix = candidates[int(rng.integers(len(candidates)))]
+        # a share of 1 may come out of the solve a few ulps above it
+        final_pool = LabelDistribution(*np.minimum(avg[final_mix], 1.0).tolist())
         eps = epsilon_of(final_pool.p_S0, final_pool.p_S1)
 
     return LabelFlowResult(
@@ -325,11 +431,11 @@ def simulate_label_flow(cfg: SimConfig) -> LabelFlowResult:
         final_mix=final_mix,
         final_pool=final_pool,
         corrupt=corrupt,
-        emitted=tuple(emitted),
-        pool_masses=[(pool0[m], pool1[m], poolu[m]) for m in range(n_mixes)],
-        pool_counts=list(count),
-        in_corrupt=tuple(in_corrupt),
-        delivered=tuple(delivered),
+        emitted=tuple(emitted.tolist()),
+        pool_masses=[tuple(row) for row in masses.tolist()],
+        pool_counts=n.tolist(),
+        in_corrupt=tuple(in_corrupt.tolist()),
+        delivered=tuple(delivered.tolist()),
     )
 
 

@@ -553,7 +553,7 @@ def test_a_figure_with_no_value_prints_null(runner, args, key):
         ("provider", "prov-0", ["--inbox-capacity", "-5"], "inbox_capacity must be at least 1"),
         # each pull built that many items
         ("provider", "prov-0", ["--pull-max", "10001"],
-         "pull_max_items must be at least 1 and at most 10000"),
+         "pull_max_items must be at least 1 and at most 64"),
         ("client", "client-0", ["--send", "client-1:hi", "--send", "nobody:hi"],
          "cannot enqueue 'nobody:hi': nobody: unknown id 'nobody'"),
         # the last of a repeated option wins
@@ -704,7 +704,7 @@ OUTPUT_SHA256 = {
     "sim latency":
         "500615f72f117254d90bcfb8435c4d6574990d915067eeb4cb042c6bccea9b13",
     "sim epsilon":
-        "94aec3f931e538d6e3a4f6f3c3c595c537570e68b8d1b36208d68ed60c8709f5",
+        "4434c17dc96ec523700c30b8f721e78ec3296dae91ecb3a3a7c8cceb3ca2a823",
     "analyze pool":
         "4c39f877b54056563f4bb666e9e7f811c9056bf9e0f7288637a72555b601d2c3",
     "analyze pool-loops":

@@ -10,6 +10,7 @@ from loopmix.mixnode import MixConfig
 from loopmix.packet import Deliver, Drop, HopFlags, HopSpec, Relay, build_packet
 from loopmix.provider import (
     DUMMY,
+    MAX_PULL_ITEMS,
     REAL,
     BadToken,
     Provider,
@@ -155,6 +156,18 @@ def test_provider_config_rejects_empty_pulls_and_inboxes(field, value):
     with pytest.raises(ValueError, match=field):
         ProviderConfig(mix, **{field: value})
     assert ProviderConfig(mix, **{"pull_max_items": 1, field: 1})
+
+
+def test_pull_max_items_has_a_ceiling():
+    # bounded by the inbox capacity alone, one pull could build 2**53 dummies
+    mix = MixConfig(bytes(32), "prov-0", "127.0.0.1:9200", 0)
+    assert ProviderConfig(mix, pull_max_items=MAX_PULL_ITEMS, inbox_capacity=2**53)
+    message = f"^pull_max_items must be at least 1 and at most {MAX_PULL_ITEMS}$"
+    for capacity in (10_000, 2**53):
+        with pytest.raises(ValueError, match=message):
+            ProviderConfig(mix, pull_max_items=MAX_PULL_ITEMS + 1, inbox_capacity=capacity)
+    with pytest.raises(ValueError, match="at most 3$"):
+        ProviderConfig(mix, pull_max_items=4, inbox_capacity=3)
 
 
 def test_pull_item_validation():
