@@ -10,6 +10,7 @@ distinct point is simulated once and its row repeated.
 import argparse
 import sys
 
+from loopmix.bounds import count
 from loopmix.client import Rates
 from loopmix.simulator import SimConfig, run_epsilon_batch
 
@@ -44,6 +45,10 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default="epsilon_sweep.csv")
     args = parser.parse_args(argv)
+    try:  # before the output file is opened
+        count("seed", args.seed)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     points = [(mu, 3, 0.0) for mu in args.mus]
     points += [(1.0, layers, 0.0) for layers in args.layer_counts]

@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from loopmix import crypto
+from loopmix.bounds import count
 from loopmix.topology import loads_directory
 
 
@@ -70,6 +71,10 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="tests/data/directory_example.json")
     parser.add_argument("--secrets-out", default="tests/data/secrets_example.json")
     args = parser.parse_args(argv)
+    try:
+        count("seed", args.seed)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     directory, secrets = build(
         args.seed, args.layers, args.per_layer, args.providers, args.clients

@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 from ..bounds import count, non_negative, positive
-from ..client import Rates
 
 
 def blocking_attack_prob(
@@ -64,20 +63,27 @@ def delay_attack_prob(k_links: int, Lambda: float, Delta: float, t: float) -> fl
 @dataclass(frozen=True)
 class LinkParams:
     """Deployment shape: U users, N mixes, P providers, k_links adjacent
-    nodes reachable per node, paths of ell inter-node hops, client and mix
-    rates bundled in rates."""
+    nodes reachable per node, paths of ell inter-node hops; each client's
+    payload, loop and drop rates, and each mix's loop rate. The delay
+    parameter mu is not one: a delay moves a packet in time, not between
+    links."""
 
     U: int
     N: int
     P: int
     k_links: int
     ell: int
-    rates: Rates
+    lambda_P: float
+    lambda_L: float
+    lambda_D: float
+    lambda_M: float
 
     def __post_init__(self):
         count("U", self.U)
         for name in ("N", "P", "k_links", "ell"):
             count(name, getattr(self, name), lo=1)
+        for name in ("lambda_P", "lambda_L", "lambda_D", "lambda_M"):
+            non_negative(name, getattr(self, name))
 
 
 def link_rate(params: LinkParams) -> float:
@@ -87,10 +93,9 @@ def link_rate(params: LinkParams) -> float:
     k_links * (N + P) directed links; each mix's loop stream adds its share
     on top.
     """
-    r = params.rates
-    client_rate = r.lambda_P + r.lambda_L + r.lambda_D
+    client_rate = params.lambda_P + params.lambda_L + params.lambda_D
     user_term = (
         params.U * params.ell * client_rate / (params.k_links * (params.N + params.P))
     )
-    loop_term = params.ell * r.lambda_M / params.k_links
+    loop_term = params.ell * params.lambda_M / params.k_links
     return user_term + loop_term

@@ -11,8 +11,10 @@ file, check that the id is an entry of the command's role holding that key's
 public half, build the runtime with runtime.build_runtime, check each
 `client --send` recipient, then serve it and report: a metrics line every
 10 s from mixes and providers, new mail every second from clients. Their
-option defaults are the config fields' defaults. numpy, the simulator and the
-Monte-Carlo oracles are imported only by the commands that run them.
+option defaults are the config fields' defaults, except `client`'s three
+rates and `--mu`: Rates has no defaults, so those options set their own.
+numpy, the simulator and the Monte-Carlo oracles are imported only by the
+commands that run them.
 
 Exit code 0 on success, 2 on usage errors, and 1 on configuration or runtime
 failure, which prints one `error: <message>` line on stderr. Bad input is a
@@ -81,6 +83,7 @@ def _monte_carlo(estimator: str, trials: int, seed: int, *args):
     trials trials drawn from a generator seeded with seed, or None when
     trials is 0."""
     count("trials", trials)
+    count("seed", seed)
     if not trials:
         return None
     import numpy as np
@@ -288,7 +291,7 @@ def sim_entropy(lambda_in, mu, duration, seed, out):
 @click.option("--hops", type=int, default=4, show_default=True)
 @click.option("--n", "n_messages", type=int, default=10_000, show_default=True)
 @click.option("--processing", type=float, default=0.0, show_default=True, help="Fixed seconds per hop.")
-@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
+@click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(), default=None, help="CSV of latency samples.")
 def sim_latency(mu, hops, n_messages, processing, seed, out):
     """Sample end-to-end latencies over a fixed-length path."""
@@ -297,9 +300,7 @@ def sim_latency(mu, hops, n_messages, processing, seed, out):
 
     # an overflowed sum shows as a figure that is not finite, which _emit refuses
     with np.errstate(over="ignore", invalid="ignore"):
-        samples = run_latency_experiment(
-            Rates(1.0, 0.0, 0.0, 0.0, mu), hops, n_messages, seed, processing_s=processing
-        )
+        samples = run_latency_experiment(mu, hops, n_messages, seed, processing_s=processing)
         mean = float(samples.mean())
         # null, not NaN: one sample has no spread
         std = float(samples.std(ddof=1)) if n_messages > 1 else None
@@ -322,7 +323,7 @@ def sim_latency(mu, hops, n_messages, processing, seed, out):
 @click.option("--layers", type=int, required=True)
 @click.option("--per-layer", type=int, required=True, help="Mixes per layer.")
 @click.option("--reps", type=click.IntRange(min=1), default=100, show_default=True)
-@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
+@click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--corrupt-fraction", type=float, default=0.0, show_default=True)
 @click.option("--lambda-loop", type=float, default=0.0, show_default=True, help="Per-user loop rate.")
 @click.option("--lambda-drop", type=float, default=0.0, show_default=True, help="Per-user drop rate.")
@@ -376,14 +377,15 @@ def analyze() -> None:
 @click.option("--k", type=int, required=True, help="How many of those remain.")
 @click.option("--l", "l_late", type=int, required=True, help="Later arrivals present.")
 @click.option("--trials", type=int, default=0, show_default=True, help="Add a Monte-Carlo check.")
-@click.option("--mu", type=float, default=1.0, show_default=True, help="Delay parameter for the check.")
-@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-def analyze_pool(n, k, l_late, trials, mu, seed):
+@click.option("--seed", type=int, default=0, show_default=True)
+def analyze_pool(n, k, l_late, trials, seed):
     """Match probabilities for a departure from an observed pool."""
     probs = pool_match_prob(PoolObservation(n, k, l_late))
     # null, as mc_p_late is, when no late arrival races
     result = {"p_initial": probs.p_initial, "p_late": probs.p_late if l_late else None}
-    est = _monte_carlo("pool_race_estimate_with_loops", trials, seed, n, k, l_late, mu, 0.0)
+    # With no loop clock every clock runs at mu, so mu scales the race away:
+    # the check runs at unit rate.
+    est = _monte_carlo("pool_race_estimate_with_loops", trials, seed, n, k, l_late, 1.0, 0.0)
     if est is not None:
         result["mc_p_initial"], result["mc_p_late"], _ = est
     _emit(result)
@@ -396,7 +398,7 @@ def analyze_pool(n, k, l_late, trials, mu, seed):
 @click.option("--mu", type=float, required=True)
 @click.option("--lambda-m", type=float, required=True, help="Mix loop rate.")
 @click.option("--trials", type=int, default=0, show_default=True, help="Add a Monte-Carlo check.")
-@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
+@click.option("--seed", type=int, default=0, show_default=True)
 def analyze_pool_loops(n, k, l_late, mu, lambda_m, trials, seed):
     """Match probabilities when the mix adds its own loop traffic."""
     probs = pool_match_prob_with_loops(PoolObservation(n, k, l_late), mu, lambda_m)
@@ -438,7 +440,7 @@ def analyze_epsilon(p0, p1):
 @click.option("--lambda-m", type=float, required=True, help="Mix loop rate.")
 @click.option("--lambda-r", type=float, required=True, help="Honest packet rate into the mix.")
 @click.option("--trials", type=int, default=0, show_default=True, help="Add a Monte-Carlo check.")
-@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
+@click.option("--seed", type=int, default=0, show_default=True)
 def analyze_blocking(s, mu, lambda_m, lambda_r, trials, seed):
     """Chance a blocking adversary isolates the target message."""
     prob = blocking_attack_prob(s, mu, lambda_m, lambda_r)
@@ -469,18 +471,11 @@ def analyze_delay_attack(k_links, rate, delta, t):
 @click.option("--lambda-l", type=float, required=True)
 @click.option("--lambda-d", type=float, required=True)
 @click.option("--lambda-m", type=float, required=True)
-@click.option("--mu", type=float, default=1.0, show_default=True)
 def analyze_link_rate(users, n_mixes, n_providers, k_links, ell, lambda_p, lambda_l,
-                      lambda_d, lambda_m, mu):
+                      lambda_d, lambda_m):
     """Expected traffic rate on a single inter-node link."""
-    params = LinkParams(
-        U=users,
-        N=n_mixes,
-        P=n_providers,
-        k_links=k_links,
-        ell=ell,
-        rates=Rates(lambda_p, lambda_l, lambda_d, lambda_m, mu),
-    )
+    params = LinkParams(users, n_mixes, n_providers, k_links, ell,
+                        lambda_p, lambda_l, lambda_d, lambda_m)
     _emit({"rate": link_rate(params)})
 
 
@@ -516,6 +511,15 @@ def _read_traces(path: str, read):
         return read(doc)
     except (KeyError, IndexError, TypeError) as exc:
         raise ValueError(f"bad traces file: {exc}") from exc
+
+
+def _node_names(raw) -> frozenset:
+    """The names in raw, which must be a list of strings: a string would be
+    read as its characters, an object as its keys, and a number matches no
+    name."""
+    if not (isinstance(raw, list) and all(isinstance(name, str) for name in raw)):
+        raise TypeError("compromised must be a list of node names")
+    return frozenset(raw)
 
 
 @analyze.command("trace-join")
@@ -561,7 +565,7 @@ def analyze_anon_condition(traces_file, simulate, seed, users, hops, duration, l
         challenge, drops, compromised = _read_traces(traces_file, lambda doc: (
             (_trace_from_json(doc["challenge"][0]), _trace_from_json(doc["challenge"][1])),
             [_trace_from_json(t) for t in doc.get("drops", [])],
-            frozenset(doc.get("compromised", [])),
+            _node_names(doc.get("compromised", [])),
         ))
     else:
         raise click.UsageError("need --traces-file or --simulate")
@@ -571,6 +575,7 @@ def analyze_anon_condition(traces_file, simulate, seed, users, hops, duration, l
 
 def generate_vectors(seed: int, cases: int) -> dict:
     """Deterministic packet vectors: keys, path, per-hop state, final payload."""
+    count("seed", seed)
     count("cases", cases)
     # case i builds and peels i % MAX_HOPS + 1 hops
     bounded_events("hops built and peeled", cases * (pkt.MAX_HOPS + 1) / 2)

@@ -31,6 +31,9 @@ LOOP_CAP = 10_000
 # a relay drops packets that arrive while its pool holds this many
 QUEUE_HIGH_WATERMARK = 100_000
 
+# the share of a mix's own loops that must come back for it to be HEALTHY
+LOOP_RETURN_FRACTION = 0.8
+
 
 @dataclass
 class MixPool:
@@ -77,15 +80,12 @@ class MixConfig:
     layer_index: int
     lambda_M: float = 0.0
     mu: float = 1.0
-    loop_return_fraction_r: float = 0.8
 
     def __post_init__(self):
         if len(self.secret_key) != crypto.SECRET_KEY_LEN:
             raise ValueError("secret_key must be %d bytes" % crypto.SECRET_KEY_LEN)
         positive("mu", self.mu)
         non_negative("lambda_M", self.lambda_M)
-        if not 0 < self.loop_return_fraction_r <= 1:
-            raise ValueError("r must lie in (0, 1]")
 
 
 def loop_health(window_loops_sent: int, window_loops_returned: int, r: float) -> str:
@@ -224,9 +224,7 @@ class MixNode:
     def health(self) -> str:
         if self.loops_sent < 1:
             return HEALTHY
-        return loop_health(
-            self.loops_sent, self.loops_returned, self.cfg.loop_return_fraction_r
-        )
+        return loop_health(self.loops_sent, self.loops_returned, LOOP_RETURN_FRACTION)
 
     def metrics_line(self, now: float, **extra) -> str:
         """One JSON object of the node's counters at now, then extra's."""

@@ -8,6 +8,7 @@ import itertools
 import random
 
 from . import transport
+from .bounds import count
 from .runtime import _Endpoint, build_runtime, resolve_addr
 from .topology import ClientDescriptor, Topology
 
@@ -44,6 +45,7 @@ class Net:
     is logged as (time, src, dst, kind) with directory ids."""
 
     def __init__(self, seed: int = 0):
+        count("seed", seed)
         self.rng = random.Random(seed)
         self.log: list[tuple[float, str, str, int]] = []
         self.runtimes: dict = {}

@@ -12,16 +12,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from ..analysis.montecarlo import departure_entropies_incremental
-from ..bounds import bounded_events, positive
+from ..bounds import bounded_events, count, positive
 from .queues import DEPARTURE, pool_events
 
 
 @dataclass
 class EntropyRun:
-    steady_mean: float
+    steady_mean: Optional[float]
     series: List[Tuple[float, float]] = field(repr=False)
 
 
@@ -31,11 +31,14 @@ def run_entropy_experiment(
     """Simulate one mix and return (departure_time, entropy) per emission.
 
     steady_mean averages the entropy over departures in the second half of
-    the run, past the initial fill-up transient.
+    the run, past the initial fill-up transient; it is None when no
+    departure falls there, as an entropy of 0 would claim a fully linkable
+    pool where nothing was observed.
     """
     positive("lambda_in", lambda_in)
     positive("mu", mu)
     positive("duration", duration)
+    count("seed", seed)
     bounded_events("lambda_in * duration", lambda_in * duration)
 
     departures: List[float] = []
@@ -50,5 +53,5 @@ def run_entropy_experiment(
     series = list(zip(departures, entropies))
 
     tail = [h for (t, h) in series if t >= duration / 2]
-    steady = sum(tail) / len(tail) if tail else 0.0
+    steady = sum(tail) / len(tail) if tail else None
     return EntropyRun(steady_mean=steady, series=series)

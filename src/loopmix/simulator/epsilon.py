@@ -68,6 +68,7 @@ class SimConfig:
     challenge: Tuple[int, int]
 
     def __post_init__(self):
+        count("seed", self.seed)
         count("U", self.U, lo=2)
         count("layers", self.layers, lo=1)
         count("nodes_per_layer", self.nodes_per_layer, lo=1)
@@ -462,6 +463,7 @@ def run_epsilon_batch(cfg: SimConfig, reps: int) -> EpsilonBatch:
     n_inf how many were infinite, the adversary's best case.
     """
     count("reps", reps, lo=1)
+    count("seed + reps - 1", cfg.seed + reps - 1)
     bounded_events(f"{reps} repetitions", reps * cfg.expected_events)
     values = [run_epsilon_experiment(replace(cfg, seed=cfg.seed + i)) for i in range(reps)]
     finite = [v for v in values if math.isfinite(v)]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, List, Tuple
 
 from ..analysis.montecarlo import ARRIVAL, DEPARTURE
-from ..bounds import bounded_events, positive
+from ..bounds import bounded_events, count, positive
 from ..mixnode import MixPool
 
 # pool sizes are sampled at t = 1, 2, …; for 1/mu well below that, samples
@@ -68,6 +68,7 @@ def run_pool_experiment(
     positive("lambda_in", lambda_in)
     positive("mu", mu)
     positive("duration", duration)
+    count("seed", seed)
     bounded_events("lambda_in * duration", lambda_in * duration)
 
     area = 0.0

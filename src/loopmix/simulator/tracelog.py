@@ -30,6 +30,7 @@ class TraceSimConfig:
     duration: float = 10.0
 
     def __post_init__(self):
+        count("seed", self.seed)
         count("n_users", self.n_users, lo=2)  # a challenge pair
         count("hops", self.hops, lo=1)
         positive("lambda_D", self.lambda_D)

@@ -298,7 +298,7 @@ def test_c07_epsilon_trends():
 
 
 def test_c08_latency_gamma_fit():
-    samples = run_latency_experiment(Rates(1.0, 1.0, 1.0, 0.0, 2.0), 4, 10_000, seed=8)
+    samples = run_latency_experiment(2.0, 4, 10_000, seed=8)
     mean = float(np.mean(samples))
     std = float(np.std(samples, ddof=1))
     assert mean == pytest.approx(2.0, abs=0.05)

@@ -13,7 +13,6 @@ from loopmix.analysis.attacks import (
 )
 from loopmix.analysis.montecarlo import blocking_estimate
 from loopmix.bounds import MAX_EVENTS
-from loopmix.client import Rates
 
 from conftest import NoDraws
 
@@ -90,7 +89,10 @@ def per_minute_params(users=100):
         P=4,
         k_links=3,
         ell=3,
-        rates=Rates(lambda_P=3.0, lambda_L=1.0, lambda_D=1.0, lambda_M=1.0, mu=1.0),
+        lambda_P=3.0,
+        lambda_L=1.0,
+        lambda_D=1.0,
+        lambda_M=1.0,
     )
 
 
@@ -102,9 +104,8 @@ def test_link_rate_worked_example():
 
 
 def test_link_rate_zero_traffic():
-    params = LinkParams(
-        U=0, N=9, P=4, k_links=3, ell=3, rates=Rates(3.0, 1.0, 1.0, 0.0, 1.0)
-    )
+    params = LinkParams(U=0, N=9, P=4, k_links=3, ell=3, lambda_P=3.0, lambda_L=1.0,
+                        lambda_D=1.0, lambda_M=0.0)
     assert link_rate(params) == 0.0
 
 
@@ -117,22 +118,25 @@ def test_link_rate_linear_in_users():
 
 
 def test_link_params_validation():
-    rates = Rates(1.0, 1.0, 1.0, 0.0, 1.0)
+    rates = dict(lambda_P=1.0, lambda_L=1.0, lambda_D=1.0, lambda_M=0.0)
     with pytest.raises(ValueError):
-        LinkParams(U=-1, N=9, P=4, k_links=3, ell=3, rates=rates)
+        LinkParams(U=-1, N=9, P=4, k_links=3, ell=3, **rates)
     with pytest.raises(ValueError):
-        LinkParams(U=1, N=0, P=4, k_links=3, ell=3, rates=rates)
+        LinkParams(U=1, N=0, P=4, k_links=3, ell=3, **rates)
     with pytest.raises(ValueError):
-        LinkParams(U=1, N=9, P=0, k_links=3, ell=3, rates=rates)
+        LinkParams(U=1, N=9, P=0, k_links=3, ell=3, **rates)
     with pytest.raises(ValueError):
-        LinkParams(U=1, N=9, P=4, k_links=0, ell=3, rates=rates)
+        LinkParams(U=1, N=9, P=4, k_links=0, ell=3, **rates)
     with pytest.raises(ValueError):
-        LinkParams(U=1, N=9, P=4, k_links=3, ell=0, rates=rates)
+        LinkParams(U=1, N=9, P=4, k_links=3, ell=0, **rates)
+    for name in rates:
+        with pytest.raises(ValueError, match=f"^{name} must be non-negative and finite$"):
+            LinkParams(U=1, N=9, P=4, k_links=3, ell=3, **{**rates, name: -1.0})
     # a count too large for a float raised OverflowError in link_rate
     with pytest.raises(ValueError, match="^U must be at least 0 and at most 9007199254740992$"):
-        link_rate(LinkParams(U=10**400, N=9, P=4, k_links=3, ell=3, rates=rates))
+        link_rate(LinkParams(U=10**400, N=9, P=4, k_links=3, ell=3, **rates))
     with pytest.raises(ValueError, match="^k_links must be at least 1 and at most"):
-        link_rate(LinkParams(U=1, N=9, P=4, k_links=10**400, ell=3, rates=rates))
+        link_rate(LinkParams(U=1, N=9, P=4, k_links=10**400, ell=3, **rates))
 
 
 def test_blocking_oracle_checks_its_input_before_drawing():

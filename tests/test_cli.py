@@ -191,7 +191,9 @@ def test_analyze_anon_condition_simulated(runner):
     assert out["drop_traces"] > 0
 
 
-def test_analyze_anon_condition_file(runner, tmp_path):
+def anon_instance(compromised):
+    """An anon-condition traces file: two challenge traces, each hidden by a
+    drop trace through its first mix."""
     tr_c = [
         transmission("uc", 1.0, "h1", "pa"),
         transmission("pa", 2.0, "h2", "m1"),
@@ -216,7 +218,11 @@ def test_analyze_anon_condition_file(runner, tmp_path):
         transmission("m3", 3.1, "h15", "m6"),
         transmission("m6", 4.1, "h16", "px"),
     ]
-    doc = {"challenge": [tr_c, tr_d], "drops": [drop_a, drop_b], "compromised": []}
+    return {"challenge": [tr_c, tr_d], "drops": [drop_a, drop_b], "compromised": compromised}
+
+
+def test_analyze_anon_condition_file(runner, tmp_path):
+    doc = anon_instance([])
     path = tmp_path / "anon.json"
     path.write_text(json.dumps(doc))
     out = run_json(runner, ["analyze", "anon-condition", "--traces-file", str(path)])
@@ -334,26 +340,6 @@ def test_sim_epsilon_without_a_finite_rep_prints_strict_json(runner, monkeypatch
     assert row == out["param"] + ",,"
 
 
-@pytest.mark.parametrize(
-    "args",
-    [
-        ["analyze", "pool", "--n", "3", "--k", "2", "--l", "1", "--trials", "5"],
-        ["analyze", "pool-loops", "--n", "1", "--k", "1", "--l", "0", "--mu", "1",
-         "--lambda-m", "1", "--trials", "5"],
-        ["analyze", "blocking", "--s", "2", "--mu", "1", "--lambda-m", "1",
-         "--lambda-r", "2", "--trials", "5"],
-        ["sim", "latency", "--mu", "1", "--n", "5"],
-        EPSILON_ARGS + ["--reps", "1"],
-    ],
-    ids=["pool", "pool-loops", "blocking", "latency", "epsilon"],
-)
-def test_negative_seed_of_a_numpy_generator_is_a_usage_error(runner, args):
-    # numpy.random.default_rng takes no negative seed
-    result = runner.invoke(main, args + ["--seed", "-1"])
-    assert result.exit_code == 2
-    assert "Invalid value for '--seed': -1 is not in the range x>=0" in result.output
-
-
 def test_vectors_deterministic(runner, tmp_path):
     a = run_json(runner, ["vectors", "--seed", "7", "--cases", "2"])
     b = run_json(runner, ["vectors", "--seed", "7", "--cases", "2"])
@@ -458,15 +444,15 @@ def assert_one_error_line(result, message):
 @pytest.mark.parametrize(
     "args, message",
     [
-        (["analyze", "pool", "--n", "3", "--k", "2", "--l", "1", "--trials", "10", "--mu", "0"],
-         "mu must be positive"),
-        (["analyze", "pool", "--n", "3", "--k", "2", "--l", "1", "--trials", "10", "--mu", "-1"],
-         "mu must be positive"),
+        (["analyze", "pool-loops", "--n", "3", "--k", "2", "--l", "1", "--lambda-m", "1",
+          "--trials", "10", "--mu", "0"], "mu must be positive"),
+        (["analyze", "pool-loops", "--n", "3", "--k", "2", "--l", "1", "--lambda-m", "1",
+          "--trials", "10", "--mu", "-1"], "mu must be positive"),
         (["sim", "pool", "--lambda", "20", "--mu", "2", "--duration", "5",
           "--out", "/nonexistent/x.csv"],
          "No such file or directory"),
     ],
-    ids=["pool-mu-zero", "pool-mu-negative", "sim-pool-unwritable-out"],
+    ids=["pool-loops-mu-zero", "pool-loops-mu-negative", "sim-pool-unwritable-out"],
 )
 def test_failures_print_one_error_line(runner, args, message):
     assert_one_error_line(runner.invoke(main, args), message)
@@ -526,17 +512,21 @@ def test_negative_trials_prints_one_error_line(runner, command):
         (["analyze", "pool-loops", "--n", "3", "--k", "2", "--l", "0", "--mu", "1",
           "--lambda-m", "1", "--trials", "50"], "mc_p_late"),
         (["sim", "latency", "--mu", "1", "--n", "1"], "std_s"),
+        (["sim", "entropy", "--lambda", "0.01", "--mu", "1", "--duration", "3"],
+         "steady_entropy"),
         (["analyze", "pool", "--n", "3", "--k", "2", "--l", "0"], "p_late"),
         (["analyze", "pool-loops", "--n", "3", "--k", "2", "--l", "0", "--mu", "1",
           "--lambda-m", "1"], "p_late"),
     ],
-    ids=["pool-no-late", "pool-loops-no-late", "latency-one-sample", "pool-no-late-closed-form",
-         "pool-loops-no-late-closed-form"],
+    ids=["pool-no-late", "pool-loops-no-late", "latency-one-sample", "entropy-no-departure",
+         "pool-no-late-closed-form", "pool-loops-no-late-closed-form"],
 )
 def test_a_figure_with_no_value_prints_null(runner, args, key):
-    # the Monte-Carlo figures and latency printed NaN, and the closed forms
-    # the chance of a late entry that did not exist; with no late arrival
-    # there is no race for one to win, and one sample has no spread
+    # the Monte-Carlo figures and latency printed NaN, the closed forms the
+    # chance of a late entry that did not exist, and entropy 0.0, a fully
+    # linkable pool; with no late arrival there is no race for one to win,
+    # one sample has no spread, and a run with no departure in its second
+    # half observed no mixing
     assert run_json(runner, args)[key] is None
 
 
@@ -588,61 +578,67 @@ def test_daemon_start_failures_print_one_error_line(
 # Every float option of every command: the arguments of a valid run, to which
 # the option is added again (the last one wins) with nan or inf, and the float
 # options. A daemon (arguments None) starts with a bad --listen, which stops
-# it if the value passes.
+# it if the value passes. Every other command maps each option to a second
+# valid value, which must change what the valid run prints.
 FLOAT_OPTIONS = {
     "mix": (None, ["--lambda-m", "--mu"]),
     "provider": (None, ["--lambda-m", "--mu"]),
     "client": (None, ["--lambda-p", "--lambda-l", "--lambda-d", "--mu", "--pull-interval"]),
     "sim pool": (["--lambda", "2", "--mu", "1", "--duration", "3"],
-                 ["--lambda", "--mu", "--duration"]),
+                 {"--lambda": "3", "--mu": "2", "--duration": "4"}),
     "sim entropy": (["--lambda", "2", "--mu", "1", "--duration", "3"],
-                    ["--lambda", "--mu", "--duration"]),
-    "sim latency": (["--mu", "1", "--n", "5"], ["--mu", "--processing"]),
+                    {"--lambda": "3", "--mu": "2", "--duration": "4"}),
+    "sim latency": (["--mu", "1", "--n", "5"], {"--mu": "2", "--processing": "0.5"}),
     "sim epsilon": (EPSILON_ARGS[2:] + ["--reps", "1"],
-                    ["--lambda", "--mu", "--corrupt-fraction", "--lambda-loop",
-                     "--lambda-drop", "--lambda-mix", "--burn-in", "--run-time"]),
-    # --mu is read by the Monte-Carlo check alone
-    "analyze pool": (["--n", "3", "--k", "2", "--l", "1", "--trials", "5"], ["--mu"]),
+                    {"--lambda": "2", "--mu": "2", "--corrupt-fraction": "0.3",
+                     "--lambda-loop": "1", "--lambda-drop": "1", "--lambda-mix": "1",
+                     "--burn-in": "2", "--run-time": "3"}),
+    "analyze pool": (["--n", "3", "--k", "2", "--l", "1", "--trials", "5"], {}),
     "analyze pool-loops": (["--n", "2", "--k", "1", "--l", "1", "--mu", "1", "--lambda-m", "2",
-                            "--trials", "5"], ["--mu", "--lambda-m"]),
-    "analyze entropy-step": (["--h-prev", "0", "--k", "2", "--l", "1"], ["--h-prev"]),
-    "analyze epsilon": (["--p0", "0.1", "--p1", "0.2"], ["--p0", "--p1"]),
+                            "--trials", "5"], {"--mu": "2", "--lambda-m": "3"}),
+    "analyze entropy-step": (["--h-prev", "0", "--k", "2", "--l", "1"], {"--h-prev": "1"}),
+    "analyze epsilon": (["--p0", "0.1", "--p1", "0.2"], {"--p0": "0.3", "--p1": "0.3"}),
     "analyze blocking": (["--s", "2", "--mu", "1", "--lambda-m", "1", "--lambda-r", "2",
-                          "--trials", "5"], ["--s", "--mu", "--lambda-m", "--lambda-r"]),
+                          "--trials", "5"],
+                         {"--s": "3", "--mu": "0.5", "--lambda-m": "2", "--lambda-r": "3"}),
     "analyze delay-attack": (["--k-links", "3", "--link-rate", "1", "--delta", "1"],
-                             ["--link-rate", "--delta", "--time"]),
+                             {"--link-rate": "2", "--delta": "2", "--time": "1"}),
     "analyze link-rate": (["--users", "10", "--n-mixes", "9", "--n-providers", "4",
                            "--k-links", "3", "--ell", "3", "--lambda-p", "1", "--lambda-l", "1",
                            "--lambda-d", "1", "--lambda-m", "1"],
-                          ["--lambda-p", "--lambda-l", "--lambda-d", "--lambda-m", "--mu"]),
-    "analyze steady-pool": (["--lambda", "2", "--mu", "1"], ["--lambda", "--mu"]),
-    "analyze anon-condition": (["--simulate", "--duration", "2"], ["--duration", "--lambda-d"]),
+                          {"--lambda-p": "2", "--lambda-l": "2", "--lambda-d": "2",
+                           "--lambda-m": "2"}),
+    "analyze steady-pool": (["--lambda", "2", "--mu", "1"], {"--lambda": "3", "--mu": "2"}),
+    "analyze anon-condition": (["--simulate", "--duration", "2"],
+                               {"--duration": "3", "--lambda-d": "2"}),
 }
 # Every integer option of every command, in the same form: each is a count,
-# at most 2**53, unless INT_EXEMPT gives the reason it is none.
+# a seed among them, at most 2**53, unless INT_EXEMPT gives the reason it is
+# none.
 INT_OPTIONS = {
     "provider": (None, ["--pull-max", "--inbox-capacity"]),
-    "sim latency": (FLOAT_OPTIONS["sim latency"][0], ["--hops", "--n"]),
-    "sim epsilon": (FLOAT_OPTIONS["sim epsilon"][0], ["--users", "--layers", "--per-layer", "--reps"]),
-    "analyze pool": (FLOAT_OPTIONS["analyze pool"][0], ["--n", "--k", "--l", "--trials"]),
+    "sim pool": (FLOAT_OPTIONS["sim pool"][0], {"--seed": "1"}),
+    "sim entropy": (FLOAT_OPTIONS["sim entropy"][0], {"--seed": "1"}),
+    "sim latency": (FLOAT_OPTIONS["sim latency"][0], {"--hops": "3", "--n": "6", "--seed": "1"}),
+    "sim epsilon": (FLOAT_OPTIONS["sim epsilon"][0],
+                    {"--users": "5", "--layers": "2", "--per-layer": "2", "--reps": "2",
+                     "--seed": "1"}),
+    "analyze pool": (FLOAT_OPTIONS["analyze pool"][0],
+                     {"--n": "4", "--k": "3", "--l": "2", "--trials": "6", "--seed": "1"}),
     "analyze pool-loops": (FLOAT_OPTIONS["analyze pool-loops"][0],
-                           ["--n", "--k", "--l", "--trials"]),
-    "analyze entropy-step": (FLOAT_OPTIONS["analyze entropy-step"][0], ["--k", "--l"]),
-    "analyze blocking": (FLOAT_OPTIONS["analyze blocking"][0], ["--trials"]),
-    "analyze delay-attack": (FLOAT_OPTIONS["analyze delay-attack"][0], ["--k-links"]),
+                           {"--n": "3", "--k": "2", "--l": "2", "--trials": "6", "--seed": "1"}),
+    "analyze entropy-step": (FLOAT_OPTIONS["analyze entropy-step"][0], {"--k": "3", "--l": "2"}),
+    "analyze blocking": (FLOAT_OPTIONS["analyze blocking"][0], {"--trials": "6", "--seed": "3"}),
+    "analyze delay-attack": (FLOAT_OPTIONS["analyze delay-attack"][0], {"--k-links": "4"}),
     "analyze link-rate": (FLOAT_OPTIONS["analyze link-rate"][0],
-                          ["--users", "--n-mixes", "--n-providers", "--k-links", "--ell"]),
-    "analyze anon-condition": (FLOAT_OPTIONS["analyze anon-condition"][0], ["--users", "--hops"]),
-    "vectors": (["--cases", "1"], ["--cases"]),
+                          {"--users": "11", "--n-mixes": "10", "--n-providers": "5",
+                           "--k-links": "4", "--ell": "4"}),
+    "analyze anon-condition": (FLOAT_OPTIONS["analyze anon-condition"][0],
+                               {"--users": "22", "--hops": "4", "--seed": "1"}),
+    "vectors": (["--cases", "1"], {"--cases": "2", "--seed": "8"}),
 }
-SEED = "a seed: random.Random takes any integer, and numpy any non-negative one"
 TRACE_INDEX = "an index into the traces file: one past its end is already an error line"
-INT_EXEMPT = {
-    **{(command, "--seed"): SEED for command in (
-        "sim pool", "sim entropy", "sim latency", "sim epsilon", "analyze pool",
-        "analyze pool-loops", "analyze blocking", "analyze anon-condition", "vectors")},
-    **{("analyze trace-join", option): TRACE_INDEX for option in ("--x", "--y", "--i")},
-}
+INT_EXEMPT = {("analyze trace-join", option): TRACE_INDEX for option in ("--x", "--y", "--i")}
 
 
 def rows(table):
@@ -682,6 +678,31 @@ def test_float_option_rows_are_valid_runs(runner, command):
 @pytest.mark.parametrize("command", [c for c, (valid, _) in INT_OPTIONS.items() if valid])
 def test_int_option_rows_are_valid_runs(runner, command):
     run_json(runner, [*command.split(), *INT_OPTIONS[command][0]])
+
+
+@pytest.mark.parametrize(
+    "valid, command, option, value",
+    [pytest.param(valid, command, option, value, id=f"{command} {option}")
+     for table in (FLOAT_OPTIONS, INT_OPTIONS)
+     for command, (valid, options) in table.items() if valid
+     for option, value in options.items()],
+)
+def test_a_second_value_of_an_option_changes_what_the_run_prints(
+    runner, valid, command, option, value
+):
+    # analyze pool's --mu was scaled away by its race and link-rate's was
+    # never read: each setting that changes nothing doubles what tests cover
+    args = [*command.split(), *valid]
+    assert run_json(runner, [*args, option, value]) != run_json(runner, args)
+
+
+@pytest.mark.parametrize("command", [c for c, (_, options) in INT_OPTIONS.items()
+                                     if "--seed" in options])
+def test_a_negative_seed_prints_one_error_line(runner, command):
+    # random.Random seeded with |seed|, so -3 ran what 3 runs, and numpy's
+    # generators took no negative seed as a usage error
+    args = [*command.split(), *INT_OPTIONS[command][0], "--seed", "-1"]
+    assert_one_error_line(runner.invoke(main, args), "seed must be at least 0 and at most")
 
 
 def args_of_a_row(tmp_path, table, command):
@@ -775,8 +796,14 @@ def test_count_past_2_53_in_an_int_option_prints_one_error_line(
         ("trace-join", json.dumps({"traces": [[{"sender": "u1"}]]}), "bad traces file: 'time'"),
         ("anon-condition", json.dumps({"drops": []}), "bad traces file: 'challenge'"),
         ("anon-condition", "{not json", "cannot load traces from"),
+        # each of these gave a verdict: the string marked m and x compromised,
+        # the object its keys, and the number matched no node
+        *[("anon-condition", json.dumps(anon_instance(compromised)),
+           "bad traces file: compromised must be a list of node names")
+          for compromised in ("mx", {"m1": True}, [1])],
     ],
-    ids=["trace-join-missing-field", "anon-missing-challenge", "anon-not-json"],
+    ids=["trace-join-missing-field", "anon-missing-challenge", "anon-not-json",
+         "anon-compromised-string", "anon-compromised-object", "anon-compromised-number"],
 )
 def test_bad_traces_file_prints_one_error_line(runner, tmp_path, command, text, message):
     path = tmp_path / "traces.json"

@@ -339,10 +339,6 @@ def test_config_validation():
         with pytest.raises(ValueError, match="lambda_M must be non-negative and finite"):
             MixConfig(**base, lambda_M=bad)
     with pytest.raises(ValueError):
-        MixConfig(**base, loop_return_fraction_r=0.0)
-    with pytest.raises(ValueError):
-        MixConfig(**base, loop_return_fraction_r=1.5)
-    with pytest.raises(ValueError):
         MixConfig(**{**base, "secret_key": sk[:31]})
 
 

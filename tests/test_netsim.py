@@ -7,6 +7,8 @@ benchmark's network shape, run through runtime.py's scheduling on a netsim.Net.
 import random
 from collections import defaultdict
 
+import pytest
+
 from loopmix import cli, transport
 from loopmix.client import Rates
 from loopmix.netsim import Net
@@ -122,6 +124,12 @@ def test_benchmark_shape_runs_on_virtual_time_and_drains():
     assert len(net.log) > 5000
 
     assert run_deployment(seed=7)[1].log == net.log
+
+
+def test_a_negative_seed_is_refused():
+    # random.Random seeds with |seed|, so Net(-7) ran what Net(7) runs
+    with pytest.raises(ValueError, match="^seed must be at least 0 and at most"):
+        Net(-7)
 
 
 def test_client_defaults_keep_inboxes_drained():

@@ -28,12 +28,28 @@ def test_gen_directory_writes_a_loadable_directory(tmp_path):
     assert [len(layer) for layer in topo.layers] == [3, 3]
     assert len(topo.providers) == 2 and len(topo.clients) == 3
 
-    # four layers exceed the packet hop budget: refused, and nothing written
-    bad, bad_secrets = tmp_path / "bad.json", tmp_path / "bad_secrets.json"
+
+@pytest.mark.parametrize(
+    "name, argv, message",
+    [
+        # four layers exceed the packet hop budget
+        ("gen_directory", ["--layers", "4"], "the directory would not load"),
+        # random.Random seeded with |seed|, so -1000 wrote the seed 1000
+        # directory, and the sweep wrote its header before numpy refused
+        ("gen_directory", ["--seed", "-1000"], "seed must be at least 0"),
+        ("epsilon_sweep", ["--seed", "-1"], "seed must be at least 0"),
+    ],
+)
+def test_refused_input_is_one_error_line_and_writes_nothing(tmp_path, capsys, name, argv, message):
+    outs = [tmp_path / "out", tmp_path / "secrets"]
+    argv += ["--out", str(outs[0])]
+    if name == "gen_directory":
+        argv += ["--secrets-out", str(outs[1])]
     with pytest.raises(SystemExit) as exc:
-        gen.main(["--layers", "4", "--out", str(bad), "--secrets-out", str(bad_secrets)])
+        load_script(name).main(argv)
     assert exc.value.code == 2
-    assert not bad.exists() and not bad_secrets.exists()
+    assert message in capsys.readouterr().err.splitlines()[-1]
+    assert not any(out.exists() for out in outs)
 
 
 def test_epsilon_sweep_simulates_each_distinct_point_once(tmp_path, monkeypatch):

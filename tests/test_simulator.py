@@ -26,7 +26,7 @@ from loopmix.simulator import (
 from loopmix.simulator import epsilon
 from loopmix.simulator.epsilon import LabelFlowResult, simulate_label_flow
 from loopmix.analysis.traces import validate_trace
-from loopmix.bounds import MAX_EVENTS
+from loopmix.bounds import MAX_COUNT, MAX_EVENTS
 
 RATES = Rates(lambda_P=2.0, lambda_L=1.0, lambda_D=1.0, lambda_M=0.5, mu=1.0)
 
@@ -504,6 +504,11 @@ def test_sim_config_validation():
             small_cfg(**{field: 10**400})
     with pytest.raises(ValueError, match="^reps must be at least 1 and at most"):
         run_epsilon_batch(small_cfg(), 10**400)
+    # numpy refused a negative seed only at the first repetition's draw
+    with pytest.raises(ValueError, match="^seed must be at least 0 and at most"):
+        small_cfg(seed=-1)
+    with pytest.raises(ValueError, match=r"^seed \+ reps - 1 must be at least 0 and at most"):
+        run_epsilon_batch(small_cfg(seed=MAX_COUNT), 2)
 
 
 C07 = dict(U=100, rates=Rates(2.0, 0.0, 0.0, 0.0, 1.0), layers=3, nodes_per_layer=3,
@@ -559,34 +564,31 @@ def test_epsilon_batch_counts_infinite_repetitions(monkeypatch):
 
 
 def test_latency_single_hop_is_exponential():
-    rates = Rates(1.0, 1.0, 1.0, 0.0, 2.0)
-    samples = run_latency_experiment(rates, hops=1, n_messages=20_000, seed=3)
-    ks = stats.kstest(samples, "expon", args=(0, 1 / rates.mu))
+    samples = run_latency_experiment(2.0, hops=1, n_messages=20_000, seed=3)
+    ks = stats.kstest(samples, "expon", args=(0, 1 / 2.0))
     assert ks.pvalue > 0.01
 
 
 def test_latency_moments_and_processing_shift():
-    rates = Rates(1.0, 1.0, 1.0, 0.0, 2.0)
-    base = run_latency_experiment(rates, hops=4, n_messages=20_000, seed=4)
+    base = run_latency_experiment(2.0, hops=4, n_messages=20_000, seed=4)
     assert float(np.mean(base)) == pytest.approx(2.0, abs=0.05)
     assert float(np.std(base)) == pytest.approx(1.0, abs=0.05)
-    shifted = run_latency_experiment(rates, hops=4, n_messages=20_000, seed=4, processing_s=0.01)
+    shifted = run_latency_experiment(2.0, hops=4, n_messages=20_000, seed=4, processing_s=0.01)
     assert np.allclose(shifted, base + 0.04)
 
 
 def test_latency_validation():
-    rates = Rates(1.0, 1.0, 1.0, 0.0, 2.0)
     with pytest.raises(ValueError):
-        run_latency_experiment(rates, hops=0, n_messages=10, seed=0)
+        run_latency_experiment(2.0, hops=0, n_messages=10, seed=0)
     with pytest.raises(ValueError):
-        run_latency_experiment(rates, hops=1, n_messages=0, seed=0)
+        run_latency_experiment(2.0, hops=1, n_messages=0, seed=0)
     with pytest.raises(ValueError):
-        run_latency_experiment(rates, hops=1, n_messages=10, seed=0, processing_s=-1.0)
+        run_latency_experiment(2.0, hops=1, n_messages=10, seed=0, processing_s=-1.0)
     with pytest.raises(ValueError, match="^n_messages must be at least 1 and at most"):
-        run_latency_experiment(rates, hops=1, n_messages=10**400, seed=0)
+        run_latency_experiment(2.0, hops=1, n_messages=10**400, seed=0)
     # the delays of one message over 10**7 + 1 hops
     with pytest.raises(ValueError, match=r"^n_messages \* hops: 10000001 expected events"):
-        run_latency_experiment(rates, hops=MAX_EVENTS + 1, n_messages=1, seed=0)
+        run_latency_experiment(2.0, hops=MAX_EVENTS + 1, n_messages=1, seed=0)
 
 
 def test_trace_run_shape_and_determinism():
