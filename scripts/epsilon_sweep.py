@@ -10,13 +10,13 @@ distinct point is simulated once and its row repeated.
 import argparse
 import sys
 
-from loopmix.bounds import count
+from loopmix.bounds import bounded_events, count
 from loopmix.client import Rates
 from loopmix.simulator import SimConfig, run_epsilon_batch
 
 
-def run_point(args, mu, layers, corrupt):
-    cfg = SimConfig(
+def point_config(args, mu, layers, corrupt):
+    return SimConfig(
         seed=args.seed,
         U=args.users,
         rates=Rates(args.lam, 0.0, 0.0, 0.0, mu),
@@ -27,8 +27,6 @@ def run_point(args, mu, layers, corrupt):
         run_time=args.run_time,
         challenge=(0, 1),
     )
-    batch = run_epsilon_batch(cfg, args.reps)
-    return f"mu={mu};layers={layers};corrupt={corrupt}", batch
 
 
 def main(argv=None) -> int:
@@ -45,22 +43,26 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default="epsilon_sweep.csv")
     args = parser.parse_args(argv)
-    try:  # before the output file is opened
-        count("seed", args.seed)
-    except ValueError as exc:
-        parser.error(str(exc))
 
     points = [(mu, 3, 0.0) for mu in args.mus]
     points += [(1.0, layers, 0.0) for layers in args.layer_counts]
     points += [(1.0, 3, corrupt) for corrupt in args.corruptions]
+    try:  # every input, as SimConfig and run_epsilon_batch check it, before --out is opened
+        configs = {point: point_config(args, *point) for point in points}
+        count("reps", args.reps, lo=1)
+        count("seed + reps - 1", args.seed + args.reps - 1)
+        for cfg in configs.values():
+            bounded_events(f"{args.reps} repetitions", args.reps * cfg.expected_events)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     done = {}
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("param,mean_eps,std\n")
         for point in points:
             if point not in done:
-                done[point] = run_point(args, *point)
-            param, batch = done[point]
+                done[point] = run_epsilon_batch(configs[point], args.reps)
+            param, batch = "mu={};layers={};corrupt={}".format(*point), done[point]
             # empty fields, as `loopmix sim epsilon` writes, when no rep was finite
             mean, std = (batch.mean, batch.std) if batch.n_finite else ("", "")
             fh.write(f"{param},{mean},{std}\n")

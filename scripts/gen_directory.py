@@ -73,6 +73,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         count("seed", args.seed)
+        count("layers", args.layers, lo=1)
+        count("per-layer", args.per_layer, lo=1)
+        count("providers", args.providers, lo=1)
+        count("clients", args.clients)
     except ValueError as exc:
         parser.error(str(exc))
 

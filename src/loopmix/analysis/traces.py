@@ -13,12 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Set, Tuple
 
+from ..bounds import count
+
 
 class InvalidTrace(ValueError):
-    pass
-
-
-class IndexOutOfRange(ValueError):
     pass
 
 
@@ -56,8 +54,8 @@ def trace_join(tr_x: Sequence[Transmission], tr_y: Sequence[Transmission], i: in
     """
     validate_trace(tr_x)
     validate_trace(tr_y)
-    if not 1 <= i < min(len(tr_x), len(tr_y)):
-        raise IndexOutOfRange(f"hop {i} has no successor in both traces")
+    # hop i needs a successor in both traces
+    count("i", i, lo=1, hi=min(len(tr_x), len(tr_y)) - 1)
     return _join_ok(tr_x, tr_y, i)
 
 

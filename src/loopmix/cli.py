@@ -322,7 +322,7 @@ def sim_latency(mu, hops, n_messages, processing, seed, out):
 @click.option("--mu", type=float, required=True, help="Mix delay parameter.")
 @click.option("--layers", type=int, required=True)
 @click.option("--per-layer", type=int, required=True, help="Mixes per layer.")
-@click.option("--reps", type=click.IntRange(min=1), default=100, show_default=True)
+@click.option("--reps", type=int, default=100, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--corrupt-fraction", type=float, default=0.0, show_default=True)
 @click.option("--lambda-loop", type=float, default=0.0, show_default=True, help="Per-user loop rate.")
@@ -524,18 +524,14 @@ def _node_names(raw) -> frozenset:
 
 @analyze.command("trace-join")
 @click.option("--traces-file", required=True, help='JSON file: {"traces": [[transmission,...],...]}.')
-@click.option("--x", "x_idx", type=click.IntRange(min=0), required=True,
-              help="Index of the earlier trace.")
-@click.option("--y", "y_idx", type=click.IntRange(min=0), required=True,
-              help="Index of the later trace.")
+@click.option("--x", "x_idx", type=int, required=True, help="Index of the earlier trace.")
+@click.option("--y", "y_idx", type=int, required=True, help="Index of the later trace.")
 @click.option("--i", "hop", type=int, required=True, help="1-based hop at which to join.")
 def analyze_trace_join(traces_file, x_idx, y_idx, hop):
     """Whether two observed traces could be one route switched at a hop."""
     traces = _read_traces(traces_file, lambda doc: [_trace_from_json(t) for t in doc["traces"]])
-    for option, idx in (("--x", x_idx), ("--y", y_idx)):
-        if idx >= len(traces):
-            raise ValueError(f"{option} {idx} is past the last trace: {traces_file} holds "
-                             f"{len(traces)} traces")
+    count("x", x_idx, hi=len(traces) - 1)
+    count("y", y_idx, hi=len(traces) - 1)
     _emit({"join": trace_join(traces[x_idx], traces[y_idx], hop)})
 
 

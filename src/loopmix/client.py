@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Deque, List, Optional, Tuple
 
-from . import crypto, packet as pkt
-from .bounds import non_negative, positive
+from . import crypto
+from .bounds import count, non_negative, positive
 from .mixnode import LoopTracker
 from .packet import HopFlags
 from .topology import Topology, build_onion, sample_forward_path
@@ -38,8 +38,7 @@ PACKET_DROP = "DROP"
 
 def seal_envelope(recipient_pub: crypto.GroupElement, message: bytes, rng) -> bytes:
     """Encrypt message into a fixed-size blob only the recipient can open."""
-    if len(message) > USER_MESSAGE_CAPACITY:
-        raise pkt.MessageTooLarge(f"{len(message)} > {USER_MESSAGE_CAPACITY}")
+    count("message length", len(message), hi=USER_MESSAGE_CAPACITY)
     plain = struct.pack(">I", len(message)) + message
     plain += bytes(_SEALED_PLAIN_LEN - len(plain))
     return crypto.e2e_seal(recipient_pub, plain, rng)
@@ -112,8 +111,8 @@ class Client:
         return crypto.private_key(self.cfg.secret_key)
 
     def enqueue_message(self, recipient_id: str, message: bytes) -> None:
-        if len(message) > USER_MESSAGE_CAPACITY:
-            raise pkt.MessageTooLarge(f"{len(message)} > {USER_MESSAGE_CAPACITY}")
+        # checked where it is queued too, not only in the timer that seals it
+        count("message length", len(message), hi=USER_MESSAGE_CAPACITY)
         self.buffer.append((recipient_id, message))
 
     def queue_depth(self) -> int:

@@ -14,7 +14,7 @@ import struct
 from dataclasses import dataclass
 
 from . import crypto
-from .bounds import non_negative
+from .bounds import count, non_negative
 from .crypto import GroupElement
 
 MAX_HOPS = 5
@@ -34,23 +34,11 @@ _LEN_FIELD = 4
 MESSAGE_CAPACITY = PAYLOAD_LEN - crypto.AEAD_OVERHEAD - ADDR_LEN - _LEN_FIELD
 
 
-class PacketError(ValueError):
+class MacMismatch(ValueError):
     pass
 
 
-class PathTooLong(PacketError):
-    pass
-
-
-class MessageTooLarge(PacketError):
-    pass
-
-
-class MacMismatch(PacketError):
-    pass
-
-
-class MalformedPacket(PacketError):
+class MalformedPacket(ValueError):
     pass
 
 
@@ -241,10 +229,8 @@ def build_packet(
     the HopSpec it recovers, and the sender-side trace of alphas and shared
     secrets."""
     nu = len(path)
-    if nu < 1 or nu > MAX_HOPS:
-        raise PathTooLong("path length must be in 1..%d" % MAX_HOPS)
-    if len(message) > MESSAGE_CAPACITY:
-        raise MessageTooLarge("message exceeds %d bytes" % MESSAGE_CAPACITY)
+    count("path length", nu, lo=1, hi=MAX_HOPS)
+    count("message length", len(message), hi=MESSAGE_CAPACITY)
     plain = _encode_addr(recipient_id) + struct.pack(">I", len(message)) + message
 
     chain = None

@@ -3,7 +3,6 @@
 from .queues import run_pool_experiment
 from .entropy import run_entropy_experiment
 from .epsilon import (
-    ChallengeSendersOffline,
     LabelDistribution,
     SimConfig,
     run_epsilon_batch,
@@ -15,7 +14,6 @@ from .tracelog import TraceSimConfig, run_trace_experiment
 __all__ = [
     "run_pool_experiment",
     "run_entropy_experiment",
-    "ChallengeSendersOffline",
     "LabelDistribution",
     "SimConfig",
     "run_epsilon_batch",

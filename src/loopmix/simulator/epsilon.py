@@ -37,10 +37,6 @@ from ..bounds import bounded_events, count, positive
 from ..client import Rates
 
 
-class ChallengeSendersOffline(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class LabelDistribution:
     p_S0: float
@@ -83,8 +79,10 @@ class SimConfig:
         if self.rates.lambda_P <= 0:
             raise ValueError("challenge traffic needs a positive payload rate")
         s0, s1 = self.challenge
-        if s0 == s1 or not (0 <= s0 < self.U and 0 <= s1 < self.U):
-            raise ChallengeSendersOffline(f"challenge senders {s0}, {s1} not distinct senders")
+        count("challenge[0]", s0, hi=self.U - 1)
+        count("challenge[1]", s1, hi=self.U - 1)
+        if s0 == s1:
+            raise ValueError(f"challenge senders must differ, not both {s0}")
         bounded_events("one repetition", self.expected_events)
 
     @property

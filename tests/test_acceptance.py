@@ -36,7 +36,6 @@ from loopmix.analysis.pools import (
     pool_match_prob_with_loops,
 )
 from loopmix.analysis.traces import (
-    IndexOutOfRange,
     Transmission,
     anonymity_condition_holds,
     trace_join,
@@ -531,7 +530,7 @@ def test_c12_trace_join_suite():
     assert not trace_join(early, missed, 2)
     elsewhere = _chain(("u2", 1.5, "p3"), ("p3", 2.5, "m9"), ("m9", 3.5, "p4"))
     assert not trace_join(early, elsewhere, 2)
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(ValueError, match="^i must be at least 1 and at most 2$"):
         trace_join(early, late, 3)
 
     # interchangeability on a hand-built instance, one swap chain each way

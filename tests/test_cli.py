@@ -137,11 +137,16 @@ def transmission(sender, time, handle, recipient):
     return {"sender": sender, "time": time, "handle": handle, "recipient": recipient}
 
 
-def two_traces_file(tmp_path):
+def traces_file(tmp_path):
+    """Three traces: 0 and 1 join at hop 1 and part at hop 2; 2 joins neither."""
     doc = {
         "traces": [
-            [transmission("u1", 5.0, "h1", "m"), transmission("m", 8.0, "h2", "p1")],
-            [transmission("u2", 6.0, "h3", "m"), transmission("m", 9.0, "h4", "p2")],
+            [transmission("u1", 1.0, "a1", "m1"), transmission("m1", 4.0, "a2", "m2"),
+             transmission("m2", 7.0, "a3", "p1")],
+            [transmission("u2", 2.0, "b1", "m1"), transmission("m1", 5.0, "b2", "m3"),
+             transmission("m3", 8.0, "b3", "p2")],
+            [transmission("u3", 10.0, "c1", "m1"), transmission("m1", 11.0, "c2", "m2"),
+             transmission("m2", 12.0, "c3", "p3")],
         ]
     }
     path = tmp_path / "traces.json"
@@ -150,7 +155,7 @@ def two_traces_file(tmp_path):
 
 
 def test_analyze_trace_join_file(runner, tmp_path):
-    path = two_traces_file(tmp_path)
+    path = traces_file(tmp_path)
     out = run_json(
         runner,
         ["analyze", "trace-join", "--traces-file", str(path), "--x", "0", "--y", "1", "--i", "1"],
@@ -168,18 +173,17 @@ def trace_join_args(path, x, y):
 
 
 @pytest.mark.parametrize("option, x, y", [("--x", "-1", "0"), ("--y", "0", "-1")])
-def test_trace_join_negative_index_is_a_usage_error(runner, tmp_path, option, x, y):
-    # Python's indexing would take -1 for the last trace
-    result = runner.invoke(main, trace_join_args(two_traces_file(tmp_path), x, y))
-    assert result.exit_code == 2
-    assert f"Invalid value for '{option}': -1 is not in the range x>=0" in result.output
+def test_trace_join_negative_index_prints_one_error_line(runner, tmp_path, option, x, y):
+    # Python's indexing would take -1 for the last trace; click refused it
+    # as a usage error, unlike every other count
+    result = runner.invoke(main, trace_join_args(traces_file(tmp_path), x, y))
+    assert_one_error_line(result, f"error: {option[2:]} must be at least 0 and at most 2\n")
 
 
 @pytest.mark.parametrize("option, x, y", [("--x", "5", "1"), ("--y", "0", "5")])
 def test_trace_join_index_past_the_end_names_the_option(runner, tmp_path, option, x, y):
-    path = two_traces_file(tmp_path)
-    result = runner.invoke(main, trace_join_args(path, x, y))
-    assert_one_error_line(result, f"{option} 5 is past the last trace: {path} holds 2 traces")
+    result = runner.invoke(main, trace_join_args(traces_file(tmp_path), x, y))
+    assert_one_error_line(result, f"error: {option[2:]} must be at least 0 and at most 2\n")
 
 
 def test_analyze_anon_condition_simulated(runner):
@@ -309,10 +313,10 @@ EPSILON_ARGS = [
 ]
 
 
-def test_sim_epsilon_zero_reps_is_a_usage_error(runner):
+def test_sim_epsilon_zero_reps_prints_one_error_line(runner):
+    # click refused it as a usage error, unlike every other count
     result = runner.invoke(main, EPSILON_ARGS + ["--reps", "0"])
-    assert result.exit_code == 2
-    assert "Invalid value for '--reps': 0 is not in the range x>=1" in result.output
+    assert_one_error_line(result, "error: reps must be at least 1 and at most")
 
 
 def test_sim_epsilon_without_a_finite_rep_prints_strict_json(runner, monkeypatch, tmp_path):
@@ -613,8 +617,9 @@ FLOAT_OPTIONS = {
                                {"--duration": "3", "--lambda-d": "2"}),
 }
 # Every integer option of every command, in the same form: each is a count,
-# a seed among them, at most 2**53, unless INT_EXEMPT gives the reason it is
-# none.
+# a seed or an index among them, at most 2**53. TRACES in a row stands for
+# traces_file.
+TRACES = "<traces file>"
 INT_OPTIONS = {
     "provider": (None, ["--pull-max", "--inbox-capacity"]),
     "sim pool": (FLOAT_OPTIONS["sim pool"][0], {"--seed": "1"}),
@@ -635,10 +640,10 @@ INT_OPTIONS = {
                            "--k-links": "4", "--ell": "4"}),
     "analyze anon-condition": (FLOAT_OPTIONS["analyze anon-condition"][0],
                                {"--users": "22", "--hops": "4", "--seed": "1"}),
+    "analyze trace-join": (trace_join_args(TRACES, "0", "1")[2:],
+                           {"--x": "2", "--y": "2", "--i": "2"}),
     "vectors": (["--cases", "1"], {"--cases": "2", "--seed": "8"}),
 }
-TRACE_INDEX = "an index into the traces file: one past its end is already an error line"
-INT_EXEMPT = {("analyze trace-join", option): TRACE_INDEX for option in ("--x", "--y", "--i")}
 
 
 def rows(table):
@@ -665,9 +670,10 @@ def test_every_float_option_has_a_row():
     assert set(options_of_type(main, click.types.FloatParamType)) == set(FLOAT_ROWS)
 
 
-def test_every_int_option_has_a_row_or_a_reason():
-    assert not set(INT_ROWS) & set(INT_EXEMPT)
-    assert set(options_of_type(main, click.types.IntParamType)) == {*INT_ROWS, *INT_EXEMPT}
+def test_every_int_option_has_a_row():
+    assert set(options_of_type(main, click.types.IntParamType)) == set(INT_ROWS)
+    # a range of click's would refuse a count as a usage error, not by the count rule
+    assert list(options_of_type(main, click.IntRange)) == []
 
 
 @pytest.mark.parametrize("command", [c for c, (valid, _) in FLOAT_OPTIONS.items() if valid])
@@ -676,23 +682,23 @@ def test_float_option_rows_are_valid_runs(runner, command):
 
 
 @pytest.mark.parametrize("command", [c for c, (valid, _) in INT_OPTIONS.items() if valid])
-def test_int_option_rows_are_valid_runs(runner, command):
-    run_json(runner, [*command.split(), *INT_OPTIONS[command][0]])
+def test_int_option_rows_are_valid_runs(runner, tmp_path, command):
+    run_json(runner, args_of_a_row(tmp_path, INT_OPTIONS, command))
 
 
 @pytest.mark.parametrize(
-    "valid, command, option, value",
-    [pytest.param(valid, command, option, value, id=f"{command} {option}")
+    "table, command, option, value",
+    [pytest.param(table, command, option, value, id=f"{command} {option}")
      for table in (FLOAT_OPTIONS, INT_OPTIONS)
      for command, (valid, options) in table.items() if valid
      for option, value in options.items()],
 )
 def test_a_second_value_of_an_option_changes_what_the_run_prints(
-    runner, valid, command, option, value
+    runner, tmp_path, table, command, option, value
 ):
     # analyze pool's --mu was scaled away by its race and link-rate's was
     # never read: each setting that changes nothing doubles what tests cover
-    args = [*command.split(), *valid]
+    args = args_of_a_row(tmp_path, table, command)
     assert run_json(runner, [*args, option, value]) != run_json(runner, args)
 
 
@@ -706,11 +712,12 @@ def test_a_negative_seed_prints_one_error_line(runner, command):
 
 
 def args_of_a_row(tmp_path, table, command):
-    """The row's valid run; a daemon's start with a bad --listen."""
+    """The row's valid run, on traces_file for TRACES; a daemon's start with
+    a bad --listen."""
     valid = table[command][0]
     if valid is None:
         return daemon_args(tmp_path, command, DAEMON_IDS[command], "--listen", "nonsense")
-    return [*command.split(), *valid]
+    return [*command.split(), *(str(traces_file(tmp_path)) if a == TRACES else a for a in valid)]
 
 
 # The SHA-256 of the stdout, then the --out file, of one fixed-seed valid run
@@ -756,7 +763,7 @@ STUDY_COMMANDS = [
 def test_study_command_output_bytes_are_pinned(runner, tmp_path, group, name):
     command = f"{group} {name}"
     if name == "trace-join":
-        args = trace_join_args(two_traces_file(tmp_path), "0", "1")
+        args = trace_join_args(traces_file(tmp_path), "0", "1")
     else:
         args = [group, name, *FLOAT_OPTIONS[command][0]]
     out = tmp_path / "out.csv"
@@ -776,6 +783,14 @@ def test_nan_or_inf_in_a_float_option_prints_one_error_line(
     # unchecked, some of these ran forever and others printed NaN
     args = args_of_a_row(tmp_path, FLOAT_OPTIONS, command)
     assert_one_error_line(runner.invoke(main, [*args, option, value]), "must")
+
+
+@pytest.mark.parametrize("command, option", INT_ROWS)
+def test_count_below_its_least_value_prints_one_error_line(runner, tmp_path, command, option):
+    # no count is a usage error: sim epsilon --reps and trace-join --x and
+    # --y were, and exited 2
+    args = args_of_a_row(tmp_path, INT_OPTIONS, command)
+    assert_one_error_line(runner.invoke(main, [*args, option, "-1"]), "must be at least")
 
 
 @pytest.mark.parametrize("command, option", INT_ROWS)
@@ -924,7 +939,7 @@ def test_every_loopmix_exception_is_a_value_error():
         if isinstance(obj, type) and issubclass(obj, BaseException)
         and obj.__module__ == info.name
     ]
-    assert {"ParseError", "GroupError", "InvalidTrace", "ChallengeSendersOffline"} <= {
+    assert {"ParseError", "GroupError", "InvalidTrace", "MacMismatch"} <= {
         c.__name__ for c in defined
     }
     assert [c.__qualname__ for c in defined if not issubclass(c, ValueError)] == []

@@ -19,7 +19,17 @@ from loopmix.mixnode import (
     MixPool,
     loop_health,
 )
-from loopmix.packet import HopFlags, HopSpec, Relay, build_packet
+from loopmix.crypto import GroupElement
+from loopmix.packet import (
+    HopFlags,
+    HopSpec,
+    MacMismatch,
+    Relay,
+    SphinxHeader,
+    SphinxPacket,
+    build_packet,
+    process_packet,
+)
 from loopmix.simulator.queues import run_pool_experiment
 from loopmix.topology import InvariantViolation, sample_forward_path
 
@@ -74,11 +84,24 @@ def test_bad_mac_counted_and_pool_unchanged():
     packet = relay_packet(pub, 1.0, rng)
     raw = bytearray(packet.to_bytes())
     raw[40] ^= 0xFF
-    from loopmix.packet import SphinxPacket
 
     assert node.on_receive(SphinxPacket.from_bytes(bytes(raw)), now=0.0) is None
     assert len(node.pool) == 0
     assert node.dropped_mac == 1
+
+
+def test_low_order_alpha_is_a_mac_mismatch_counted_and_dropped():
+    # an alpha of all zeros gives the all-zero shared secret, which the
+    # exchange refuses; process_packet reports it as a MAC failure
+    node, pub, rng = make_mix()
+    packet = relay_packet(pub, 1.0, rng)
+    zero = SphinxPacket(SphinxHeader(GroupElement(bytes(32)), packet.header.beta,
+                                     packet.header.mac), packet.payload)
+    with pytest.raises(MacMismatch, match="degenerate shared secret"):
+        process_packet(node.key, zero)
+    assert node.on_receive(zero, now=0.0) is None
+    assert node.dropped_mac == 1
+    assert len(node.pool) == 0
 
 
 @pytest.mark.parametrize("hop", HOSTILE_HOPS.values(), ids=HOSTILE_HOPS.keys())

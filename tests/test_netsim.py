@@ -12,8 +12,8 @@ import pytest
 from loopmix import cli, transport
 from loopmix.client import Rates
 from loopmix.netsim import Net
-from loopmix.packet import Relay
-from loopmix.runtime import ClientRuntime
+from loopmix.packet import PACKET_LEN, Relay
+from loopmix.runtime import ClientRuntime, resolve_addr
 from loopmix.topology import ClientDescriptor, MixDescriptor, ProviderDescriptor
 
 from conftest import make_directory
@@ -164,3 +164,62 @@ def test_client_defaults_keep_inboxes_drained():
     inboxes = [q for p in topology.providers for q in runtimes[p.id].provider.inboxes.values()]
     assert len(inboxes) == 3
     assert max(map(len, inboxes)) < provider["pull_max"]
+
+
+def runtime_state(rt):
+    """Everything a datagram could change in a runtime: counters, pool, inboxes."""
+    if isinstance(rt, ClientRuntime):
+        c = rt.client
+        return (c.sent_real, c.sent_payload_cover, c.drops_sent, c.received_real,
+                c.received_dummy, c.loops_sent, c.loops_returned, list(c.buffer),
+                list(rt.received_messages))
+    inboxes = {cid: list(q) for cid, q in rt.provider.inboxes.items()} if rt.provider else None
+    return rt.node.metrics_line(0.0), list(rt.mix.pool.pending), inboxes
+
+
+def hostile_datagrams(topology):
+    """(name, datagram, roles it goes to): frames deframe refuses, frames of
+    a kind the role ignores, and pull requests no provider may serve. A
+    valid pull goes to no provider, and a pull item, a client's own input,
+    to no client."""
+    packet_body = bytes(PACKET_LEN)
+    alice = topology.client("alice")
+    nonce = bytes(transport.NONCE_LEN)
+
+    def pull(client_id, token):
+        body = transport.encode_pull_request(client_id, token, nonce)
+        return transport.frame(transport.KIND_PULL_REQ, body)
+
+    everyone = {"mix", "provider", "client"}
+    return [
+        ("truncated", transport.MAGIC + bytes([transport.VERSION]), everyone),
+        ("bad magic", b"XX" + bytes([transport.VERSION, transport.KIND_PACKET]) + packet_body,
+         everyone),
+        ("wrong version", transport.MAGIC + bytes([2, transport.KIND_PACKET]) + packet_body,
+         everyone),
+        ("unknown kind", transport.MAGIC + bytes([transport.VERSION, 9]) + packet_body, everyone),
+        ("wrong body size",
+         transport.MAGIC + bytes([transport.VERSION, transport.KIND_PACKET]) + packet_body[1:],
+         everyone),
+        ("pull item", transport.frame(transport.KIND_PULL_ITEM, bytes(transport.PULL_ITEM_LEN)),
+         {"mix", "provider"}),
+        ("unknown client", pull("mallory", alice.token), everyone),
+        ("wrong token", pull("alice", bytes(transport.TOKEN_LEN)), everyone),
+        ("valid pull", pull("alice", alice.token), {"mix", "client"}),
+    ]
+
+
+@pytest.mark.parametrize("role", ["mix", "provider", "client"])
+def test_hostile_datagrams_change_nothing_and_send_nothing(network, role):
+    topology, net = network
+    entry = {"mix": topology.layers[0][0], "provider": topology.providers[0],
+             "client": topology.client("alice")}[role]
+    addr = (entry.id, 0) if role == "client" else resolve_addr(entry.addr)
+    rt = net.runtimes[entry.id]
+    before = runtime_state(rt)
+    for _, datagram, roles in hostile_datagrams(topology):
+        if role in roles:
+            net._endpoints[addr].datagram_received(datagram, ("attacker", 1))
+    net.run()
+    assert net.log == []
+    assert runtime_state(rt) == before

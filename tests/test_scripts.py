@@ -38,6 +38,12 @@ def test_gen_directory_writes_a_loadable_directory(tmp_path):
         # directory, and the sweep wrote its header before numpy refused
         ("gen_directory", ["--seed", "-1000"], "seed must be at least 0"),
         ("epsilon_sweep", ["--seed", "-1"], "seed must be at least 0"),
+        # a modulo by zero, and a directory with no clients that exited 0
+        ("gen_directory", ["--providers", "0"], "providers must be at least 1"),
+        ("gen_directory", ["--clients", "-5"], "clients must be at least 0"),
+        # each ended in a traceback behind a header-only CSV
+        ("epsilon_sweep", ["--reps", "0"], "reps must be at least 1"),
+        ("epsilon_sweep", ["--users", "1"], "U must be at least 2"),
     ],
 )
 def test_refused_input_is_one_error_line_and_writes_nothing(tmp_path, capsys, name, argv, message):

@@ -13,7 +13,6 @@ import scipy.stats as stats
 
 from loopmix.client import Rates
 from loopmix.simulator import (
-    ChallengeSendersOffline,
     LabelDistribution,
     SimConfig,
     TraceSimConfig,
@@ -470,9 +469,9 @@ def test_memory_does_not_grow_with_run_time():
 
 
 def test_challenge_senders_must_be_distinct_users():
-    with pytest.raises(ChallengeSendersOffline):
+    with pytest.raises(ValueError, match="^challenge senders must differ, not both 3$"):
         run_epsilon_experiment(small_cfg(challenge=(3, 3)))
-    with pytest.raises(ChallengeSendersOffline):
+    with pytest.raises(ValueError, match=r"^challenge\[1\] must be at least 0 and at most 9$"):
         run_epsilon_experiment(small_cfg(challenge=(0, 99)))
 
 
@@ -561,6 +560,22 @@ def test_epsilon_batch_counts_infinite_repetitions(monkeypatch):
     assert batch.n_finite == 1
     assert batch.n_inf == 1
     assert batch.mean == 1.0
+
+
+def test_a_run_with_no_message_in_a_last_layer_pool_has_no_epsilon():
+    # two users who send once in 100 s, into one mix that holds a message
+    # for 10 ms on average: in the 2-s runs of seeds 0 to 2 no message is
+    # sent and the pool starts and ends empty, so no pool can be the final one
+    cfg = small_cfg(seed=0, U=2, rates=Rates(0.01, 0.0, 0.0, 0.0, 100.0), layers=1,
+                    nodes_per_layer=1, burn_in=1.0, run_time=1.0)
+    result = simulate_label_flow(cfg)
+    assert math.isnan(result.epsilon)
+    assert result.final_mix is None and result.final_pool is None
+    assert result.pool_counts == [0]
+    batch = run_epsilon_batch(cfg, reps=3)
+    assert all(map(math.isnan, batch.values))
+    assert (batch.n_finite, batch.n_inf) == (0, 0)
+    assert math.isnan(batch.mean) and math.isnan(batch.std)
 
 
 def test_latency_single_hop_is_exponential():

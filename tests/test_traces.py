@@ -5,7 +5,6 @@ import random
 import pytest
 
 from loopmix.analysis.traces import (
-    IndexOutOfRange,
     InvalidTrace,
     Transmission,
     anonymity_condition_holds,
@@ -67,7 +66,7 @@ def test_join_index_and_validity_errors():
     x = chain(("u1", 5.0, "m"), ("m", 8.0, "p1"))
     y = chain(("u2", 6.0, "m"), ("m", 9.0, "p2"))
     for bad in (0, 2, 5):
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(ValueError, match="^i must be at least 1 and at most 1$"):
             trace_join(x, y, bad)
     broken = chain(("u1", 5.0, "m"), ("zz", 8.0, "p1"))
     with pytest.raises(InvalidTrace):
