@@ -20,7 +20,11 @@ average label changes only at arrivals, avg <- c * avg + (1 - c) * x with
 c = N / (N + 1), while a departure carries avg away and leaves it as it is.
 So the run is cut into chunks of virtual time. Each chunk draws its
 messages with their whole routes and delays, runs the layers in order, and
-solves each honest pool's recurrence in vectorised blocks (_scan).
+solves each honest pool's recurrence in vectorised blocks (_scan). A layer
+with no S0 or S1 mass in its pools or its arrivals, as every layer has
+before burn_in, is not solved: its counts move, and its pools and honest
+departures are unlabeled. A solve would keep the S0 and S1 shares at
+exactly +0.0 too, so epsilon comes out the same bit for bit.
 """
 
 from __future__ import annotations
@@ -276,48 +280,56 @@ def _scan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return y.reshape(-1, 3)[:n]
 
 
-def _solve_pools(pools, avg, n, arrivals, departures) -> np.ndarray:
+def _solve_pools(avg, n, arrivals, departures) -> np.ndarray:
     """Run one chunk of the pools of one layer and return the masses the
     departures carry; avg and n, each pool's average label and count, are
-    updated in place. arrivals is (mix, t, mass), departures (mix, t).
-    The caller gives a corrupt mix's departures their own masses instead.
+    updated in place. arrivals is (pool, t, mass), departures (pool, t),
+    with pool the index into avg and n. The caller gives a corrupt mix's
+    departures their own masses instead.
 
     Each pool's events run in time order, arrivals before departures at one
-    instant. A virtual first event per pool sets y to the pool's average,
-    each arrival of x at count N sets y <- N/(N+1) * y + x/(N+1), and a
-    departure carries the y of the last event before it.
+    instant. The recurrence has one row per pool, which sets y to the
+    pool's average, followed by the pool's arrivals in time order: an
+    arrival of x at count N sets y <- N/(N+1) * y + x/(N+1), and a
+    departure carries the y of the last row before it. The events are
+    sorted by time, then stably by pool, so each one's count and row
+    follow from its position in that order and the counts before its pool.
     """
-    (arr_mix, arr_t, arr_mass), (dep_mix, dep_t) = arrivals, departures
-    h, na = len(pools), len(arr_mix)
-    size = h + na + len(dep_mix)
+    (arr_pool, arr_t, arr_mass), (dep_pool, dep_t) = arrivals, departures
+    h, na, nd = len(n), len(arr_pool), len(dep_pool)
     # Times are >= +0.0, so their bits sort as they do; the low bit puts an
-    # arrival before a departure at one instant, and key 0 a virtual event
-    # before both. Then pool * size + rank in that order groups the events
-    # by pool and keeps their order within each.
-    key = np.concatenate((np.zeros(h), arr_t, dep_t)).view(np.uint64) << np.uint64(1)
-    key[h:] += np.uint64(1)
-    key[h + na:] += np.uint64(1)
-    rank = np.empty(size, np.uint64)
-    rank[np.argsort(key)] = np.arange(size, dtype=np.uint64)
-    rank += np.concatenate((pools, arr_mix, dep_mix)).astype(np.uint64) * np.uint64(size)
-    order = np.argsort(rank)
-    kept = order < h + na  # the virtual events and the arrivals
-    virtual = order < h
-    starts = np.flatnonzero(virtual)
-    total = np.cumsum(np.where(kept, 1, -1) - virtual)
-    after = (n[pools] - total[starts])[np.cumsum(virtual) - 1] + total  # the count after each event
-    src = order[kept]
-    count_in = np.where(src < h, 1, after[kept])  # 1 makes a virtual event's a 0 and b avg
-    b = np.concatenate((avg[pools], arr_mass)).take(src, axis=0)
+    # arrival before a departure at one instant. The pool sort is stable,
+    # and a radix sort where the pool index fits in 16 bits.
+    key = np.concatenate((arr_t, dep_t)).view(np.uint64) << np.uint64(1)
+    key[na:] += np.uint64(1)
+    order = np.argsort(key)
+    pool = np.concatenate((arr_pool, dep_pool)).astype(np.min_scalar_type(h - 1))
+    order = order.take(np.argsort(pool.take(order), kind="stable"))
+    is_arr = order < na
+    apos, dpos = np.flatnonzero(is_arr), np.flatnonzero(~is_arr)
+    a_cnt = np.bincount(arr_pool, minlength=h)
+    d_cnt = np.bincount(dep_pool, minlength=h)
+    a_first, d_first = np.cumsum(a_cnt) - a_cnt, np.cumsum(d_cnt) - d_cnt
+    pools = np.arange(h)
+    first_row = pools + a_first
+    # The i-th arrival, at position q, in pool p follows i - a_first[p]
+    # arrivals and q - i - d_first[p] departures of its pool; the j-th
+    # departure, at q, follows q - j - a_first[p] arrivals, so reads row
+    # p + q - j.
+    arr_row = np.arange(1, na + 1) + np.repeat(pools, a_cnt)
+    src = np.empty(h + na, np.int64)
+    src[first_row] = pools
+    src[arr_row] = order.take(apos) + h
+    count_in = np.ones(h + na, np.int64)  # 1 makes a first row's a 0 and b avg
+    count_in[arr_row] = np.repeat(n - a_first + d_first + 1, a_cnt) + 2 * np.arange(na) - apos
+    b = np.concatenate((avg, arr_mass)).take(src, axis=0)
     b /= count_in[:, None]
     y = _scan((count_in - 1) / count_in, b)
-    at = np.cumsum(kept) - 1  # the row of y each event reads
-    out = np.empty((size - h - na, 3))
-    out[order[~kept] - h - na] = y.take(at[~kept], axis=0)
-    last = np.append(starts[1:], size) - 1
-    avg[pools] = y.take(at[last], axis=0)
-    n[pools] = after[last]
-    return out
+    dep_row = np.empty(nd, np.int64)
+    dep_row[order.take(dpos) - na] = dpos - np.arange(nd) + np.repeat(pools, d_cnt)
+    avg[:] = y.take(first_row + a_cnt, axis=0)
+    n += a_cnt - d_cnt
+    return y.take(dep_row, axis=0)
 
 
 def simulate_label_flow(cfg: SimConfig) -> LabelFlowResult:
@@ -338,7 +350,8 @@ def simulate_label_flow(cfg: SimConfig) -> LabelFlowResult:
     (_buffered). A layer's departures are its resident messages and
     arrivals whose departure falls in the chunk; the rest stay resident for
     the next chunk. An honest pool runs its events in time order, and at
-    one instant its arrivals before its departures. A corrupt mix passes
+    one instant its arrivals before its departures; a layer with no label
+    in its pools or its arrivals only counts them. A corrupt mix passes
     each message's own masses through. A message leaves the network from
     the last layer, or from the pool it looped into. Events up to
     burn_in + run_time inclusive take part.
@@ -379,6 +392,8 @@ def simulate_label_flow(cfg: SimConfig) -> LabelFlowResult:
         for j in range(l):
             mine = loop_layer == j
             k = int(np.count_nonzero(mine))
+            if not k:  # every layer at lambda_M = 0
+                continue
             loop_t = chunk.loop_t[mine]
             entering[j].append(Messages(
                 chunk.loop_mix[mine], loop_t, loop_t + chunk.loop_delay[mine],
@@ -394,11 +409,20 @@ def simulate_label_flow(cfg: SimConfig) -> LabelFlowResult:
             resident[j] = _take(pending, np.flatnonzero(~due))
             leave = np.flatnonzero(due)
             mix = pending.mix.take(leave)
-            # every pool of the layer is solved; a corrupt one's average is
-            # never read, and its messages leave with their own masses
-            out = _solve_pools(np.arange(j * w, (j + 1) * w), avg, n,
-                               (pending.mix[k:], pending.t[k:], pending.mass[k:]),
-                               (mix, pending.dep.take(leave)))
+            pools = slice(j * w, (j + 1) * w)
+            arr_pool, dep_pool = pending.mix[k:] - j * w, mix - j * w
+            if avg[pools, :2].any() or pending.mass[k:, :2].any():
+                # every pool of the layer is solved; a corrupt one's average
+                # is never read, and its messages leave with their own masses
+                out = _solve_pools(avg[pools], n[pools],
+                                   (arr_pool, pending.t[k:], pending.mass[k:]),
+                                   (dep_pool, pending.dep.take(leave)))
+            else:
+                # no label in the layer: a solve would keep its S0 and S1
+                # columns at +0.0, so only the counts move
+                n[pools] += np.bincount(arr_pool, minlength=w) - np.bincount(dep_pool, minlength=w)
+                avg[pools] = _UNLABELED
+                out = np.tile(_UNLABELED, (len(leave), 1))
             held = np.flatnonzero(is_corrupt[mix])
             out[held] = pending.mass.take(leave[held], axis=0)
             on = pending.on.take(leave)

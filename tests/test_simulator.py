@@ -295,6 +295,49 @@ def test_batched_flow_breaks_ties_like_the_event_heap(monkeypatch):
     assert ties > 100
 
 
+def test_label_free_layers_are_counted_not_solved(monkeypatch):
+    # c07's shape over a burn-in of more than two chunks: before burn_in no
+    # layer holds a label, so those chunks only count. With a payload rate
+    # of 0.1 labels are rare, so after burn_in a layer's pools may hold a
+    # label that none of its arrivals in a chunk carries; such a layer must
+    # still be solved, or its departures would leave unlabeled.
+    solves, chunks = [], []
+    solve, draw = epsilon._solve_pools, epsilon.draw_chunks
+
+    def counted_solve(avg, n, arrivals, departures):
+        solves.append(bool(avg[:, :2].any()) and not arrivals[2][:, :2].any())
+        return solve(avg, n, arrivals, departures)
+
+    def counted_draw(cfg, rng):
+        for chunk in draw(cfg, rng):
+            chunks.append(chunk.stop)
+            yield chunk
+
+    monkeypatch.setattr(epsilon, "_solve_pools", counted_solve)
+    monkeypatch.setattr(epsilon, "draw_chunks", counted_draw)
+    pools_only = 0
+    grid = itertools.product((1, 3), (0.0, 0.3), (0.0, 1.5), ((2.0, 10.0), (0.1, 25.0)))
+    for seed, (layers, corrupt, lambda_M, (lambda_P, run_time)) in enumerate(grid, 1):
+        cfg = small_cfg(
+            seed=seed,
+            U=100,
+            rates=Rates(lambda_P, 2.0 - lambda_P, 0.0, lambda_M, 1.0),
+            layers=layers,
+            nodes_per_layer=3,
+            corrupt_fraction=corrupt,
+            burn_in=15.0,
+            run_time=run_time,
+        )
+        heap, _ = heap_label_flow(cfg, np.random.default_rng(cfg.seed))
+        solves.clear()
+        chunks.clear()
+        assert_close_result(simulate_label_flow(cfg), heap)
+        assert sum(stop <= cfg.burn_in for stop in chunks) >= 2
+        assert len(solves) < layers * len(chunks)
+        pools_only += sum(solves)
+    assert pools_only > 0
+
+
 def reference_label_flow(cfg, rng):
     """The label flow as an event-by-event simulator drew it before the
     batched one: every event in one heap, and every draw through the
@@ -432,6 +475,69 @@ def test_recurrence_solve_matches_a_plain_loop():
     np.testing.assert_allclose(epsilon._scan(a, b), plain, rtol=1e-9, atol=0)
 
 
+def plain_pools(avg, n, arrivals, departures):
+    """_solve_pools event by event: each pool's events in time order,
+    arrivals before departures at one instant."""
+    (arr_pool, arr_t, arr_mass), (dep_pool, dep_t) = arrivals, departures
+    avg, n = avg.copy(), n.copy()
+    out = np.empty((len(dep_pool), 3))
+    events = [(t, 0, p, i) for i, (p, t) in enumerate(zip(arr_pool.tolist(), arr_t.tolist()))]
+    events += [(t, 1, p, i) for i, (p, t) in enumerate(zip(dep_pool.tolist(), dep_t.tolist()))]
+    for _, kind, p, i in sorted(events):
+        if kind == 0:
+            n[p] += 1
+            avg[p] = avg[p] * ((n[p] - 1) / n[p]) + arr_mass[i] / n[p]
+        else:
+            out[i] = avg[p]
+            n[p] -= 1
+    return avg, n, out
+
+
+def random_pool_events(rng, n, pools):
+    """Arrivals to the given pools and departures of their residents and
+    arrivals, on whole seconds so that many meet at one instant."""
+    arrivals, departures = [], []
+    for p in pools:
+        # a resident departs at some instant, an arrival at or after its own
+        departures += [(p, t) for t in rng.integers(0, 8, n[p]).tolist() if rng.random() < 0.6]
+        for t in rng.integers(0, 8, rng.integers(0, 12)).tolist():
+            arrivals.append((p, t))
+            if rng.random() < 0.6:
+                departures.append((p, t + int(rng.integers(0, 3))))
+    for events in (arrivals, departures):
+        rng.shuffle(events)
+    arr_pool, arr_t = np.array(arrivals, dtype=np.int64).reshape(-1, 2).T
+    dep_pool, dep_t = np.array(departures, dtype=np.int64).reshape(-1, 2).T
+    arr_mass = rng.dirichlet(np.ones(3), len(arr_pool))
+    return (arr_pool, arr_t.astype(float), arr_mass), (dep_pool, dep_t.astype(float))
+
+
+def test_pool_solve_matches_a_plain_event_loop():
+    # In each layer pool 0 has no events, pool 1 only departures of its
+    # residents, two at one instant, and pool 2 starts empty. The busy
+    # pools get arrivals and departures on whole seconds, so many meet at
+    # one instant. The wide layers have busy pools whose index needs 16
+    # and then 32 bits.
+    rng = np.random.default_rng(9)
+    layers = [(6, [2, 3, 4, 5]), (2**15 + 3, [2, 255, 256, 2**15 + 2]),
+              (2**16 + 5, [2, 2**15, 2**16 - 1, 2**16, 2**16 + 4])]
+    for h, busy in layers:
+        n = rng.integers(0, 6, h)
+        n[:3] = 4, 5, 0
+        avg = rng.dirichlet(np.ones(3), h)
+        (arr_pool, arr_t, arr_mass), (dep_pool, dep_t) = random_pool_events(rng, n, busy)
+        dep_pool, dep_t = np.append(dep_pool, [1, 1, 1]), np.append(dep_t, [0.0, 4.0, 4.0])
+        arrivals, departures = (arr_pool, arr_t, arr_mass), (dep_pool, dep_t)
+        arrived = set(zip(arr_pool.tolist(), arr_t.tolist()))
+        assert arrived & set(zip(dep_pool.tolist(), dep_t.tolist()))
+        want_avg, want_n, want_out = plain_pools(avg, n, arrivals, departures)
+        got_avg, got_n = avg.copy(), n.copy()
+        got_out = epsilon._solve_pools(got_avg, got_n, arrivals, departures)
+        np.testing.assert_array_equal(got_n, want_n)
+        np.testing.assert_allclose(got_avg, want_avg, rtol=1e-9, atol=0)
+        np.testing.assert_allclose(got_out, want_out, rtol=1e-9, atol=0)
+
+
 def test_batched_epsilon_matches_the_stdlib_reference():
     # The two draw the same model in different orders, so their epsilons
     # must share one distribution: a two-sample KS test at alpha = 0.001 per
@@ -512,6 +618,26 @@ def test_sim_config_validation():
 
 C07 = dict(U=100, rates=Rates(2.0, 0.0, 0.0, 0.0, 1.0), layers=3, nodes_per_layer=3,
            burn_in=25.0, run_time=100.0)
+
+
+# repr(epsilon) at c07's shape, by seed and corrupt fraction, with every
+# layer of every chunk solved. A layer with no label is counted, not
+# solved; a solve would keep S0 and S1 at exactly +0.0, so not one bit may
+# move.
+C07_EPSILON = {
+    (1, 0.0): "0.17608620118782056", (1, 0.3): "0.3164196577635424",
+    (2, 0.0): "0.13389020517604866", (2, 0.3): "1.4658343762062618",
+    (3, 0.0): "0.13004983985654275", (3, 0.3): "0.1325257072004614",
+    (4, 0.0): "0.27893751598454836", (4, 0.3): "0.22200328533675387",
+    (5, 0.0): "0.01790311193532215", (5, 0.3): "0.0872327871931749",
+    (6, 0.0): "0.18991732904680694", (6, 0.3): "0.037319257517218984",
+}
+
+
+def test_c07_epsilon_is_the_same_bit_for_bit():
+    for (seed, corrupt), want in C07_EPSILON.items():
+        cfg = small_cfg(**C07, seed=seed, corrupt_fraction=corrupt)
+        assert repr(simulate_label_flow(cfg).epsilon) == want, (seed, corrupt)
 
 
 def test_expected_events_count_the_stationary_fill_and_the_mixes():
