@@ -10,9 +10,8 @@ distinct point is simulated once and its row repeated.
 import argparse
 import sys
 
-from loopmix.bounds import bounded_events, count
 from loopmix.client import Rates
-from loopmix.simulator import SimConfig, run_epsilon_batch
+from loopmix.simulator import SimConfig, check_epsilon_batch, run_epsilon_batch
 
 
 def point_config(args, mu, layers, corrupt):
@@ -49,10 +48,8 @@ def main(argv=None) -> int:
     points += [(1.0, 3, corrupt) for corrupt in args.corruptions]
     try:  # every input, as SimConfig and run_epsilon_batch check it, before --out is opened
         configs = {point: point_config(args, *point) for point in points}
-        count("reps", args.reps, lo=1)
-        count("seed + reps - 1", args.seed + args.reps - 1)
         for cfg in configs.values():
-            bounded_events(f"{args.reps} repetitions", args.reps * cfg.expected_events)
+            check_epsilon_batch(cfg, args.reps)
     except ValueError as exc:
         parser.error(str(exc))
 

@@ -97,8 +97,10 @@ def entropy_step(H_prev: float, k: int, l: int) -> float:
     log2(k + l) exactly. Conventions: 0*log(0) = 0 and the chain starts at
     H_0 = 0.
     """
+    count("k", k)
+    count("l", l)
     non_negative("H_prev", H_prev)
-    if k < 0 or l < 0 or k + l < 1:
+    if k + l < 1:
         raise ValueError("need a non-empty pool")
     if l == 0:
         return math.log2(k)

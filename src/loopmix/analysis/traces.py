@@ -16,10 +16,6 @@ from typing import Iterable, Sequence, Set, Tuple
 from ..bounds import count
 
 
-class InvalidTrace(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class Transmission:
     sender: str
@@ -34,14 +30,14 @@ Trace = Tuple[Transmission, ...]
 def validate_trace(trace: Sequence[Transmission]) -> Trace:
     """Check linkage and time order."""
     if len(trace) < 1:
-        raise InvalidTrace("empty trace")
+        raise ValueError("empty trace")
     for a, b in zip(trace, trace[1:]):
         if a.recipient != b.sender:
-            raise InvalidTrace(
+            raise ValueError(
                 f"broken link: {a.recipient!r} handed off by {b.sender!r}"
             )
         if not a.time < b.time:
-            raise InvalidTrace(f"times not strictly increasing at {b.time}")
+            raise ValueError(f"times not strictly increasing at {b.time}")
     return tuple(trace)
 
 
@@ -118,7 +114,7 @@ def anonymity_condition_holds(
     tr_d = validate_trace(tr_d)
     lengths = {len(t) for t in drops} | {len(tr_c), len(tr_d)}
     if len(lengths) != 1:
-        raise InvalidTrace("all traces must have equal length")
+        raise ValueError("all traces must have equal length")
     bad = set(compromised)
     return _chain_reaches(tr_c, tr_d[-1].recipient, drops, bad) and _chain_reaches(
         tr_d, tr_c[-1].recipient, drops, bad

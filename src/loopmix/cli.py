@@ -115,7 +115,7 @@ def _runtime(role: str, directory_path: str, node_id: str, key_file: str, **sett
     descriptor = next((d for d in entries if d.id == node_id), None)
     if not isinstance(descriptor, _ROLES[role]):
         raise ValueError(f"{node_id!r} is not a {role} in the directory")
-    if crypto.public_key(secret).data != descriptor.pubkey.data:
+    if crypto.public_key(crypto.private_key(secret)).data != descriptor.pubkey.data:
         raise ValueError(f"key file does not match directory entry for {node_id}")
     return build_runtime(topology, node_id, secret, random.SystemRandom(), **settings)
 
@@ -420,8 +420,6 @@ def analyze_pool_loops(n, k, l_late, mu, lambda_m, trials, seed):
 @click.option("--l", "l_held", type=int, required=True, help="Held messages in the pool.")
 def analyze_entropy_step(h_prev, k, l_held):
     """One incremental entropy update."""
-    count("k", k)
-    count("l", l_held)
     _emit({"entropy": entropy_step(h_prev, k, l_held)})
 
 
@@ -601,7 +599,7 @@ def generate_vectors(seed: int, cases: int) -> dict:
         current = packet
         for i, sk in enumerate(secrets):
             step = {"alpha": current.header.alpha.data.hex(), "mac": current.header.mac.hex()}
-            result = pkt.process_packet(sk, current)
+            result = pkt.process_packet(crypto.private_key(sk), current)
             per_hop.append(step)
             if isinstance(result, pkt.Relay):
                 current = result.packet

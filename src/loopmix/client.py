@@ -44,12 +44,12 @@ def seal_envelope(recipient_pub: crypto.GroupElement, message: bytes, rng) -> by
     return crypto.e2e_seal(recipient_pub, plain, rng)
 
 
-def open_envelope(secret_key: crypto.Scalar, blob: bytes) -> Optional[bytes]:
+def open_envelope(key: crypto.X25519PrivateKey, blob: bytes) -> Optional[bytes]:
     """Decrypt a pull item; None when it is a dummy or not addressed to us."""
     if len(blob) != ENVELOPE_LEN:
         return None
     try:
-        plain = crypto.e2e_open(secret_key, blob)
+        plain = crypto.e2e_open(key, blob)
     except crypto.GroupError:
         return None
     (length,) = struct.unpack(">I", plain[:4])

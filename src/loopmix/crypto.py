@@ -36,10 +36,6 @@ GROUP_ORDER = 2**252 + 27742317777372353535851937790883648493
 _INV8 = pow(8, -1, GROUP_ORDER)
 
 
-# A secret scalar: its 32 bytes, or the key object private_key builds from them.
-Scalar = bytes | X25519PrivateKey
-
-
 class GroupError(ValueError):
     """A group operation failed (bad length or degenerate element)."""
 
@@ -75,27 +71,23 @@ class GroupElement:
 def generate_keypair(rng) -> tuple[bytes, GroupElement]:
     """Return (secret, public), the secret being rng.randbytes(32)."""
     raw = rng.randbytes(SECRET_KEY_LEN)
-    return raw, public_key(raw)
+    return raw, public_key(private_key(raw))
 
 
-def private_key(secret: Scalar) -> X25519PrivateKey:
-    """The key object of a 32-byte clamped scalar; a key object passes through.
+def private_key(secret: bytes) -> X25519PrivateKey:
+    """The key object of a 32-byte clamped scalar.
 
     Building one also derives its public key, a base-point multiplication
     that costs about as much as an exchange, so a scalar used more than once
-    should be built once and the key object passed instead of the bytes.
+    is built once and its key object held.
     """
-    # tested against bytes: an isinstance test against the abstract key
-    # class costs about as much as a hash
-    if not isinstance(secret, bytes):
-        return secret
     if len(secret) != SECRET_KEY_LEN:
         raise GroupError("secret scalar must be 32 bytes")
     return X25519PrivateKey.from_private_bytes(secret)
 
 
-def public_key(secret: Scalar) -> GroupElement:
-    return GroupElement(private_key(secret).public_key().public_bytes_raw())
+def public_key(key: X25519PrivateKey) -> GroupElement:
+    return GroupElement(key.public_key().public_bytes_raw())
 
 
 def clamp(secret: bytes) -> int:
@@ -124,17 +116,15 @@ def parse(element: GroupElement) -> X25519PublicKey:
     return X25519PublicKey.from_public_bytes(element.data)
 
 
-def exchange(secret: Scalar, element: GroupElement | X25519PublicKey) -> bytes:
-    """Scalar-multiply `element` by the clamped scalar `secret`.
+def exchange(key: X25519PrivateKey, point: X25519PublicKey) -> bytes:
+    """Scalar-multiply point by key's clamped scalar.
 
-    element is a GroupElement, whose parsed point it keeps, or a point from
-    parse(). Raises GroupError on the all-zero result produced by low-order
-    inputs; callers treat that the same as an integrity failure.
+    point is a directory key's GroupElement.point or parse() of an alpha or
+    an ephemeral key. Raises GroupError on the all-zero result produced by
+    low-order inputs; callers treat that the same as an integrity failure.
     """
-    sk = private_key(secret)
-    point = element.point if isinstance(element, GroupElement) else element
     try:
-        return sk.exchange(point)
+        return key.exchange(point)
     except ValueError as exc:
         raise GroupError("degenerate shared secret") from exc
 
@@ -200,20 +190,19 @@ def e2e_seal(recipient_pub: GroupElement, plaintext: bytes, rng) -> bytes:
     """Authenticated public-key encryption: [eph pub 32][AEAD ct+tag]."""
     eph = private_key(rng.randbytes(SECRET_KEY_LEN))
     eph_pub = public_key(eph)
-    shared = exchange(eph, recipient_pub)
+    shared = exchange(eph, recipient_pub.point)
     key = _h(b"loopmix-e2e", shared, eph_pub.data, recipient_pub.data)
     ct = ChaCha20Poly1305(key).encrypt(b"\x00" * 12, plaintext, None)
     return eph_pub.data + ct
 
 
-def e2e_open(recipient_secret: Scalar, blob: bytes) -> bytes:
+def e2e_open(recipient_key: X25519PrivateKey, blob: bytes) -> bytes:
     """Inverse of e2e_seal. Raises GroupError when authentication fails."""
     if len(blob) < GROUP_ELEMENT_LEN + AEAD_OVERHEAD:
         raise GroupError("blob too short")
-    sk = private_key(recipient_secret)
     eph_pub = GroupElement(blob[:GROUP_ELEMENT_LEN])
-    shared = exchange(sk, eph_pub)
-    key = _h(b"loopmix-e2e", shared, eph_pub.data, public_key(sk).data)
+    shared = exchange(recipient_key, parse(eph_pub))
+    key = _h(b"loopmix-e2e", shared, eph_pub.data, public_key(recipient_key).data)
     try:
         return ChaCha20Poly1305(key).decrypt(
             b"\x00" * 12, blob[GROUP_ELEMENT_LEN:], None

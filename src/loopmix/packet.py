@@ -206,7 +206,7 @@ def _shared_secret_chain(
     key = crypto.private_key(x)
     for i, pub in enumerate(path_keys):
         alpha = crypto.public_key(key)
-        sh = crypto.exchange(key, pub)
+        sh = crypto.exchange(key, pub.point)
         alphas.append(alpha)
         secrets.append(sh)
         if i == len(path_keys) - 1:
@@ -267,11 +267,9 @@ def build_packet(
     return packet, SenderTrace(alphas, secrets)
 
 
-def process_packet(secret_key: crypto.Scalar, packet: SphinxPacket) -> ProcessResult:
-    """Strip one onion layer: verify, decrypt, blind, re-pad.
-
-    secret_key is the node's scalar as bytes or, for a node that holds it,
-    as its key object (crypto.private_key).
+def process_packet(key: crypto.X25519PrivateKey, packet: SphinxPacket) -> ProcessResult:
+    """Strip one onion layer with the node's key object: verify, decrypt,
+    blind, re-pad.
 
     Raises MacMismatch on any integrity failure (callers drop silently) and
     MalformedPacket on shape violations.
@@ -284,7 +282,7 @@ def process_packet(secret_key: crypto.Scalar, packet: SphinxPacket) -> ProcessRe
     # parsed into a local for both exchanges, and not kept on the packet
     point = crypto.parse(alpha)
     try:
-        shared = crypto.exchange(secret_key, point)
+        shared = crypto.exchange(key, point)
     except crypto.GroupError as exc:
         raise MacMismatch(str(exc)) from exc
     if not crypto.macs_equal(
@@ -313,7 +311,7 @@ def process_packet(secret_key: crypto.Scalar, packet: SphinxPacket) -> ProcessRe
         return Deliver(recipient_id=rid, payload=body, replay_tag=tag)
 
     b = crypto.blinding_scalar(alpha, shared)
-    next_alpha = GroupElement(crypto.exchange(b, point))
+    next_alpha = GroupElement(crypto.exchange(crypto.private_key(b), point))
     next_packet = SphinxPacket(
         SphinxHeader(next_alpha, expanded[BLOCK_LEN:], next_mac), payload
     )

@@ -27,14 +27,6 @@ DUMMY = "DUMMY"
 MAX_PULL_ITEMS = 64
 
 
-class UnknownClient(ValueError):
-    pass
-
-
-class BadToken(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class PullItem:
     kind: str
@@ -136,9 +128,9 @@ class Provider:
         """
         expected = self.cfg.client_tokens.get(client_id)
         if expected is None:
-            raise UnknownClient(client_id)
+            raise ValueError(f"unknown client {client_id!r}")
         if not secrets.compare_digest(expected, token):
-            raise BadToken(client_id)
+            raise ValueError(f"bad token for {client_id!r}")
         queue = self.inboxes[client_id]
         c = self.cfg.pull_max_items
         n_real = min(len(queue), c)

@@ -5,6 +5,7 @@ from .entropy import run_entropy_experiment
 from .epsilon import (
     LabelDistribution,
     SimConfig,
+    check_epsilon_batch,
     run_epsilon_batch,
     run_epsilon_experiment,
 )
@@ -16,6 +17,7 @@ __all__ = [
     "run_entropy_experiment",
     "LabelDistribution",
     "SimConfig",
+    "check_epsilon_batch",
     "run_epsilon_batch",
     "run_epsilon_experiment",
     "run_latency_experiment",

@@ -476,6 +476,14 @@ class EpsilonBatch:
     values: List[float] = field(repr=False)
 
 
+def check_epsilon_batch(cfg: SimConfig, reps: int) -> None:
+    """ValueError unless run_epsilon_batch(cfg, reps) may run: at least one
+    repetition, every seed it uses a count, and its events within the cap."""
+    count("reps", reps, lo=1)
+    count("seed + reps - 1", cfg.seed + reps - 1)
+    bounded_events(f"{reps} repetitions", reps * cfg.expected_events)
+
+
 def run_epsilon_batch(cfg: SimConfig, reps: int) -> EpsilonBatch:
     """Average epsilon over reps seeded runs, skipping degenerate ones.
 
@@ -484,9 +492,7 @@ def run_epsilon_batch(cfg: SimConfig, reps: int) -> EpsilonBatch:
     empty candidate pool; n_finite reports how many repetitions counted and
     n_inf how many were infinite, the adversary's best case.
     """
-    count("reps", reps, lo=1)
-    count("seed + reps - 1", cfg.seed + reps - 1)
-    bounded_events(f"{reps} repetitions", reps * cfg.expected_events)
+    check_epsilon_batch(cfg, reps)
     values = [run_epsilon_experiment(replace(cfg, seed=cfg.seed + i)) for i in range(reps)]
     finite = [v for v in values if math.isfinite(v)]
     n_inf = sum(map(math.isinf, values))

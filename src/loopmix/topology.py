@@ -9,11 +9,11 @@ is out of scope. Topologies are immutable after loading and safe to share.
 Each descriptor checks its own fields as it is built, loaded or built in
 code: an id or addr fits a packet's 31-byte name field, an addr is a
 host:port, a public key is not low-order (told by its encoding, with no
-group operation), and a token is 16 bytes. Topology raises
-InvariantViolation when the entries do not form a network, including one
-whose client paths exceed a packet's hops. loads_directory reads only JSON
-shape and hex, and puts a malformed entry's location in a ParseError. All
-are ValueErrors, and every Topology holds only entries a runtime can use.
+group operation), and a token is 16 bytes. Topology refuses entries that
+do not form a network, including one whose client paths exceed a packet's
+hops. loads_directory reads only JSON shape and hex, and puts a malformed
+entry's location in its error. Each is a ValueError, and every Topology
+holds only entries a runtime can use.
 """
 
 from __future__ import annotations
@@ -25,16 +25,6 @@ from . import packet as pkt
 from .crypto import GroupElement, GroupError
 from .packet import ADDR_LEN, MAX_HOPS, HopFlags, HopSpec, resolve_addr
 from .transport import TOKEN_LEN
-
-
-class ParseError(ValueError):
-    pass
-
-
-class InvariantViolation(ValueError):
-    def __init__(self, message: str, location: str = ""):
-        super().__init__(f"{location}: {message}" if location else message)
-        self.location = location
 
 
 _P = 2**255 - 19
@@ -50,6 +40,11 @@ _LOW_ORDER_U = frozenset({
     _P,
     _P + 1,
 })
+
+
+def _at(entry_id: str, message: str) -> ValueError:
+    """message behind the id of the entry it names, when that id is not empty."""
+    return ValueError(f"{entry_id}: {message}" if entry_id else message)
 
 
 def _check_entry(self, *names: str) -> None:
@@ -113,36 +108,29 @@ class Topology:
 
     def __post_init__(self):
         if len(self.layers) < 1:
-            raise InvariantViolation("at least one mix layer required", "layers")
+            raise ValueError("layers: at least one mix layer required")
         if len(self.layers) + 2 > MAX_HOPS:  # a client path: provider, layers, provider
-            raise InvariantViolation(
-                f"at most {MAX_HOPS - 2} layers fit the packet hop budget", "layers"
-            )
+            raise ValueError(f"layers: at most {MAX_HOPS - 2} layers fit the packet hop budget")
         for i, layer in enumerate(self.layers):
             if not layer:
-                raise InvariantViolation("layer is empty", f"layers[{i}]")
+                raise ValueError(f"layers[{i}]: layer is empty")
             for m in layer:
                 if m.layer != i:
-                    raise InvariantViolation(
-                        f"mix {m.id} carries layer {m.layer}", f"layers[{i}]"
-                    )
+                    raise ValueError(f"layers[{i}]: mix {m.id} carries layer {m.layer}")
         if not self.providers:
-            raise InvariantViolation("at least one provider required", "providers")
+            raise ValueError("providers: at least one provider required")
         index: dict[str, object] = {}
         for node in self.all_nodes():
             if node.id in index:
-                raise InvariantViolation(f"duplicate id {node.id!r}", node.id)
+                raise _at(node.id, f"duplicate id {node.id!r}")
             index[node.id] = node
         for c in self.clients:
             if c.id in index:
-                raise InvariantViolation(f"duplicate id {c.id!r}", c.id)
+                raise _at(c.id, f"duplicate id {c.id!r}")
             index[c.id] = c
         for c in self.clients:
             if not isinstance(index.get(c.provider_id), ProviderDescriptor):
-                raise InvariantViolation(
-                    f"client {c.id} references unknown provider {c.provider_id!r}",
-                    c.id,
-                )
+                raise _at(c.id, f"client {c.id} references unknown provider {c.provider_id!r}")
         object.__setattr__(self, "_index", index)
 
     @property
@@ -158,12 +146,12 @@ class Topology:
         try:
             return self._index[node_id]
         except KeyError:
-            raise InvariantViolation(f"unknown id {node_id!r}", node_id) from None
+            raise _at(node_id, f"unknown id {node_id!r}") from None
 
     def client(self, client_id: str) -> ClientDescriptor:
         desc = self.node(client_id)
         if not isinstance(desc, ClientDescriptor):
-            raise InvariantViolation(f"{client_id!r} is not a client", client_id)
+            raise _at(client_id, f"{client_id!r} is not a client")
         return desc
 
     def provider_of(self, client_id: str) -> ProviderDescriptor:
@@ -172,21 +160,21 @@ class Topology:
 
 def _entries(raw, location: str, read) -> tuple:
     """read(entry) for each entry of raw, which must be a list of objects; a
-    key an entry lacks, or a ValueError its fields raise, is a ParseError at
-    that entry."""
+    key an entry lacks, or a ValueError its fields raise, is a ValueError
+    located at that entry."""
     if not isinstance(raw, list):
-        raise ParseError(f"{location}: not a list")
+        raise ValueError(f"{location}: not a list")
     out = []
     for j, entry in enumerate(raw):
         loc = f"{location}[{j}]"
         if not isinstance(entry, dict):
-            raise ParseError(f"{loc}: not an object")
+            raise ValueError(f"{loc}: not an object")
         try:
             out.append(read(entry))
         except KeyError as exc:
-            raise ParseError(f"{loc}: missing key {exc}") from exc
+            raise ValueError(f"{loc}: missing key {exc}") from exc
         except ValueError as exc:
-            raise ParseError(f"{loc}: {exc}") from exc
+            raise ValueError(f"{loc}: {exc}") from exc
     return tuple(out)
 
 
@@ -210,16 +198,16 @@ def loads_directory(text: str) -> Topology:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"directory is not valid JSON: {exc}") from exc
+        raise ValueError(f"directory is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ParseError("directory root must be an object")
+        raise ValueError("directory root must be an object")
     try:
         raw_layers = doc["layers"]
         raw_providers = doc["providers"]
     except KeyError as exc:
-        raise ParseError(f"missing required key {exc}") from exc
+        raise ValueError(f"missing required key {exc}") from exc
     if not isinstance(raw_layers, list):
-        raise ParseError("layers: not a list")
+        raise ValueError("layers: not a list")
     return Topology(
         tuple(
             _entries(raw, f"layers[{i}]",
@@ -238,7 +226,7 @@ def load_directory(path) -> Topology:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise ParseError(f"cannot read directory file: {exc}") from exc
+        raise ValueError(f"cannot read directory file: {exc}") from exc
     return loads_directory(text)
 
 

@@ -32,19 +32,15 @@ BODY_SIZES = {
 HEADER_LEN = 4
 
 
-class BodyWrongSize(ValueError):
-    pass
-
-
 class DeframeError(ValueError):
-    pass
+    """A datagram that is not a frame; the runtime drops it unread."""
 
 
 def frame(kind: int, body: bytes) -> bytes:
     if kind not in BODY_SIZES:
-        raise BodyWrongSize("unknown kind %r" % kind)
+        raise ValueError("unknown kind %r" % kind)
     if len(body) != BODY_SIZES[kind]:
-        raise BodyWrongSize(
+        raise ValueError(
             "kind %d body must be %d bytes, got %d" % (kind, BODY_SIZES[kind], len(body))
         )
     return MAGIC + bytes([VERSION, kind]) + body
@@ -68,11 +64,11 @@ def deframe(datagram: bytes) -> tuple[int, bytes]:
 
 def encode_pull_request(client_id: str, token: bytes, nonce: bytes) -> bytes:
     if len(token) != TOKEN_LEN or len(nonce) != NONCE_LEN:
-        raise BodyWrongSize("token must be 16 bytes and nonce 8 bytes")
+        raise ValueError("token must be 16 bytes and nonce 8 bytes")
     try:
         return packet._encode_addr(client_id) + token + nonce
     except ValueError as exc:
-        raise BodyWrongSize(f"client id: {exc}") from exc
+        raise ValueError(f"client id: {exc}") from exc
 
 
 def decode_pull_request(body: bytes) -> tuple[str, bytes, bytes]:

@@ -73,6 +73,7 @@ def _report(criterion: int, detail: str) -> None:
 def test_c01_packet_round_trip_property_suite():
     rng = random.Random(101)
     keys = [crypto.generate_keypair(rng) for _ in range(12)]
+    held = [crypto.private_key(sk) for sk, _ in keys]
     started = time.perf_counter()
     for _ in range(1000):
         nu = rng.randint(1, 5)
@@ -91,7 +92,7 @@ def test_c01_packet_round_trip_property_suite():
             rng,
         )[0]
         for hop, i in enumerate(picks):
-            result = process_packet(keys[i][0], packet)
+            result = process_packet(held[i], packet)
             if hop < nu - 1:
                 assert isinstance(result, Relay)
                 assert result.next == specs[hop]

@@ -165,6 +165,14 @@ def test_entropy_step_validation():
         entropy_step(0.0, -1, 2)
 
 
+def test_entropy_step_counts_follow_the_count_rule():
+    # a float k and an l past 2^53 were taken before the rule applied here
+    with pytest.raises(ValueError, match="^k must be at least 0 and at most 9007199254740992$"):
+        entropy_step(0.0, 1.5, 1)
+    with pytest.raises(ValueError, match="^l must be at least 0 and at most 9007199254740992$"):
+        entropy_step(0.0, 1, 2**53 + 1)
+
+
 def test_epsilon_examples():
     assert epsilon_of(0.3, 0.3) == 0.0
     assert epsilon_of(0.12, 0.15) == pytest.approx(abs(math.log(0.8)))

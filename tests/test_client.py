@@ -36,11 +36,13 @@ def small_net(**kwargs):
 
 
 def walk_packet(topology, net, packet, first_id):
-    """Peel hops with raw keys, returning (node ids, delays, terminal result)."""
+    """Peel hops with keys built from the raw secrets, returning (node ids,
+    delays, terminal result)."""
     id_of = {d.addr: d.id for d in topology.all_nodes()}
     ids, delays = [first_id], []
     while True:
-        result = process_packet(net.runtimes[ids[-1]].mix.cfg.secret_key, packet)
+        key = crypto.private_key(net.runtimes[ids[-1]].mix.cfg.secret_key)
+        result = process_packet(key, packet)
         if not isinstance(result, Relay):
             return ids, delays, result
         delays.append(result.next.delay_s)
@@ -51,12 +53,13 @@ def walk_packet(topology, net, packet, first_id):
 def test_envelope_round_trip():
     rng = random.Random(0)
     sk, pub = crypto.generate_keypair(rng)
+    sk = crypto.private_key(sk)
     blob = seal_envelope(pub, b"hello bob", rng)
     assert len(blob) == 972
     assert open_envelope(sk, blob) == b"hello bob"
 
     other_sk, _ = crypto.generate_keypair(rng)
-    assert open_envelope(other_sk, blob) is None
+    assert open_envelope(crypto.private_key(other_sk), blob) is None
     assert open_envelope(sk, rng.randbytes(972)) is None
     assert open_envelope(sk, b"short") is None
     with pytest.raises(ValueError, match=TOO_LONG):
@@ -71,7 +74,7 @@ def test_buffer_is_fifo():
     client.enqueue_message("b", b"second")
     assert client.queue_depth() == 2
 
-    bob_sk = net.runtimes["b"].client.cfg.secret_key
+    bob_sk = crypto.private_key(net.runtimes["b"].client.cfg.secret_key)
     out = []
     for _ in range(2):
         packet, kind, _ = client.payload_tick(topology, rng, now=0.0)

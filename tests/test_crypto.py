@@ -1,6 +1,5 @@
 """X25519 key objects: how often each scalar is built and each point parsed,
-that a held key gives the same results as its bytes, and how many stream
-ciphers a packet costs."""
+where each is built, and how many stream ciphers a packet costs."""
 
 import random
 
@@ -71,9 +70,9 @@ def test_five_hop_build_makes_one_key_per_scalar(builds, monkeypatch):
     exchanges = []
     original = crypto.exchange
 
-    def counting(secret, element):
-        exchanges.append(element)
-        return original(secret, element)
+    def counting(key, point):
+        exchanges.append(point)
+        return original(key, point)
 
     monkeypatch.setattr(crypto, "exchange", counting)
     builds.clear()
@@ -81,14 +80,14 @@ def test_five_hop_build_makes_one_key_per_scalar(builds, monkeypatch):
     # x for hop 0, then the running product of blinds for each later hop;
     # each key meets only its own hop's public key
     assert len(builds) == 5
-    assert exchanges == [pub for pub, _ in path]
+    assert exchanges == [pub.point for pub, _ in path]
     _, terminal = walk(secrets, packet)
     assert terminal.payload == b"hello"
 
 
 def test_scalar_for_is_clamped_and_acts_as_the_residue():
     rng = random.Random(7)
-    g = crypto.public_key(crypto.scalar_for(1))
+    g = crypto.public_key(crypto.private_key(crypto.scalar_for(1))).point
     for _ in range(50):
         c = rng.randrange(1, crypto.GROUP_ORDER)
         scalar = crypto.scalar_for(c)
@@ -99,8 +98,9 @@ def test_scalar_for_is_clamped_and_acts_as_the_residue():
         b = c * pow(a, -1, crypto.GROUP_ORDER) % crypto.GROUP_ORDER
         step = crypto.scalar_for(a), crypto.scalar_for(b)
         if None not in step:
-            two_step = crypto.exchange(step[1], crypto.public_key(step[0]))
-            assert crypto.exchange(scalar, g) == two_step
+            first, second = map(crypto.private_key, step)
+            two_step = crypto.exchange(second, crypto.public_key(first).point)
+            assert crypto.exchange(crypto.private_key(scalar), g) == two_step
 
 
 def test_scalar_for_gives_none_when_neither_sign_fits():
@@ -145,44 +145,32 @@ def test_node_set_up_builds_no_key(builds):
     assert builds == []
 
 
-def test_bytes_and_held_keys_agree():
+def test_exchange_builds_no_key_and_parses_no_point(builds, parses):
     rng = random.Random(5)
-    for _ in range(20):
-        sk, pub = crypto.generate_keypair(rng)
-        key = crypto.private_key(sk)
-        assert crypto.public_key(key) == crypto.public_key(sk) == pub
-        _, other = crypto.generate_keypair(rng)
-        assert crypto.exchange(sk, other) == crypto.exchange(key, other)
-        blob = crypto.e2e_seal(pub, rng.randbytes(64), rng)
-        assert crypto.e2e_open(sk, blob) == crypto.e2e_open(key, blob)
-        stranger = crypto.private_key(crypto.generate_keypair(rng)[0])
-        with pytest.raises(crypto.GroupError):
-            crypto.e2e_open(stranger, blob)
-
-    secrets, path = make_path(rng, 3)
-    packet, _ = build_packet(path, "rcpt", b"x", rng)
-    assert process_packet(secrets[0], packet) == process_packet(
-        crypto.private_key(secrets[0]), packet
-    )
+    sk, _ = crypto.generate_keypair(rng)
+    key = crypto.private_key(sk)
+    _, pub = crypto.generate_keypair(rng)
+    point = pub.point
+    alpha = crypto.parse(crypto.generate_keypair(rng)[1])
+    builds.clear()
+    parses.clear()
+    assert crypto.exchange(key, point) != crypto.exchange(key, alpha)
+    assert builds == [] and parses == []
 
 
 @pytest.mark.parametrize("point", LOW_ORDER, ids=["zero", "one"])
-def test_low_order_element_rejected_on_both_paths(point):
-    sk, _ = crypto.generate_keypair(random.Random(6))
-    element = crypto.GroupElement(point)
-    for secret in (sk, crypto.private_key(sk)):
-        with pytest.raises(crypto.GroupError):
-            crypto.exchange(secret, element)
-        with pytest.raises(crypto.GroupError):
-            crypto.e2e_open(secret, point + bytes(crypto.AEAD_OVERHEAD + 8))
+def test_low_order_element_rejected(point):
+    key = crypto.private_key(crypto.generate_keypair(random.Random(6))[0])
+    with pytest.raises(crypto.GroupError):
+        crypto.exchange(key, crypto.parse(crypto.GroupElement(point)))
+    with pytest.raises(crypto.GroupError):
+        crypto.e2e_open(key, point + bytes(crypto.AEAD_OVERHEAD + 8))
 
 
 def test_bad_scalar_length_is_a_group_error():
     for bad in (b"", bytes(31), bytes(33)):
         with pytest.raises(crypto.GroupError):
             crypto.private_key(bad)
-        with pytest.raises(crypto.GroupError):
-            crypto.exchange(bad, crypto.public_key(bytes(32)))
 
 
 @pytest.mark.parametrize("nu", range(1, 6))

@@ -31,7 +31,7 @@ from loopmix.packet import (
     process_packet,
 )
 from loopmix.simulator.queues import run_pool_experiment
-from loopmix.topology import InvariantViolation, sample_forward_path
+from loopmix.topology import sample_forward_path
 
 from conftest import build_network
 from test_packet import HOSTILE_HOPS, hostile_packet
@@ -337,7 +337,7 @@ def test_loop_path_must_fit_hop_budget():
     net.runtimes["prov-0"].mix.cfg.lambda_M = 1.0
     for node_id in ("mix-0-0", "mix-2-0", "prov-0"):
         net.runtimes[node_id].mix.generate_mix_loop(topology, random.Random(0), now=0.0)
-    with pytest.raises(InvariantViolation, match="at most 3 layers"):
+    with pytest.raises(ValueError, match="^layers: at most 3 layers fit the packet hop budget$"):
         build_network(layers=4, per_layer=1, n_providers=1, client_specs=(("a", "prov-0"),))
 
 

@@ -37,10 +37,11 @@ from loopmix.packet import (
 
 
 def make_path(rng, nu, final_flags=HopFlags.FINAL):
+    """Each hop's key object, and the path of (public key, HopSpec) pairs."""
     secrets, pubs, hops = [], [], []
     for i in range(nu):
         sk, pub = crypto.generate_keypair(rng)
-        secrets.append(sk)
+        secrets.append(crypto.private_key(sk))
         pubs.append(pub)
         hops.append(
             HopSpec(
@@ -147,7 +148,7 @@ def test_wrong_key_fails_mac():
     packet = build_packet(path, "rcpt", b"m", rng)[0]
     wrong, _ = crypto.generate_keypair(rng)
     with pytest.raises(MacMismatch):
-        process_packet(wrong, packet)
+        process_packet(crypto.private_key(wrong), packet)
 
 
 def test_malformed_sizes_rejected():
@@ -198,7 +199,7 @@ def test_blinding_chain_matches_sender_trace():
     current = packet
     for i, sk in enumerate(secrets):
         assert current.header.alpha.data == trace.alphas[i].data
-        assert crypto.exchange(sk, current.header.alpha) == trace.shared_secrets[i]
+        assert crypto.exchange(sk, crypto.parse(current.header.alpha)) == trace.shared_secrets[i]
         result = process_packet(sk, current)
         if isinstance(result, Relay):
             current = result.packet
@@ -209,15 +210,16 @@ def hop_by_hop_chain(path_keys, x):
     """The sender chain as each hop sees it: x, then every earlier blinding
     factor applied in turn, one exchange each."""
     alphas, secrets, blinds = [], [], []
+    x = crypto.private_key(x)
     alpha = crypto.public_key(x)
     for pub in path_keys:
         alphas.append(alpha)
-        sh = crypto.exchange(x, pub)
+        sh = crypto.exchange(x, pub.point)
         for b in blinds:
-            sh = crypto.exchange(b, GroupElement(sh))
+            sh = crypto.exchange(b, crypto.parse(GroupElement(sh)))
         secrets.append(sh)
-        blinds.append(crypto.blinding_scalar(alpha, sh))
-        alpha = GroupElement(crypto.exchange(blinds[-1], alpha))
+        blinds.append(crypto.private_key(crypto.blinding_scalar(alpha, sh)))
+        alpha = GroupElement(crypto.exchange(blinds[-1], crypto.parse(alpha)))
     return alphas, secrets
 
 
@@ -344,7 +346,7 @@ def test_any_routing_block_is_relayed_only_when_it_can_be_sent(hop):
     (secret, pub), (_, next_pub) = _HOP_KEYS
     packet = hostile_packet(hop, pub, next_pub, random.Random(0))
     try:
-        result = process_packet(secret, packet)
+        result = process_packet(crypto.private_key(secret), packet)
     except (MacMismatch, MalformedPacket):
         return
     if isinstance(result, Relay):
@@ -392,7 +394,8 @@ def test_failed_scalar_encoding_draws_a_fresh_x(monkeypatch):
     monkeypatch.setattr(crypto, "scalar_for", fail_once)
     packet, trace = build_packet(path, "rcpt", b"again", rng)
     assert len(failures) == 1
-    assert trace.alphas[0] == crypto.public_key(second_x) != crypto.public_key(first_x)
+    first, second = crypto.private_key(first_x), crypto.private_key(second_x)
+    assert trace.alphas[0] == crypto.public_key(second) != crypto.public_key(first)
     assert packet.header.alpha == trace.alphas[0]
     seen, terminal = walk(secrets, packet)
     assert [hop for _, hop in path[:-1]] == seen
@@ -433,7 +436,7 @@ def test_committed_vectors_replay(packet_vectors):
     # stored secret keys must reproduce every alpha and the delivered message.
     assert packet_vectors["cases"], "vector file is empty"
     for case in packet_vectors["cases"]:
-        secrets = [bytes.fromhex(s) for s in case["node_secret_keys"]]
+        secrets = [crypto.private_key(bytes.fromhex(s)) for s in case["node_secret_keys"]]
         packet = SphinxPacket.from_bytes(bytes.fromhex(case["packet"]))
         current = packet
         for i, sk in enumerate(secrets):

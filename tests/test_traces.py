@@ -5,7 +5,6 @@ import random
 import pytest
 
 from loopmix.analysis.traces import (
-    InvalidTrace,
     Transmission,
     anonymity_condition_holds,
     trace_join,
@@ -31,15 +30,15 @@ def test_validate_accepts_linked_monotone_chain():
 
 def test_validate_rejects_broken_linkage():
     trace = chain(("u", 1.0, "p0"), ("m9", 2.0, "m1"))
-    with pytest.raises(InvalidTrace):
+    with pytest.raises(ValueError, match="^broken link: 'p0' handed off by 'm9'$"):
         validate_trace(trace)
 
 
 def test_validate_rejects_non_increasing_times():
     trace = chain(("u", 2.0, "p0"), ("p0", 2.0, "m1"))
-    with pytest.raises(InvalidTrace):
+    with pytest.raises(ValueError, match="^times not strictly increasing at 2.0$"):
         validate_trace(trace)
-    with pytest.raises(InvalidTrace):
+    with pytest.raises(ValueError, match="^empty trace$"):
         validate_trace(())
 
 
@@ -69,7 +68,7 @@ def test_join_index_and_validity_errors():
         with pytest.raises(ValueError, match="^i must be at least 1 and at most 1$"):
             trace_join(x, y, bad)
     broken = chain(("u1", 5.0, "m"), ("zz", 8.0, "p1"))
-    with pytest.raises(InvalidTrace):
+    with pytest.raises(ValueError, match="^broken link: 'm' handed off by 'zz'$"):
         trace_join(broken, y, 1)
 
 
@@ -107,7 +106,7 @@ def test_anonymity_condition_needs_drop_traces():
 def test_anonymity_condition_rejects_mixed_lengths():
     tr_c, tr_d, drops = hand_built_instance()
     stub = chain(("u", 1.0, "p"), ("p", 2.0, "q"))
-    with pytest.raises(InvalidTrace):
+    with pytest.raises(ValueError, match="^all traces must have equal length$"):
         anonymity_condition_holds((tr_c, tr_d), drops + [stub], compromised=set())
 
 

@@ -57,7 +57,7 @@ def test_unknown_version_and_kind_rejected():
 
 
 def test_wrong_body_size_rejected_on_both_sides():
-    with pytest.raises(transport.BodyWrongSize):
+    with pytest.raises(ValueError, match="^kind 1 body must be 1357 bytes, got 5$"):
         transport.frame(transport.KIND_PACKET, b"short")
     good = transport.frame(transport.KIND_PULL_REQ,
                            bytes(transport.PULL_REQ_LEN))
@@ -75,7 +75,7 @@ def test_pull_request_round_trip():
 
 
 def test_pull_request_id_too_long():
-    with pytest.raises(transport.BodyWrongSize):
+    with pytest.raises(ValueError, match="^client id: name longer than 31 bytes$"):
         transport.encode_pull_request("x" * 64, b"\x00" * 16, b"\x00" * 8)
 
 
