@@ -122,7 +122,8 @@ _CHUNK_MESSAGES = 1250
 # a block is 0 or at least 1/2, so a block's running product of the nonzero
 # ones stays above 2**-256, far from underflow.
 _BLOCK = 256
-_UNLABELED = np.array([0.0, 0.0, 1.0])
+_LABELS = np.eye(3)  # the masses of an S0, an S1 and an unlabeled message
+_UNLABELED = _LABELS[2]
 
 
 class Messages(NamedTuple):
@@ -232,52 +233,55 @@ def draw_chunks(cfg: SimConfig, rng):
         yield Chunk(stop, t, sender, payload, route, delay, loop_mix, loop_t, loop_delay)
 
 
-def _buffered(t: np.ndarray, cfg: SimConfig, taken: int):
+def _buffered(t, cfg: SimConfig, taken: int):
     """Which of one challenge sender's payloads, at times t in order, take a
     buffered message, given that `taken` were taken before.
 
     A refill at burn_in + k, for k = 0 and every k with burn_in + k < end,
-    buffers one message, before a payload at the same instant. The k-th
-    payload takes one if any is buffered: L_k = min(L_{k-1} + 1, R(t_k)),
-    with R(t) the refills up to t, so L_k = k + min(L_0, min_{j<=k} R_j - j).
-    Returns the mask and the count taken after the last payload.
+    buffers one message, before a payload at the same instant. So a payload
+    at t takes one if fewer were taken before it than the refills up to t,
+    min(floor(t - burn_in) + 1, ceil(run_time)). Returns one bool per
+    payload and the count taken after the last.
     """
-    refills = np.clip(np.floor(t - cfg.burn_in) + 1, 0, math.ceil(cfg.run_time)).astype(np.int64)
-    k = np.arange(1, len(t) + 1)
-    total = k + np.minimum(taken, np.minimum.accumulate(refills - k))
-    return np.diff(total, prepend=taken) > 0, int(total[-1]) if len(total) else taken
+    burn_in, refills = cfg.burn_in, math.ceil(cfg.run_time)
+    got = []
+    for x in t:  # a handful a chunk
+        got.append(taken < min(math.floor(x - burn_in) + 1, refills))
+        taken += got[-1]
+    return got, taken
 
 
 def _scan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve y[k] = a[k] * y[k-1] + b[k] for every k, where a[0] == 0.
+    """Solve y[k] = a[k] * y[k-1] + b[k] for every k, where a[0] == 0, in
+    place of b.
 
-    a has shape (n,), with each entry 0 or in [1/2, 1), and b shape (n, 3),
-    with entries >= 0. Blocks of _BLOCK entries are solved side by side:
-    within a block, y = A * cumsum(b / A) with A the running product of a,
-    restarted after each a == 0. Then the value each block carries in is
-    passed on block by block: a block's whole product may be as small as
-    2**-256, too small to divide by again.
+    a has shape (n,), with n a whole number of _BLOCK entries, each 0 or in
+    [1/2, 1), and b shape (n, 3), with entries >= 0. Blocks of _BLOCK
+    entries are solved side by side: within a block, y = A * cumsum(b / A)
+    with A the running product of a, and the rows from a reset (a == 0) on
+    drop the sum before it. Then each block adds A times the last y of the
+    block before to its rows before its first reset, block by block: a
+    block's whole product may be as small as 2**-256, too small to divide
+    by again.
     """
-    n = len(a)
-    n_blocks = -(-n // _BLOCK)
-    pad = n_blocks * _BLOCK - n  # a = 1, b = 0 carries the last y on
-    a = np.concatenate((a, np.ones(pad))).reshape(n_blocks, _BLOCK)
-    b = np.concatenate((b, np.zeros((pad, 3)))).reshape(n_blocks, _BLOCK, 3)
-    reset = a == 0
-    prod = np.cumprod(np.where(reset, 1.0, a), axis=1)
-    y = b / prod[..., None]
+    n_blocks = len(a) // _BLOCK
+    reset = (a == 0).reshape(n_blocks, _BLOCK)
+    prod = np.cumprod(np.where(reset, 1.0, a.reshape(n_blocks, _BLOCK)), axis=1)
+    y = b.reshape(n_blocks, _BLOCK, 3)
+    y /= prod[..., None]
     np.cumsum(y, axis=1, out=y)
-    # the last reset at or before each position, -1 before a block's first
-    last = np.maximum.accumulate(np.where(reset, np.arange(_BLOCK), -1), axis=1)
-    y -= np.where((last > 0)[..., None], y[np.arange(n_blocks)[:, None], last - 1], 0.0)
+    # the first reset after a block's first row, and the first of all
+    inner = np.where(reset[:, 1:].any(axis=1), reset[:, 1:].argmax(axis=1) + 1, _BLOCK)
+    first = np.where(reset[:, 0], 0, inner).tolist()
+    for i, k in enumerate(inner.tolist()):
+        if k < _BLOCK:  # pools rarely empty, so few blocks have one
+            last = np.maximum.accumulate(np.where(reset[i, k:], np.arange(k, _BLOCK), k))
+            y[i, k:] -= y[i, last - 1]
     y *= prod[..., None]
-    if n_blocks > 1:
-        carry = np.where(last < 0, prod, 0.0)
-        ends = y[:, -1].tolist()
-        for i, g in enumerate(carry[1:, -1].tolist(), 1):
-            ends[i] = [e + g * p for e, p in zip(ends[i], ends[i - 1])]
-        y[1:] += carry[1:, :, None] * np.array(ends[:-1])[:, None, :]
-    return y.reshape(-1, 3)[:n]
+    for i in range(1, n_blocks):
+        k = first[i]
+        y[i, :k] += prod[i, :k, None] * y[i - 1, -1]
+    return b
 
 
 def _solve_pools(avg, n, arrivals, departures) -> np.ndarray:
@@ -315,12 +319,13 @@ def _solve_pools(avg, n, arrivals, departures) -> np.ndarray:
     # The i-th arrival, at position q, in pool p follows i - a_first[p]
     # arrivals and q - i - d_first[p] departures of its pool; the j-th
     # departure, at q, follows q - j - a_first[p] arrivals, so reads row
-    # p + q - j.
+    # p + q - j. The rows run on to a whole number of blocks, each a copy
+    # of row 0 at a count of 1, which no row before them reads.
     arr_row = np.arange(1, na + 1) + np.repeat(pools, a_cnt)
-    src = np.empty(h + na, np.int64)
+    src = np.zeros(-(-(h + na) // _BLOCK) * _BLOCK, np.int64)
     src[first_row] = pools
     src[arr_row] = order.take(apos) + h
-    count_in = np.ones(h + na, np.int64)  # 1 makes a first row's a 0 and b avg
+    count_in = np.ones(len(src))  # 1 makes a first row's a 0 and b avg
     count_in[arr_row] = np.repeat(n - a_first + d_first + 1, a_cnt) + 2 * np.arange(na) - apos
     b = np.concatenate((avg, arr_mass)).take(src, axis=0)
     b /= count_in[:, None]
@@ -363,6 +368,7 @@ def simulate_label_flow(cfg: SimConfig) -> LabelFlowResult:
     corrupt = corrupt_mixes(cfg, rng)
     is_corrupt = np.zeros(n_mixes, bool)
     is_corrupt[list(corrupt)] = True
+    corrupt_layer = is_corrupt.reshape(l, w).any(axis=1).tolist()
 
     avg = np.zeros((n_mixes, 3))
     n = np.zeros(n_mixes, np.int64)
@@ -378,27 +384,25 @@ def simulate_label_flow(cfg: SimConfig) -> LabelFlowResult:
         label = np.full(len(chunk.t), 2)
         for i, sender in enumerate(cfg.challenge):
             mine = np.flatnonzero(chunk.payload & (chunk.sender == sender))
-            t = chunk.t[mine].tolist()
-            # a handful a chunk: sorted stably, in time and then draw order
-            mine = mine[sorted(range(len(t)), key=t.__getitem__)]
-            got, taken[i] = _buffered(chunk.t[mine], cfg, taken[i])
-            label[mine[got]] = i
+            # a handful a chunk: sorted in time, then in draw order
+            payloads = sorted(zip(chunk.t[mine].tolist(), mine.tolist()))
+            got, taken[i] = _buffered([t for t, _ in payloads], cfg, taken[i])
+            label[[m for (_, m), g in zip(payloads, got) if g]] = i
         emitted += np.bincount(label, minlength=3)
         emitted[2] += len(chunk.loop_mix)
         entering[0].append(Messages(chunk.route[:, 0], chunk.t, chunk.t + chunk.delay[:, 0],
-                                    np.eye(3)[label], chunk.route, chunk.delay,
+                                    _LABELS.take(label, axis=0), chunk.route, chunk.delay,
                                     np.full(len(label), l > 1)))
-        loop_layer = chunk.loop_mix // w
-        for j in range(l):
-            mine = loop_layer == j
-            k = int(np.count_nonzero(mine))
-            if not k:  # every layer at lambda_M = 0
+        # the loops come sorted by mix, so each layer's are one slice
+        edges = np.searchsorted(chunk.loop_mix, np.arange(0, n_mixes + 1, w)).tolist()
+        for j, (lo, hi) in enumerate(zip(edges, edges[1:])):
+            if lo == hi:  # every layer at lambda_M = 0
                 continue
-            loop_t = chunk.loop_t[mine]
+            loop_t = chunk.loop_t[lo:hi]
             entering[j].append(Messages(
-                chunk.loop_mix[mine], loop_t, loop_t + chunk.loop_delay[mine],
-                np.tile(_UNLABELED, (k, 1)), np.zeros((k, l), np.int64), np.zeros((k, l)),
-                np.zeros(k, bool)))
+                chunk.loop_mix[lo:hi], loop_t, loop_t + chunk.loop_delay[lo:hi],
+                np.tile(_UNLABELED, (hi - lo, 1)), np.zeros((hi - lo, l), np.int64),
+                np.zeros((hi - lo, l)), np.zeros(hi - lo, bool)))
 
         final = chunk.stop == end
         for j in range(l):
@@ -408,7 +412,7 @@ def simulate_label_flow(cfg: SimConfig) -> LabelFlowResult:
             due = pending.dep <= end if final else pending.dep < chunk.stop
             resident[j] = _take(pending, np.flatnonzero(~due))
             leave = np.flatnonzero(due)
-            mix = pending.mix.take(leave)
+            mix, dep = pending.mix.take(leave), pending.dep.take(leave)
             pools = slice(j * w, (j + 1) * w)
             arr_pool, dep_pool = pending.mix[k:] - j * w, mix - j * w
             if avg[pools, :2].any() or pending.mass[k:, :2].any():
@@ -416,24 +420,26 @@ def simulate_label_flow(cfg: SimConfig) -> LabelFlowResult:
                 # is never read, and its messages leave with their own masses
                 out = _solve_pools(avg[pools], n[pools],
                                    (arr_pool, pending.t[k:], pending.mass[k:]),
-                                   (dep_pool, pending.dep.take(leave)))
+                                   (dep_pool, dep))
             else:
                 # no label in the layer: a solve would keep its S0 and S1
                 # columns at +0.0, so only the counts move
                 n[pools] += np.bincount(arr_pool, minlength=w) - np.bincount(dep_pool, minlength=w)
                 avg[pools] = _UNLABELED
                 out = np.tile(_UNLABELED, (len(leave), 1))
-            held = np.flatnonzero(is_corrupt[mix])
-            out[held] = pending.mass.take(leave[held], axis=0)
+            if corrupt_layer[j]:
+                held = np.flatnonzero(is_corrupt[mix])
+                out[held] = pending.mass.take(leave[held], axis=0)
+            if j + 1 == l:  # the last layer delivers every message it sends
+                delivered += out.sum(axis=0)
+                continue
             on = pending.on.take(leave)
-            delivered += out[~on].sum(axis=0)
-            if j + 1 < l:
-                go = leave[on]
-                route, delay = pending.route.take(go, axis=0), pending.delay.take(go, axis=0)
-                dep = pending.dep.take(go)
-                entering[j + 1].append(Messages(route[:, j + 1], dep, dep + delay[:, j + 1],
-                                                out[on], route, delay,
-                                                np.full(len(go), j + 2 < l)))
+            if not on.all():  # loops leave from the pool they looped into
+                delivered += out[~on].sum(axis=0)
+                leave, dep, out = leave[on], dep[on], out[on]
+            route, delay = pending.route.take(leave, axis=0), pending.delay.take(leave, axis=0)
+            entering[j + 1].append(Messages(route[:, j + 1], dep, dep + delay[:, j + 1], out,
+                                            route, delay, np.full(len(leave), j + 2 < l)))
 
     in_corrupt = np.zeros(3)
     for msgs in resident:

@@ -1,6 +1,7 @@
 """Seeded experiment harnesses: label flow, latency, queues, trace logs."""
 
 import dataclasses
+import hashlib
 import heapq
 import itertools
 import math
@@ -638,6 +639,63 @@ def test_c07_epsilon_is_the_same_bit_for_bit():
     for (seed, corrupt), want in C07_EPSILON.items():
         cfg = small_cfg(**C07, seed=seed, corrupt_fraction=corrupt)
         assert repr(simulate_label_flow(cfg).epsilon) == want, (seed, corrupt)
+
+
+def label_flow_grid():
+    """c07's shape with 1 to 4 layers, lambda_M 0 and 1.5 and corrupt
+    fractions 0 and 0.3, then one run at a payload rate of 0.1."""
+    grid = itertools.product((1, 2, 3, 4), (0.0, 1.5), (0.0, 0.3))
+    for seed, (layers, lambda_M, corrupt) in enumerate(grid, 1):
+        rates = Rates(2.0, 0.0, 0.0, lambda_M, 1.0)
+        yield small_cfg(**{**C07, "rates": rates, "layers": layers}, seed=seed,
+                        corrupt_fraction=corrupt)
+    yield small_cfg(**{**C07, "rates": Rates(0.1, 1.9, 0.0, 0.0, 1.0)}, seed=17)
+
+
+# SHA-256 of the reprs of the whole LabelFlowResult over label_flow_grid:
+# epsilon alone would let pool_masses, delivered or in_corrupt drift.
+LABEL_FLOW_GRID_SHA256 = "7bb5c598f0c591f96dad82aed433c6a6f3477e898892eea0a4b226e49698b5d7"
+
+
+def test_every_result_field_is_the_same_bit_for_bit():
+    digest = hashlib.sha256()
+    for cfg in label_flow_grid():
+        digest.update(repr(simulate_label_flow(cfg)).encode())
+    assert digest.hexdigest() == LABEL_FLOW_GRID_SHA256
+
+
+def plain_buffered(times, burn_in, run_time):
+    """Which payloads, at the given times, take a buffered message, event by
+    event: one message is buffered at burn_in + k for every whole k >= 0
+    below run_time, before a payload at the same instant, and a payload
+    takes one if any is buffered."""
+    refills = [(burn_in + k, 0) for k in range(math.ceil(run_time))]
+    payloads = [(t, 1, i) for i, t in enumerate(times)]
+    buffered, got = 0, [False] * len(times)
+    for _, kind, *i in sorted(refills + payloads):
+        if kind == 0:
+            buffered += 1
+        elif buffered:
+            buffered -= 1
+            got[i[0]] = True
+    return got
+
+
+def test_buffered_matches_a_direct_refill_simulation():
+    # Payloads in bursts that empty the buffer, on refill instants, between
+    # them and past the last refill at burn_in + 3 (run_time 3.5), fed to
+    # _buffered in pieces, some of them empty, with the count taken carried.
+    cfg = small_cfg(burn_in=2.0, run_time=3.5)
+    times = [0.5, 1.9, 2.0, 2.0, 2.0, 2.5, 3.0, 3.0, 3.2, 4.0, 4.7, 5.0, 5.5, 6.0, 7.5, 9.0]
+    for cut in ((), (3,), (2, 2, 9), (0, 5, 11, 16), tuple(range(17))):
+        got, taken = [], 0
+        for lo, hi in zip((0,) + cut, cut + (len(times),)):
+            mask, taken = epsilon._buffered(np.array(times[lo:hi]), cfg, taken)
+            assert len(mask) == hi - lo
+            got += map(bool, mask)
+        want = plain_buffered(times, cfg.burn_in, cfg.run_time)
+        assert got == want, cut
+        assert taken == sum(want) == 4
 
 
 def test_expected_events_count_the_stationary_fill_and_the_mixes():
