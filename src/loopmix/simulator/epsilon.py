@@ -18,13 +18,11 @@ event. A message departs at its arrival time plus its own Exp(mu) draw,
 whatever else is in the pool. No message goes back a layer. And a pool's
 average label changes only at arrivals, avg <- c * avg + (1 - c) * x with
 c = N / (N + 1), while a departure carries avg away and leaves it as it is.
-So the run is cut into chunks of virtual time. Each chunk draws its
-messages with their whole routes and delays, runs the layers in order, and
-solves each honest pool's recurrence in vectorised blocks (_scan). A layer
-with no S0 or S1 mass in its pools or its arrivals, as every layer has
-before burn_in, is not solved: its counts move, and its pools and honest
-departures are unlabeled. A solve would keep the S0 and S1 shares at
-exactly +0.0 too, so epsilon comes out the same bit for bit.
+So the run is cut into chunks of virtual time, whose events at every layer
+are known before any label is: one plan lays them out (_plan), then the
+layers run in order, each solving its pools' recurrences in vectorised
+blocks (_scan). A layer with no S0 or S1 in its pools or arrivals, as
+before burn_in, only has its counts moved; a solve would keep them at +0.0.
 """
 
 from __future__ import annotations
@@ -123,29 +121,25 @@ _CHUNK_MESSAGES = 1250
 # ones stays above 2**-256, far from underflow.
 _BLOCK = 256
 _LABELS = np.eye(3)  # the masses of an S0, an S1 and an unlabeled message
-_UNLABELED = _LABELS[2]
+_UNLABELED = _LABELS[:, 2:]
 
 
-class Messages(NamedTuple):
-    """Messages at one layer, one row each: the mix a message is in, its
-    arrival and departure times there, its label mass, its mix and delay at
-    every layer, and whether it goes on to the next layer. The mass of a
-    message in an honest pool is the one it arrived with; it leaves with the
-    pool's average instead."""
+class Fill(NamedTuple):
+    """The messages in the pools at time 0, sorted by mix, one row each: the
+    mix, the departure from it, the mix and delay at every layer (unused
+    before its own), and whether it goes on."""
 
     mix: np.ndarray  # (n,) int
-    t: np.ndarray  # (n,)
     dep: np.ndarray  # (n,)
-    mass: np.ndarray  # (n, 3): S0, S1, unlabeled
     route: np.ndarray  # (n, layers) int
     delay: np.ndarray  # (n, layers)
     on: np.ndarray  # (n,) bool
 
 
 class Chunk(NamedTuple):
-    """The draws of one chunk of virtual time, up to stop: the emissions,
-    with their senders, whether each is a payload, and their routes and
-    delays; then each mix loop injected, with its delay."""
+    """The draws of one chunk of virtual time, up to stop: the emissions, with
+    their senders, whether each is a payload, their routes and delays; then
+    each mix loop injected, with its delay."""
 
     stop: float
     t: np.ndarray
@@ -158,19 +152,11 @@ class Chunk(NamedTuple):
     loop_delay: np.ndarray
 
 
-def _cat(parts) -> Messages:
-    return Messages(*map(np.concatenate, zip(*parts)))
-
-
-def _take(msgs: Messages, index: np.ndarray) -> Messages:
-    """The rows at the integer index."""
-    return Messages(*(column.take(index, axis=0) for column in msgs))
-
-
 def _routes(rng, cfg: SimConfig, n: int):
     """n uniform routes, as mix indices, and their Exp(mu) delays per layer."""
     l, w = cfg.layers, cfg.nodes_per_layer
-    route = rng.integers(w, size=(n, l)) + np.arange(0, l * w, w)
+    # int32 draws take the generator's bits as int64 ones do, and faster
+    route = rng.integers(w, size=(n, l), dtype=np.int32) + np.arange(0, l * w, w, dtype=np.int32)
     return route, rng.exponential(1.0 / cfg.rates.mu, size=(n, l))
 
 
@@ -185,8 +171,8 @@ def corrupt_mixes(cfg: SimConfig, rng) -> frozenset:
             return corrupt
 
 
-def stationary_fill(cfg: SimConfig, rng) -> Messages:
-    """The messages in the pools at time 0, sorted by mix.
+def stationary_fill(cfg: SimConfig, rng) -> Fill:
+    """The messages in the pools at time 0.
 
     Each mix sees the whole client volume spread over its layer plus its own
     loop stream, so its occupancy is Poisson(rate / mu) with Exp(mu)
@@ -201,8 +187,7 @@ def stationary_fill(cfg: SimConfig, rng) -> Messages:
     route, delay = _routes(rng, cfg, n)
     layer = mix // w
     route[np.arange(n), layer] = mix
-    return Messages(mix, np.zeros(n), delay[np.arange(n), layer], np.tile(_UNLABELED, (n, 1)),
-                    route, delay, layer < l - 1)
+    return Fill(mix, delay[np.arange(n), layer], route, delay, layer < l - 1)
 
 
 def draw_chunks(cfg: SimConfig, rng):
@@ -251,90 +236,107 @@ def _buffered(t, cfg: SimConfig, taken: int):
     return got, taken
 
 
-def _scan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve y[k] = a[k] * y[k-1] + b[k] for every k, where a[0] == 0, in
-    place of b.
+def _factors(a: np.ndarray) -> tuple:
+    """What _scan needs of a: per block, the running product of a (a reset,
+    a == 0, as 1), and it at the rows before the block's first reset; the
+    rows (start, stop) from each reset past a block's first row on; and
+    per block, its whole product and whether it has no reset."""
+    zero = a == 0
+    reset, starts = np.flatnonzero(zero), np.arange(0, len(a), _BLOCK)
+    first = np.append(reset, len(a))[np.searchsorted(reset, starts)] - starts
+    stop = np.minimum(np.append(reset[1:], len(a)), reset // _BLOCK * _BLOCK + _BLOCK)
+    prod = np.cumprod((a + zero).reshape(-1, _BLOCK), axis=1)
+    head = prod * (np.arange(_BLOCK) < first[:, None])
+    segments = [(r, s) for r, s in zip(reset.tolist(), stop.tolist()) if r % _BLOCK]
+    return prod, head, segments, prod[:, -1].tolist(), (first >= _BLOCK).tolist()
 
-    a has shape (n,), with n a whole number of _BLOCK entries, each 0 or in
-    [1/2, 1), and b shape (n, 3), with entries >= 0. Blocks of _BLOCK
-    entries are solved side by side: within a block, y = A * cumsum(b / A)
-    with A the running product of a, and the rows from a reset (a == 0) on
-    drop the sum before it. Then each block adds A times the last y of the
-    block before to its rows before its first reset, block by block: a
-    block's whole product may be as small as 2**-256, too small to divide
-    by again.
-    """
-    n_blocks = len(a) // _BLOCK
-    reset = (a == 0).reshape(n_blocks, _BLOCK)
-    prod = np.cumprod(np.where(reset, 1.0, a.reshape(n_blocks, _BLOCK)), axis=1)
-    y = b.reshape(n_blocks, _BLOCK, 3)
-    y /= prod[..., None]
-    np.cumsum(y, axis=1, out=y)
-    # the first reset after a block's first row, and the first of all
-    inner = np.where(reset[:, 1:].any(axis=1), reset[:, 1:].argmax(axis=1) + 1, _BLOCK)
-    first = np.where(reset[:, 0], 0, inner).tolist()
-    for i, k in enumerate(inner.tolist()):
-        if k < _BLOCK:  # pools rarely empty, so few blocks have one
-            last = np.maximum.accumulate(np.where(reset[i, k:], np.arange(k, _BLOCK), k))
-            y[i, k:] -= y[i, last - 1]
-    y *= prod[..., None]
-    for i in range(1, n_blocks):
-        k = first[i]
-        y[i, :k] += prod[i, :k, None] * y[i - 1, -1]
+
+def _scan(f: tuple, b: np.ndarray) -> np.ndarray:
+    """Solve y[k] = a[k] * y[k-1] + b[k] for every k in place of b, (3, n)
+    and >= 0, with f the factors (_factors) of a, n a whole number of
+    blocks, each entry 0 or in [1/2, 1), a[0] == 0. Within a block,
+    y = A * cumsum(b / A) with A the running product of a, and the rows from
+    a reset on drop the sum before it. Then each block adds A times the
+    last y of the block before to its rows before its first reset, block by
+    block: a block's whole product may be too small to divide by again."""
+    prod, head, segments, scale, whole = f
+    y = b.reshape(3, -1, _BLOCK)
+    y /= prod
+    np.cumsum(y, axis=2, out=y)
+    for start, stop in reversed(segments):  # each reads a row the ones before change
+        b[:, start:stop] -= b[:, start - 1:start]
+    y *= prod
+    carry, end = [], [0.0, 0.0, 0.0]
+    for y_end, s, no_reset in zip(y[:, :-1, -1].T.tolist(), scale, whole):
+        end = [y + s * c for y, c in zip(y_end, end)] if no_reset else y_end
+        carry.append(end)
+    y[:, 1:] += head[1:] * np.reshape(carry, (-1, 3)).T[:, :, None]  # block 0 starts with a reset
     return b
 
 
-def _solve_pools(avg, n, arrivals, departures) -> np.ndarray:
-    """Run one chunk of the pools of one layer and return the masses the
-    departures carry; avg and n, each pool's average label and count, are
-    updated in place. arrivals is (pool, t, mass), departures (pool, t),
-    with pool the index into avg and n. The caller gives a corrupt mix's
-    departures their own masses instead.
-
-    Each pool's events run in time order, arrivals before departures at one
-    instant. The recurrence has one row per pool, which sets y to the
-    pool's average, followed by the pool's arrivals in time order: an
-    arrival of x at count N sets y <- N/(N+1) * y + x/(N+1), and a
-    departure carries the y of the last row before it. The events are
-    sorted by time, then stably by pool, so each one's count and row
-    follow from its position in that order and the counts before its pool.
+def _plan(n, w: int, arrivals, departures, first: int) -> list:
+    """Lay out one chunk's recurrence rows for the pools of every layer, w a
+    layer, as the columns `first` on of a mass table whose first len(n) are
+    the pools' averages, and move their counts n. arrivals and departures
+    are (pool, t), pool the index into n, listed layer by layer. A layer's
+    rows start at a block boundary with one row per pool, which sets y to
+    its average, then its arrivals in time order: one of x at count N sets
+    y <- N/(N+1) * y + x/(N+1), and a departure, after the arrivals at its
+    instant, carries the y of the last row before it. Unread rows at count
+    1 fill the last block. Returns per layer: the table column each row's
+    mass comes from (the caller sets the arrivals'), the count N + 1 each
+    meets, the factors of its _scan, the arrivals' rows, its columns, and
+    the column each departure reads and each pool's last.
     """
-    (arr_pool, arr_t, arr_mass), (dep_pool, dep_t) = arrivals, departures
+    (arr_pool, arr_t), (dep_pool, dep_t) = arrivals, departures
     h, na, nd = len(n), len(arr_pool), len(dep_pool)
     # Times are >= +0.0, so their bits sort as they do; the low bit puts an
-    # arrival before a departure at one instant. The pool sort is stable,
-    # and a radix sort where the pool index fits in 16 bits.
+    # arrival before a departure at one instant. The pool sort is a radix sort.
     key = np.concatenate((arr_t, dep_t)).view(np.uint64) << np.uint64(1)
     key[na:] += np.uint64(1)
     order = np.argsort(key)
-    pool = np.concatenate((arr_pool, dep_pool)).astype(np.min_scalar_type(h - 1))
+    pool = np.concatenate((arr_pool, dep_pool)).astype(np.min_scalar_type(h - 1), copy=False)
     order = order.take(np.argsort(pool.take(order), kind="stable"))
-    is_arr = order < na
-    apos, dpos = np.flatnonzero(is_arr), np.flatnonzero(~is_arr)
-    a_cnt = np.bincount(arr_pool, minlength=h)
-    d_cnt = np.bincount(dep_pool, minlength=h)
-    a_first, d_first = np.cumsum(a_cnt) - a_cnt, np.cumsum(d_cnt) - d_cnt
-    pools = np.arange(h)
-    first_row = pools + a_first
-    # The i-th arrival, at position q, in pool p follows i - a_first[p]
-    # arrivals and q - i - d_first[p] departures of its pool; the j-th
-    # departure, at q, follows q - j - a_first[p] arrivals, so reads row
-    # p + q - j. The rows run on to a whole number of blocks, each a copy
-    # of row 0 at a count of 1, which no row before them reads.
-    arr_row = np.arange(1, na + 1) + np.repeat(pools, a_cnt)
-    src = np.zeros(-(-(h + na) // _BLOCK) * _BLOCK, np.int64)
-    src[first_row] = pools
-    src[arr_row] = order.take(apos) + h
-    count_in = np.ones(len(src))  # 1 makes a first row's a 0 and b avg
-    count_in[arr_row] = np.repeat(n - a_first + d_first + 1, a_cnt) + 2 * np.arange(na) - apos
-    b = np.concatenate((avg, arr_mass)).take(src, axis=0)
-    b /= count_in[:, None]
-    y = _scan((count_in - 1) / count_in, b)
-    dep_row = np.empty(nd, np.int64)
-    dep_row[order.take(dpos) - na] = dpos - np.arange(nd) + np.repeat(pools, d_cnt)
-    avg[:] = y.take(first_row + a_cnt, axis=0)
+    apos, dpos = np.flatnonzero(order < na), np.flatnonzero(order >= na)
+    a_cnt, d_cnt = np.bincount(arr_pool, minlength=h), np.bincount(dep_pool, minlength=h)
+    a_end, d_end = np.cumsum(a_cnt), np.cumsum(d_cnt)
+    a_first = a_end - a_cnt
+    # With the events sorted by time, then stably by pool, pool p's first
+    # row is base[p] + a_first[p], base adding the padding of the layers
+    # before; the i-th arrival, at q, meets count n - a_first + d_first +
+    # 2i - q, and the j-th departure, at q, reads row base + q - j.
+    size = w + a_end[w - 1::w] - a_first[::w]
+    pad = -size % _BLOCK
+    base = np.arange(h) + np.repeat(np.cumsum(pad) - pad, w)
+    row = np.arange(1, na + 1) + np.repeat(base, a_cnt)
+    src = np.repeat(np.arange(0, h, w), size + pad)
+    src[base + a_first] = np.arange(h)
+    count_in = np.full(len(src), 2.0)
+    count_in[base + a_first] = 1  # a first row's a is 0, and its b the average
+    count_in[row] = np.repeat(n - a_first + d_end - d_cnt + 1, a_cnt) + 2 * np.arange(na) - apos
+    arr_row, dep_row = np.empty(na, np.int64), np.empty(nd, np.int64)
+    arr_row[order.take(apos)] = row
+    dep_row[order.take(dpos) - na] = dpos - np.arange(nd) + np.repeat(base + first, d_cnt)
+    last = base + a_end + first
     n += a_cnt - d_cnt
-    return y.take(dep_row, axis=0)
+    prod, head, segments, scale, whole = _factors((count_in - 1) / count_in)
+    r, a, d = ([0] + x.tolist() for x in (np.cumsum(size + pad), a_end[w - 1::w], d_end[w - 1::w]))
+    layers = []
+    for j, (lo, hi) in enumerate(zip(r, r[1:])):
+        b = slice(lo // _BLOCK, hi // _BLOCK)
+        inner = [(s - lo, e - lo) for s, e in segments if lo <= s < hi]
+        layers.append((src[lo:hi], count_in[lo:hi], (prod[b], head[b], inner, scale[b], whole[b]),
+                       arr_row[a[j]:a[j + 1]] - lo, slice(first + lo, first + hi),
+                       dep_row[d[j]:d[j + 1]], last[j * w:(j + 1) * w]))
+    return layers
+
+
+def _solve_pools(mass, rows: tuple) -> None:
+    """Solve one layer's pools over one chunk (_plan) into its table columns."""
+    src, count_in, scan, _, out, _, _ = rows
+    b = mass.take(src, axis=1)
+    b /= count_in
+    mass[:, out] = _scan(scan, b)
 
 
 def simulate_label_flow(cfg: SimConfig) -> LabelFlowResult:
@@ -342,130 +344,128 @@ def simulate_label_flow(cfg: SimConfig) -> LabelFlowResult:
 
     Every draw comes from one np.random.default_rng(cfg.seed), in a fixed
     order: the corrupt set, the stationary fill, each chunk's draws in turn
-    (draw_chunks), and the final mix. So a seed fixes every field of the
-    result. The draws do not depend on the label flow.
-
-    The run is cut into chunks of virtual time in which about
-    _CHUNK_MESSAGES messages enter, so its memory does not grow with
-    run_time. Each chunk runs the layers in order. A layer's arrivals are
-    the chunk's emissions (layer 0), the messages the layer before sent on
-    in this chunk, its mixes' loop injections and, in the first chunk, the
-    stationary fill. A challenge sender's payload is labeled S0 or S1 while
-    the sender has a buffered message, one a second from burn_in on
-    (_buffered). A layer's departures are its resident messages and
-    arrivals whose departure falls in the chunk; the rest stay resident for
-    the next chunk. An honest pool runs its events in time order, and at
-    one instant its arrivals before its departures; a layer with no label
-    in its pools or its arrivals only counts them. A corrupt mix passes
-    each message's own masses through. A message leaves the network from
-    the last layer, or from the pool it looped into. Events up to
-    burn_in + run_time inclusive take part.
+    (draw_chunks) and the final mix. A challenge sender's payload is
+    labeled while the sender has a buffered message, one a second from
+    burn_in on (_buffered). Events up to burn_in + run_time take part. The
+    messages in flight are (times, route, mass), a column each: the arrival
+    at each layer, the last one the departure from the last; the mix at
+    each layer, then the layer it is at or enters and the one it leaves the
+    network from; and the mass it arrived there with. Stably by layer from
+    the last, they hold each layer's queue in order (those there before,
+    those entering, then those from the layer before), in which the masses
+    delivered and held in corrupt mixes are summed.
     """
     rng = default_rng(cfg.seed)
     l, w = cfg.layers, cfg.nodes_per_layer
-    n_mixes = l * w
-    end = cfg.burn_in + cfg.run_time
+    h, end = l * w, cfg.burn_in + cfg.run_time
     corrupt = corrupt_mixes(cfg, rng)
-    is_corrupt = np.zeros(n_mixes, bool)
-    is_corrupt[list(corrupt)] = True
+    is_corrupt = np.isin(np.arange(h), list(corrupt))
     corrupt_layer = is_corrupt.reshape(l, w).any(axis=1).tolist()
+    layers, small_int = np.arange(l)[:, None], np.min_scalar_type(max(h, l + 1))
 
-    avg = np.zeros((n_mixes, 3))
-    n = np.zeros(n_mixes, np.int64)
-    delivered = np.zeros(3)
+    def enter(t, delay, mix, layer, last, mass) -> tuple:
+        """Messages entering `layer` at t; the delays are summed in order."""
+        times = np.empty((l + 1, len(t)))
+        times[0] = t
+        for j in range(l):
+            np.add(times[j], delay[j], out=times[j + 1])
+        route = np.empty((l + 2, len(t)), small_int)
+        route[:l], route[l], route[l + 1] = mix, layer, last
+        return times, route, mass
+    avg, n, delivered = np.zeros((3, h)), np.zeros(h, np.int64), np.zeros(3)
     fill = stationary_fill(cfg, rng)
-    emitted = np.array([0, 0, len(fill.mix)])
-    edges = np.searchsorted(fill.mix, np.arange(0, n_mixes + 1, w))
-    entering = [[_take(fill, np.arange(lo, hi))] for lo, hi in zip(edges, edges[1:])]
-    resident = [_take(fill, np.arange(0))] * l
-    taken = [0, 0]
+    emitted, taken = [0, 0, len(fill.mix)], [0, 0]
+    layer = fill.mix // w  # which a filled message enters at time 0
+    flight = enter(np.zeros(len(layer)), np.where(layers >= layer, fill.delay.T, 0.0),
+                   fill.route.T, layer, l - 1, np.repeat(_UNLABELED, len(layer), axis=1))
+    order = np.argsort(l - 1 - layer, kind="stable")
+    flight, arrived = tuple(x.take(order, axis=1) for x in flight), 0
 
     for chunk in draw_chunks(cfg, rng):
-        label = np.full(len(chunk.t), 2)
+        mass = np.repeat(_UNLABELED, len(chunk.t), axis=1)
+        emitted[2] += len(chunk.t) + len(chunk.loop_mix)  # less the labeled
         for i, sender in enumerate(cfg.challenge):
             mine = np.flatnonzero(chunk.payload & (chunk.sender == sender))
             # a handful a chunk: sorted in time, then in draw order
             payloads = sorted(zip(chunk.t[mine].tolist(), mine.tolist()))
             got, taken[i] = _buffered([t for t, _ in payloads], cfg, taken[i])
-            label[[m for (_, m), g in zip(payloads, got) if g]] = i
-        emitted += np.bincount(label, minlength=3)
-        emitted[2] += len(chunk.loop_mix)
-        entering[0].append(Messages(chunk.route[:, 0], chunk.t, chunk.t + chunk.delay[:, 0],
-                                    _LABELS.take(label, axis=0), chunk.route, chunk.delay,
-                                    np.full(len(label), l > 1)))
-        # the loops come sorted by mix, so each layer's are one slice
-        edges = np.searchsorted(chunk.loop_mix, np.arange(0, n_mixes + 1, w)).tolist()
-        for j, (lo, hi) in enumerate(zip(edges, edges[1:])):
-            if lo == hi:  # every layer at lambda_M = 0
-                continue
-            loop_t = chunk.loop_t[lo:hi]
-            entering[j].append(Messages(
-                chunk.loop_mix[lo:hi], loop_t, loop_t + chunk.loop_delay[lo:hi],
-                np.tile(_UNLABELED, (hi - lo, 1)), np.zeros((hi - lo, l), np.int64),
-                np.zeros((hi - lo, l)), np.zeros(hi - lo, bool)))
+            labeled = [m for (_, m), g in zip(payloads, got) if g]
+            mass[:, labeled] = _LABELS[:, i:i + 1]
+            emitted[i], emitted[2] = emitted[i] + len(labeled), emitted[2] - len(labeled)
+        parts = [flight, enter(chunk.t, chunk.delay.T, chunk.route.T, 0, l - 1, mass)]
+        if len(chunk.loop_mix):  # leaving the network from the pool they loop into
+            layer = chunk.loop_mix // w
+            delay = np.select([layers < layer, layers == layer], [0.0, chunk.loop_delay], np.inf)
+            parts.append(enter(chunk.loop_t, delay, chunk.loop_mix, layer, layer,
+                               np.repeat(_UNLABELED, len(layer), axis=1)))
+        times, route, mass = (np.concatenate(x, axis=1) for x in zip(*parts))
+        size = len(mass[0])
+        cur = np.arange(h + 1, h + 1 + size)  # the mass table column of each mass
+        if len(chunk.loop_mix):  # a loop joins its layer's queue
+            order = np.argsort(l - 1 - route[l], kind="stable")
+            times, route, cur = (x.take(order, axis=-1) for x in (times, route, cur))
+        layer, last = route[l], route[l + 1]
+        # dep[j, m]: m leaves layer j in this chunk; arr[j, m]: it arrives
+        due = times[1:] <= end if chunk.stop == end else times[1:] < chunk.stop
+        dep = due & (layers >= layer)
+        arr = np.zeros_like(dep)
+        arr[1:] = dep[:-1] & (layers[1:] <= last)
+        new = np.flatnonzero(cur > h + arrived)
+        arr[layer.take(new), new] = True
+        arr_ev, dep_ev = np.flatnonzero(arr), np.flatnonzero(dep)
+        arr_pool, dep_pool = route.ravel().take(arr_ev), route.ravel().take(dep_ev)
+        a, d = (np.searchsorted(ev, np.arange(l + 1) * size).tolist() for ev in (arr_ev, dep_ev))
 
-        final = chunk.stop == end
+        # the mass table: averages, an unlabeled mass, messages, solved rows
+        room = np.empty((3, len(arr_ev) + l * (w + _BLOCK)))
+        mass, plan, kept = np.concatenate((avg, _UNLABELED, mass, room), axis=1), None, []
         for j in range(l):
-            pending = _cat([resident[j], *entering[j]])
-            entering[j] = []
-            k = len(resident[j].mix)  # the rest of pending arrived in this chunk
-            due = pending.dep <= end if final else pending.dep < chunk.stop
-            resident[j] = _take(pending, np.flatnonzero(~due))
-            leave = np.flatnonzero(due)
-            mix, dep = pending.mix.take(leave), pending.dep.take(leave)
-            pools = slice(j * w, (j + 1) * w)
-            arr_pool, dep_pool = pending.mix[k:] - j * w, mix - j * w
-            if avg[pools, :2].any() or pending.mass[k:, :2].any():
+            arriving = cur.take(arr_ev[a[j]:a[j + 1]] - j * size)
+            leaving = dep_ev[d[j]:d[j + 1]] - j * size
+            if mass[:2, j * w:(j + 1) * w].any() or mass[:2].take(arriving, axis=1).any():
+                if plan is None:  # the first layer with a label lays out all
+                    plan = _plan(n, w, (arr_pool, times[:-1].ravel().take(arr_ev)),
+                                 (dep_pool, times[1:].ravel().take(dep_ev)), h + 1 + size)
+                src, _, _, rows, _, out, pooled = plan[j]
+                src[rows] = arriving
                 # every pool of the layer is solved; a corrupt one's average
                 # is never read, and its messages leave with their own masses
-                out = _solve_pools(avg[pools], n[pools],
-                                   (arr_pool, pending.t[k:], pending.mass[k:]),
-                                   (dep_pool, dep))
-            else:
-                # no label in the layer: a solve would keep its S0 and S1
-                # columns at +0.0, so only the counts move
-                n[pools] += np.bincount(arr_pool, minlength=w) - np.bincount(dep_pool, minlength=w)
-                avg[pools] = _UNLABELED
-                out = np.tile(_UNLABELED, (len(leave), 1))
+                _solve_pools(mass, plan[j])
+            else:  # a solve would keep the S0 and S1 rows at +0.0
+                out, pooled = np.full(len(leaving), h), np.full(w, h)
+            kept.append(pooled)
+            gone = leaving if j + 1 == l else leaving[last.take(leaving) == j]
             if corrupt_layer[j]:
-                held = np.flatnonzero(is_corrupt[mix])
-                out[held] = pending.mass.take(leave[held], axis=0)
-            if j + 1 == l:  # the last layer delivers every message it sends
-                delivered += out.sum(axis=0)
-                continue
-            on = pending.on.take(leave)
-            if not on.all():  # loops leave from the pool they looped into
-                delivered += out[~on].sum(axis=0)
-                leave, dep, out = leave[on], dep[on], out[on]
-            route, delay = pending.route.take(leave, axis=0), pending.delay.take(leave, axis=0)
-            entering[j + 1].append(Messages(route[:, j + 1], dep, dep + delay[:, j + 1], out,
-                                            route, delay, np.full(len(leave), j + 2 < l)))
+                honest = ~is_corrupt.take(dep_pool[d[j]:d[j + 1]])
+                leaving, out = leaving[honest], out[honest]
+            cur[leaving] = out
+            if len(gone):
+                delivered += np.cumsum(mass.take(cur.take(gone), axis=1), axis=1)[:, -1]
+        if plan is None:  # only the counts move
+            n += np.bincount(arr_pool, minlength=h) - np.bincount(dep_pool, minlength=h)
+        layer += dep.sum(axis=0, dtype=small_int)
+        keep = np.flatnonzero(layer <= last)
+        keep = keep.take(np.argsort(l - 1 - layer.take(keep), kind="stable"))
+        mass, arrived = mass.take(np.concatenate(kept + [cur.take(keep)]), axis=1), len(keep)
+        avg, flight = mass[:, :h], (times.take(keep, 1), route.take(keep, 1), mass[:, h:])
 
-    in_corrupt = np.zeros(3)
-    for msgs in resident:
-        in_corrupt += msgs.mass[is_corrupt[msgs.mix]].sum(axis=0)
+    in_corrupt, (_, route, mass) = np.zeros(3), flight
+    layer, held = route[l], is_corrupt[np.take_along_axis(route, route[l:l + 1], 0)[0]]
+    for at in (np.flatnonzero(held & (layer == j)) for j in range(l)):
+        if len(at):
+            in_corrupt += np.cumsum(mass.take(at, axis=1), axis=1)[:, -1]
     n[is_corrupt] = 0
-    masses = n[:, None] * avg
-    candidates = [m for m in range(n_mixes - w, n_mixes) if not is_corrupt[m] and n[m] > 0]
+    candidates = [m for m in range(h - w, h) if not is_corrupt[m] and n[m] > 0]
     if not candidates:
         final_mix, final_pool, eps = None, None, math.nan
     else:
         final_mix = candidates[int(rng.integers(len(candidates)))]
         # a share of 1 may come out of the solve a few ulps above it
-        final_pool = LabelDistribution(*np.minimum(avg[final_mix], 1.0).tolist())
+        final_pool = LabelDistribution(*np.minimum(avg[:, final_mix], 1.0).tolist())
         eps = epsilon_of(final_pool.p_S0, final_pool.p_S1)
-
-    return LabelFlowResult(
-        epsilon=eps,
-        final_mix=final_mix,
-        final_pool=final_pool,
-        corrupt=corrupt,
-        emitted=tuple(emitted.tolist()),
-        pool_masses=[tuple(row) for row in masses.tolist()],
-        pool_counts=n.tolist(),
-        in_corrupt=tuple(in_corrupt.tolist()),
-        delivered=tuple(delivered.tolist()),
-    )
+    masses = [tuple(row) for row in (n[:, None] * avg.T).tolist()]
+    return LabelFlowResult(eps, final_mix, final_pool, corrupt, tuple(emitted), masses, n.tolist(),
+                           tuple(in_corrupt.tolist()), tuple(delivered.tolist()))
 
 
 def run_epsilon_experiment(cfg: SimConfig) -> float:

@@ -98,3 +98,12 @@ def test_epsilon_sweep_leaves_the_figures_of_a_point_without_a_finite_rep_empty(
     assert sweep.main(argv) == 0
     rows = list(csv.reader(out.open()))
     assert rows[1:] == [["mu=1.0;layers=3;corrupt=0.0", "", ""]] * 3
+
+
+def test_label_flow_cpu_prints_the_cpu_time_of_a_repetition_by_layer_count(capsys):
+    assert load_script("label_flow_cpu").main(["--runs", "1", "--reps", "1", "--layers", "1", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "layers,cpu_ms_per_rep"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [layers for layers, _ in rows] == ["1", "2"]
+    assert all(float(ms) > 0 for _, ms in rows)

@@ -305,9 +305,12 @@ def test_label_free_layers_are_counted_not_solved(monkeypatch):
     solves, chunks = [], []
     solve, draw = epsilon._solve_pools, epsilon.draw_chunks
 
-    def counted_solve(avg, n, arrivals, departures):
-        solves.append(bool(avg[:, :2].any()) and not arrivals[2][:, :2].any())
-        return solve(avg, n, arrivals, departures)
+    def counted_solve(mass, rows):
+        # the rows' sources: the pools' averages, then the arrivals' masses
+        src, arrived = rows[0], rows[3]
+        pools, arrivals = np.delete(src, arrived), src[arrived]
+        solves.append(bool(mass[:2, pools].any()) and not mass[:2, arrivals].any())
+        return solve(mass, rows)
 
     def counted_draw(cfg, rng):
         for chunk in draw(cfg, rng):
@@ -473,11 +476,27 @@ def test_recurrence_solve_matches_a_plain_loop():
     y, plain = np.zeros(3), np.empty_like(b)
     for k in range(len(a)):
         plain[k] = y = a[k] * y + b[k]
-    np.testing.assert_allclose(epsilon._scan(a, b), plain, rtol=1e-9, atol=0)
+    got = epsilon._scan(epsilon._factors(a), np.ascontiguousarray(b.T))
+    np.testing.assert_allclose(got.T, plain, rtol=1e-9, atol=0)
+
+
+def solve_pools(avg, n, arrivals, departures):
+    """One layer of pools run over one chunk by _plan and _solve_pools, the
+    arrivals' masses after the averages in the mass table; updates avg and
+    n in place and returns the masses the departures carry."""
+    (arr_pool, arr_t, arr_mass), (dep_pool, dep_t) = arrivals, departures
+    h, na = len(n), len(arr_pool)
+    rows = epsilon._plan(n, h, (arr_pool, arr_t), (dep_pool, dep_t), h + na)[0]
+    src, _, _, arrived, out, dep, last = rows
+    src[arrived] = h + np.arange(na)
+    mass = np.concatenate((avg.T, arr_mass.T, np.empty((3, out.stop - h - na))), axis=1)
+    epsilon._solve_pools(mass, rows)
+    avg[:] = mass[:, last].T
+    return mass[:, dep].T
 
 
 def plain_pools(avg, n, arrivals, departures):
-    """_solve_pools event by event: each pool's events in time order,
+    """solve_pools event by event: each pool's events in time order,
     arrivals before departures at one instant."""
     (arr_pool, arr_t, arr_mass), (dep_pool, dep_t) = arrivals, departures
     avg, n = avg.copy(), n.copy()
@@ -533,7 +552,7 @@ def test_pool_solve_matches_a_plain_event_loop():
         assert arrived & set(zip(dep_pool.tolist(), dep_t.tolist()))
         want_avg, want_n, want_out = plain_pools(avg, n, arrivals, departures)
         got_avg, got_n = avg.copy(), n.copy()
-        got_out = epsilon._solve_pools(got_avg, got_n, arrivals, departures)
+        got_out = solve_pools(got_avg, got_n, arrivals, departures)
         np.testing.assert_array_equal(got_n, want_n)
         np.testing.assert_allclose(got_avg, want_avg, rtol=1e-9, atol=0)
         np.testing.assert_allclose(got_out, want_out, rtol=1e-9, atol=0)
@@ -662,6 +681,39 @@ def test_every_result_field_is_the_same_bit_for_bit():
     for cfg in label_flow_grid():
         digest.update(repr(simulate_label_flow(cfg)).encode())
     assert digest.hexdigest() == LABEL_FLOW_GRID_SHA256
+
+
+def edge_grid():
+    """Shapes label_flow_grid leaves out: a burn-in shorter than one chunk,
+    so chunk 0 is solved with the whole stationary fill arriving at t = 0;
+    1 and 7 mixes a layer; mu 0.5 and 4; loops with corruption at 2 layers;
+    positive lambda_L and lambda_D; and a run time of 37.5."""
+    shape = {**C07, "burn_in": 2.0, "run_time": 37.5}
+    for seed, (width, mu) in enumerate(((1, 0.5), (7, 4.0)), 31):
+        yield small_cfg(**{**shape, "nodes_per_layer": width,
+                           "rates": Rates(2.0, 0.0, 0.0, 0.0, mu)}, seed=seed)
+    yield small_cfg(**{**shape, "layers": 2, "rates": Rates(2.0, 0.0, 0.0, 0.7, 1.0)}, seed=33,
+                    corrupt_fraction=0.3)
+    yield small_cfg(**{**shape, "rates": Rates(1.0, 0.5, 0.5, 0.0, 1.0)}, seed=34)
+
+
+# SHA-256 of the reprs of the whole LabelFlowResult over edge_grid.
+EDGE_GRID_SHA256 = "675baa14cbc6f505016785b3984e25278c5cb9677ad54b303cd7b3b39f7d5dab"
+
+
+def test_the_shapes_the_grid_lacks_are_the_same_bit_for_bit(monkeypatch):
+    filled, plan = [], epsilon._plan
+
+    def spied(n, w, arrivals, departures, first):
+        filled.append(bool((arrivals[1] == 0.0).any()))
+        return plan(n, w, arrivals, departures, first)
+
+    monkeypatch.setattr(epsilon, "_plan", spied)
+    digest = hashlib.sha256()
+    for cfg in edge_grid():
+        digest.update(repr(simulate_label_flow(cfg)).encode())
+    assert digest.hexdigest() == EDGE_GRID_SHA256
+    assert any(filled)  # some layers were solved with the fill arriving at t = 0
 
 
 def plain_buffered(times, burn_in, run_time):
