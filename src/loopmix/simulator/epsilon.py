@@ -266,77 +266,94 @@ def _scan(f: tuple, b: np.ndarray) -> np.ndarray:
     for start, stop in reversed(segments):  # each reads a row the ones before change
         b[:, start:stop] -= b[:, start - 1:start]
     y *= prod
-    carry, end = [], [0.0, 0.0, 0.0]
-    for y_end, s, no_reset in zip(y[:, :-1, -1].T.tolist(), scale, whole):
-        end = [y + s * c for y, c in zip(y_end, end)] if no_reset else y_end
-        carry.append(end)
-    y[:, 1:] += head[1:] * np.reshape(carry, (-1, 3)).T[:, :, None]  # block 0 starts with a reset
+    if len(scale) > 1:  # block 0 starts with a reset
+        carry, end = [], [0.0, 0.0, 0.0]
+        for y_end, s, no_reset in zip(y[:, :-1, -1].T.tolist(), scale, whole):
+            end = [y + s * c for y, c in zip(y_end, end)] if no_reset else y_end
+            carry.append(end)
+        y[:, 1:] += head[1:] * np.array(carry).T[:, :, None]
     return b
 
 
-def _plan(n, w: int, arrivals, departures, first: int) -> list:
+class Rows(NamedTuple):
+    """One layer's recurrence rows over one chunk, as _plan lays them out."""
+
+    src: np.ndarray  # the mass table column each row's mass comes from
+    count_in: np.ndarray  # the count N + 1 each row meets
+    scan: tuple  # the factors of the rows' a = N / (N + 1) (_factors)
+    arrivals: np.ndarray  # the row of each of the layer's arrivals
+    out: slice  # the table columns the rows are solved into
+    departures: np.ndarray  # the column each of the layer's departures reads
+    last: np.ndarray  # the column of each pool's last row
+
+
+def _plan(n, w: int, pool, t, na: int, first: int) -> List[Rows]:
     """Lay out one chunk's recurrence rows for the pools of every layer, w a
     layer, as the columns `first` on of a mass table whose first len(n) are
-    the pools' averages, and move their counts n. arrivals and departures
-    are (pool, t), pool the index into n, listed layer by layer. A layer's
-    rows start at a block boundary with one row per pool, which sets y to
-    its average, then its arrivals in time order: one of x at count N sets
-    y <- N/(N+1) * y + x/(N+1), and a departure, after the arrivals at its
-    instant, carries the y of the last row before it. Unread rows at count
-    1 fill the last block. Returns per layer: the table column each row's
-    mass comes from (the caller sets the arrivals'), the count N + 1 each
-    meets, the factors of its _scan, the arrivals' rows, its columns, and
-    the column each departure reads and each pool's last.
+    the pools' averages, and move their counts n. The events are na
+    arrivals, then departures, each listed layer by layer, at times t in
+    pools `pool`, indices into n. A layer's rows start at a block boundary
+    with one row per pool, which sets y to its average, then its arrivals
+    in time order: one of x at count N sets y <- N/(N+1) * y + x/(N+1), and
+    a departure, after the arrivals at its instant, carries the y of the
+    last row before it. Unread rows at count 2 fill the last block. The
+    caller sets the arrivals' rows' sources.
     """
-    (arr_pool, arr_t), (dep_pool, dep_t) = arrivals, departures
-    h, na, nd = len(n), len(arr_pool), len(dep_pool)
+    h = len(n)
     # Times are >= +0.0, so their bits sort as they do; the low bit puts an
     # arrival before a departure at one instant. The pool sort is a radix sort.
-    key = np.concatenate((arr_t, dep_t)).view(np.uint64) << np.uint64(1)
+    key = t.view(np.uint64) << np.uint64(1)
     key[na:] += np.uint64(1)
     order = np.argsort(key)
-    pool = np.concatenate((arr_pool, dep_pool)).astype(np.min_scalar_type(h - 1), copy=False)
-    order = order.take(np.argsort(pool.take(order), kind="stable"))
-    apos, dpos = np.flatnonzero(order < na), np.flatnonzero(order >= na)
-    a_cnt, d_cnt = np.bincount(arr_pool, minlength=h), np.bincount(dep_pool, minlength=h)
+    pool = pool.astype(np.min_scalar_type(h - 1), copy=False)
+    by_pool = pool.take(order)
+    stable = np.argsort(by_pool, kind="stable")
+    order = order.take(stable)
+    by_pool = by_pool.take(stable)
+    arrived = order < na
+    seen = np.cumsum(arrived)  # the arrivals up to each event
+    apos = np.flatnonzero(arrived)
+    a_cnt = np.bincount(pool[:na], minlength=h)
+    d_cnt = np.bincount(pool[na:], minlength=h)
     a_end, d_end = np.cumsum(a_cnt), np.cumsum(d_cnt)
     a_first = a_end - a_cnt
-    # With the events sorted by time, then stably by pool, pool p's first
-    # row is base[p] + a_first[p], base adding the padding of the layers
-    # before; the i-th arrival, at q, meets count n - a_first + d_first +
-    # 2i - q, and the j-th departure, at q, reads row base + q - j.
     size = w + a_end[w - 1::w] - a_first[::w]
     pad = -size % _BLOCK
     base = np.arange(h) + np.repeat(np.cumsum(pad) - pad, w)
-    row = np.arange(1, na + 1) + np.repeat(base, a_cnt)
+    # Pool p's first row is base[p] + a_first[p]. An event with `seen`
+    # arrivals up to it, in p, is at (an arrival) or reads (a departure)
+    # row base[p] + seen; the i-th arrival, at q, meets count
+    # n - a_first + d_first + 2i - q + 1.
+    row = base.take(by_pool) + seen
     src = np.repeat(np.arange(0, h, w), size + pad)
     src[base + a_first] = np.arange(h)
     count_in = np.full(len(src), 2.0)
     count_in[base + a_first] = 1  # a first row's a is 0, and its b the average
-    count_in[row] = np.repeat(n - a_first + d_end - d_cnt + 1, a_cnt) + 2 * np.arange(na) - apos
-    arr_row, dep_row = np.empty(na, np.int64), np.empty(nd, np.int64)
-    arr_row[order.take(apos)] = row
-    dep_row[order.take(dpos) - na] = dpos - np.arange(nd) + np.repeat(base + first, d_cnt)
-    last = base + a_end + first
+    count_in[row.take(apos)] = np.repeat(n - a_first + d_end - d_cnt + 1, a_cnt) + 2 * np.arange(na) - apos
+    at = np.empty(len(order), np.int64)
+    at[order] = row
     n += a_cnt - d_cnt
     prod, head, segments, scale, whole = _factors((count_in - 1) / count_in)
-    r, a, d = ([0] + x.tolist() for x in (np.cumsum(size + pad), a_end[w - 1::w], d_end[w - 1::w]))
-    layers = []
+    r = [0] + np.cumsum(size + pad).tolist()
+    a = [0] + a_end[w - 1::w].tolist()
+    d = [na] + (na + d_end[w - 1::w]).tolist()
+    last = base + a_end + first
+    plan = []
     for j, (lo, hi) in enumerate(zip(r, r[1:])):
-        b = slice(lo // _BLOCK, hi // _BLOCK)
+        blocks = slice(lo // _BLOCK, hi // _BLOCK)
         inner = [(s - lo, e - lo) for s, e in segments if lo <= s < hi]
-        layers.append((src[lo:hi], count_in[lo:hi], (prod[b], head[b], inner, scale[b], whole[b]),
-                       arr_row[a[j]:a[j + 1]] - lo, slice(first + lo, first + hi),
-                       dep_row[d[j]:d[j + 1]], last[j * w:(j + 1) * w]))
-    return layers
+        plan.append(Rows(src[lo:hi], count_in[lo:hi],
+                         (prod[blocks], head[blocks], inner, scale[blocks], whole[blocks]),
+                         at[a[j]:a[j + 1]] - lo, slice(first + lo, first + hi),
+                         at[d[j]:d[j + 1]] + first, last[j * w:(j + 1) * w]))
+    return plan
 
 
-def _solve_pools(mass, rows: tuple) -> None:
+def _solve_pools(mass, rows: Rows) -> None:
     """Solve one layer's pools over one chunk (_plan) into its table columns."""
-    src, count_in, scan, _, out, _, _ = rows
-    b = mass.take(src, axis=1)
-    b /= count_in
-    mass[:, out] = _scan(scan, b)
+    b = mass.take(rows.src, axis=1)
+    b /= rows.count_in
+    mass[:, rows.out] = _scan(rows.scan, b)
 
 
 def simulate_label_flow(cfg: SimConfig) -> LabelFlowResult:
@@ -347,23 +364,26 @@ def simulate_label_flow(cfg: SimConfig) -> LabelFlowResult:
     (draw_chunks) and the final mix. A challenge sender's payload is
     labeled while the sender has a buffered message, one a second from
     burn_in on (_buffered). Events up to burn_in + run_time take part. The
-    messages in flight are (times, route, mass), a column each: the arrival
-    at each layer, the last one the departure from the last; the mix at
-    each layer, then the layer it is at or enters and the one it leaves the
-    network from; and the mass it arrived there with. Stably by layer from
-    the last, they hold each layer's queue in order (those there before,
-    those entering, then those from the layer before), in which the masses
-    delivered and held in corrupt mixes are summed.
+    messages in flight are (times, route), a column each: the arrival at
+    each layer, the last one the departure from the last; the mix at each
+    layer, then the layer it is at or enters and the one it leaves the
+    network from. The mass each arrived there with follows the pools'
+    averages in `mass`. Stably by layer from the last, they hold each
+    layer's queue in order (those there before, those entering, then those
+    from the layer before), in which the masses delivered and held in
+    corrupt mixes are summed.
     """
     rng = default_rng(cfg.seed)
     l, w = cfg.layers, cfg.nodes_per_layer
-    h, end = l * w, cfg.burn_in + cfg.run_time
+    h = l * w
+    end = cfg.burn_in + cfg.run_time
     corrupt = corrupt_mixes(cfg, rng)
     is_corrupt = np.isin(np.arange(h), list(corrupt))
     corrupt_layer = is_corrupt.reshape(l, w).any(axis=1).tolist()
-    layers, small_int = np.arange(l)[:, None], np.min_scalar_type(max(h, l + 1))
+    layers = np.arange(l)[:, None]
+    small_int = np.min_scalar_type(max(h, l + 1))
 
-    def enter(t, delay, mix, layer, last, mass) -> tuple:
+    def enter(t, delay, mix, layer, last) -> tuple:
         """Messages entering `layer` at t; the delays are summed in order."""
         times = np.empty((l + 1, len(t)))
         times[0] = t
@@ -371,37 +391,32 @@ def simulate_label_flow(cfg: SimConfig) -> LabelFlowResult:
             np.add(times[j], delay[j], out=times[j + 1])
         route = np.empty((l + 2, len(t)), small_int)
         route[:l], route[l], route[l + 1] = mix, layer, last
-        return times, route, mass
-    avg, n, delivered = np.zeros((3, h)), np.zeros(h, np.int64), np.zeros(3)
+        return times, route
+
     fill = stationary_fill(cfg, rng)
     emitted, taken = [0, 0, len(fill.mix)], [0, 0]
     layer = fill.mix // w  # which a filled message enters at time 0
     flight = enter(np.zeros(len(layer)), np.where(layers >= layer, fill.delay.T, 0.0),
-                   fill.route.T, layer, l - 1, np.repeat(_UNLABELED, len(layer), axis=1))
+                   fill.route.T, layer, l - 1)
     order = np.argsort(l - 1 - layer, kind="stable")
-    flight, arrived = tuple(x.take(order, axis=1) for x in flight), 0
+    flight = tuple(x.take(order, axis=1) for x in flight)
+    # the pools' averages, then the masses of the messages in flight
+    mass = np.zeros((3, h + len(layer)))
+    mass[2, h:] = 1.0
+    n = np.zeros(h, np.int64)
+    delivered = np.zeros(3)
+    arrived = 0  # of the messages in flight, those in a pool before the chunk
 
     for chunk in draw_chunks(cfg, rng):
-        mass = np.repeat(_UNLABELED, len(chunk.t), axis=1)
-        emitted[2] += len(chunk.t) + len(chunk.loop_mix)  # less the labeled
-        for i, sender in enumerate(cfg.challenge):
-            mine = np.flatnonzero(chunk.payload & (chunk.sender == sender))
-            # a handful a chunk: sorted in time, then in draw order
-            payloads = sorted(zip(chunk.t[mine].tolist(), mine.tolist()))
-            got, taken[i] = _buffered([t for t, _ in payloads], cfg, taken[i])
-            labeled = [m for (_, m), g in zip(payloads, got) if g]
-            mass[:, labeled] = _LABELS[:, i:i + 1]
-            emitted[i], emitted[2] = emitted[i] + len(labeled), emitted[2] - len(labeled)
-        parts = [flight, enter(chunk.t, chunk.delay.T, chunk.route.T, 0, l - 1, mass)]
+        parts = [flight, enter(chunk.t, chunk.delay.T, chunk.route.T, 0, l - 1)]
         if len(chunk.loop_mix):  # leaving the network from the pool they loop into
             layer = chunk.loop_mix // w
             delay = np.select([layers < layer, layers == layer], [0.0, chunk.loop_delay], np.inf)
-            parts.append(enter(chunk.loop_t, delay, chunk.loop_mix, layer, layer,
-                               np.repeat(_UNLABELED, len(layer), axis=1)))
-        times, route, mass = (np.concatenate(x, axis=1) for x in zip(*parts))
-        size = len(mass[0])
-        cur = np.arange(h + 1, h + 1 + size)  # the mass table column of each mass
-        if len(chunk.loop_mix):  # a loop joins its layer's queue
+            parts.append(enter(chunk.loop_t, delay, chunk.loop_mix, layer, layer))
+        times, route = (np.concatenate(x, axis=1) for x in zip(*parts))
+        size = times.shape[1]
+        cur = np.arange(h, h + size)  # the mass table column of each message
+        if len(chunk.loop_mix) and l > 1:  # a loop joins its layer's queue
             order = np.argsort(l - 1 - route[l], kind="stable")
             times, route, cur = (x.take(order, axis=-1) for x in (times, route, cur))
         layer, last = route[l], route[l + 1]
@@ -410,47 +425,72 @@ def simulate_label_flow(cfg: SimConfig) -> LabelFlowResult:
         dep = due & (layers >= layer)
         arr = np.zeros_like(dep)
         arr[1:] = dep[:-1] & (layers[1:] <= last)
-        new = np.flatnonzero(cur > h + arrived)
+        new = np.flatnonzero(cur >= h + arrived)
         arr[layer.take(new), new] = True
         arr_ev, dep_ev = np.flatnonzero(arr), np.flatnonzero(dep)
-        arr_pool, dep_pool = route.ravel().take(arr_ev), route.ravel().take(dep_ev)
-        a, d = (np.searchsorted(ev, np.arange(l + 1) * size).tolist() for ev in (arr_ev, dep_ev))
+        events = np.concatenate((arr_ev, dep_ev))
+        pool = route.ravel().take(events)
+        na = len(arr_ev)
+        a = np.searchsorted(arr_ev, np.arange(l + 1) * size).tolist()
+        d = np.searchsorted(dep_ev, np.arange(l + 1) * size).tolist()
 
-        # the mass table: averages, an unlabeled mass, messages, solved rows
-        room = np.empty((3, len(arr_ev) + l * (w + _BLOCK)))
-        mass, plan, kept = np.concatenate((avg, _UNLABELED, mass, room), axis=1), None, []
+        # The mass table: the averages, the messages (the new ones enter
+        # unlabeled), an unlabeled mass and room for the solved rows.
+        unlabeled, flown = h + size, mass.shape[1]
+        table = np.empty((3, unlabeled + 1 + na + l * (w + _BLOCK)))
+        table[:, :flown] = mass
+        table[:, flown:unlabeled + 1] = _UNLABELED
+        mass = table
+        emitted[2] += len(chunk.t) + len(chunk.loop_mix)  # less the labeled
+        for i, sender in enumerate(cfg.challenge):
+            mine = np.flatnonzero(chunk.payload & (chunk.sender == sender))
+            # a handful a chunk: sorted in time, then in draw order
+            payloads = sorted(zip(chunk.t[mine].tolist(), mine.tolist()))
+            got, taken[i] = _buffered([t for t, _ in payloads], cfg, taken[i])
+            labeled = [flown + m for (_, m), g in zip(payloads, got) if g]
+            mass[:, labeled] = _LABELS[:, i:i + 1]
+            emitted[i] += len(labeled)
+            emitted[2] -= len(labeled)
+
+        plan, kept = None, []
         for j in range(l):
             arriving = cur.take(arr_ev[a[j]:a[j + 1]] - j * size)
             leaving = dep_ev[d[j]:d[j + 1]] - j * size
             if mass[:2, j * w:(j + 1) * w].any() or mass[:2].take(arriving, axis=1).any():
                 if plan is None:  # the first layer with a label lays out all
-                    plan = _plan(n, w, (arr_pool, times[:-1].ravel().take(arr_ev)),
-                                 (dep_pool, times[1:].ravel().take(dep_ev)), h + 1 + size)
-                src, _, _, rows, _, out, pooled = plan[j]
-                src[rows] = arriving
+                    events[na:] += size  # a departure from j is at times[j + 1]
+                    plan = _plan(n, w, pool, times.ravel().take(events), na, unlabeled + 1)
+                rows = plan[j]
+                rows.src[rows.arrivals] = arriving
                 # every pool of the layer is solved; a corrupt one's average
                 # is never read, and its messages leave with their own masses
-                _solve_pools(mass, plan[j])
+                _solve_pools(mass, rows)
+                out, pooled = rows.departures, rows.last
             else:  # a solve would keep the S0 and S1 rows at +0.0
-                out, pooled = np.full(len(leaving), h), np.full(w, h)
+                out, pooled = np.full(len(leaving), unlabeled), np.full(w, unlabeled)
             kept.append(pooled)
+            # only a loop leaves the network before the last layer
             gone = leaving if j + 1 == l else leaving[last.take(leaving) == j]
             if corrupt_layer[j]:
-                honest = ~is_corrupt.take(dep_pool[d[j]:d[j + 1]])
+                honest = ~is_corrupt.take(pool[na + d[j]:na + d[j + 1]])
                 leaving, out = leaving[honest], out[honest]
             cur[leaving] = out
             if len(gone):
                 delivered += np.cumsum(mass.take(cur.take(gone), axis=1), axis=1)[:, -1]
         if plan is None:  # only the counts move
-            n += np.bincount(arr_pool, minlength=h) - np.bincount(dep_pool, minlength=h)
+            n += np.bincount(pool[:na], minlength=h) - np.bincount(pool[na:], minlength=h)
         layer += dep.sum(axis=0, dtype=small_int)
         keep = np.flatnonzero(layer <= last)
-        keep = keep.take(np.argsort(l - 1 - layer.take(keep), kind="stable"))
-        mass, arrived = mass.take(np.concatenate(kept + [cur.take(keep)]), axis=1), len(keep)
-        avg, flight = mass[:, :h], (times.take(keep, 1), route.take(keep, 1), mass[:, h:])
+        if l > 1:
+            keep = keep.take(np.argsort(l - 1 - layer.take(keep), kind="stable"))
+        mass = mass.take(np.concatenate(kept + [cur.take(keep)]), axis=1)
+        arrived = len(keep)
+        flight = (times.take(keep, 1), route.take(keep, 1))
 
-    in_corrupt, (_, route, mass) = np.zeros(3), flight
-    layer, held = route[l], is_corrupt[np.take_along_axis(route, route[l:l + 1], 0)[0]]
+    in_corrupt = np.zeros(3)
+    avg, route, mass = mass[:, :h], flight[1], mass[:, h:]
+    layer = route[l]
+    held = is_corrupt[np.take_along_axis(route, route[l:l + 1], 0)[0]]
     for at in (np.flatnonzero(held & (layer == j)) for j in range(l)):
         if len(at):
             in_corrupt += np.cumsum(mass.take(at, axis=1), axis=1)[:, -1]

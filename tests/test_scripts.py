@@ -101,9 +101,9 @@ def test_epsilon_sweep_leaves_the_figures_of_a_point_without_a_finite_rep_empty(
 
 
 def test_label_flow_cpu_prints_the_cpu_time_of_a_repetition_by_layer_count(capsys):
-    assert load_script("label_flow_cpu").main(["--runs", "1", "--reps", "1", "--layers", "1", "2"]) == 0
+    assert load_script("label_flow_cpu").main(["--runs", "1", "--reps", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "layers,cpu_ms_per_rep"
     rows = [line.split(",") for line in lines[1:]]
-    assert [layers for layers, _ in rows] == ["1", "2"]
+    assert [layers for layers, _ in rows] == ["1", "2", "3", "4"]
     assert all(float(ms) > 0 for _, ms in rows)

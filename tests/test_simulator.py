@@ -307,8 +307,7 @@ def test_label_free_layers_are_counted_not_solved(monkeypatch):
 
     def counted_solve(mass, rows):
         # the rows' sources: the pools' averages, then the arrivals' masses
-        src, arrived = rows[0], rows[3]
-        pools, arrivals = np.delete(src, arrived), src[arrived]
+        pools, arrivals = np.delete(rows.src, rows.arrivals), rows.src[rows.arrivals]
         solves.append(bool(mass[:2, pools].any()) and not mass[:2, arrivals].any())
         return solve(mass, rows)
 
@@ -486,13 +485,13 @@ def solve_pools(avg, n, arrivals, departures):
     n in place and returns the masses the departures carry."""
     (arr_pool, arr_t, arr_mass), (dep_pool, dep_t) = arrivals, departures
     h, na = len(n), len(arr_pool)
-    rows = epsilon._plan(n, h, (arr_pool, arr_t), (dep_pool, dep_t), h + na)[0]
-    src, _, _, arrived, out, dep, last = rows
-    src[arrived] = h + np.arange(na)
-    mass = np.concatenate((avg.T, arr_mass.T, np.empty((3, out.stop - h - na))), axis=1)
+    pool, t = np.concatenate((arr_pool, dep_pool)), np.concatenate((arr_t, dep_t))
+    rows = epsilon._plan(n, h, pool, t, na, h + na)[0]
+    rows.src[rows.arrivals] = h + np.arange(na)
+    mass = np.concatenate((avg.T, arr_mass.T, np.empty((3, rows.out.stop - h - na))), axis=1)
     epsilon._solve_pools(mass, rows)
-    avg[:] = mass[:, last].T
-    return mass[:, dep].T
+    avg[:] = mass[:, rows.last].T
+    return mass[:, rows.departures].T
 
 
 def plain_pools(avg, n, arrivals, departures):
