@@ -329,7 +329,8 @@ def _plan(n, w: int, pool, t, na: int, first: int) -> List[Rows]:
     src[base + a_first] = np.arange(h)
     count_in = np.full(len(src), 2.0)
     count_in[base + a_first] = 1  # a first row's a is 0, and its b the average
-    count_in[row.take(apos)] = np.repeat(n - a_first + d_end - d_cnt + 1, a_cnt) + 2 * np.arange(na) - apos
+    met = np.repeat(n - a_first + d_end - d_cnt + 1, a_cnt) + 2 * np.arange(na) - apos
+    count_in[row.take(apos)] = met
     at = np.empty(len(order), np.int64)
     at[order] = row
     n += a_cnt - d_cnt
