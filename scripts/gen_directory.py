@@ -20,6 +20,7 @@ from loopmix.topology import loads_directory
 def build(seed: int, layers: int, per_layer: int, providers: int, clients: int):
     rng = random.Random(seed)
     secrets = {}
+    first_provider_port = max(9200, 9100 + layers * per_layer)  # past the last mix
 
     def keypair(node_id):
         sk, pub = crypto.generate_keypair(rng)
@@ -43,7 +44,7 @@ def build(seed: int, layers: int, per_layer: int, providers: int, clients: int):
         "providers": [
             {
                 "id": f"prov-{j}",
-                "addr": f"127.0.0.1:{9200 + j}",
+                "addr": f"127.0.0.1:{first_provider_port + j}",
                 "pubkey": keypair(f"prov-{j}"),
             }
             for j in range(providers)

@@ -369,10 +369,9 @@ def simulate_label_flow(cfg: SimConfig) -> LabelFlowResult:
     each layer, the last one the departure from the last; the mix at each
     layer, then the layer it is at or enters and the one it leaves the
     network from. The mass each arrived there with follows the pools'
-    averages in `mass`. Stably by layer from the last, they hold each
-    layer's queue in order (those there before, those entering, then those
-    from the layer before), in which the masses delivered and held in
-    corrupt mixes are summed.
+    averages in `mass`. They are in the order they entered the network:
+    those still in flight from the chunk before, then the chunk's emissions,
+    then its loops.
     """
     rng = default_rng(cfg.seed)
     l, w = cfg.layers, cfg.nodes_per_layer
@@ -399,8 +398,6 @@ def simulate_label_flow(cfg: SimConfig) -> LabelFlowResult:
     layer = fill.mix // w  # which a filled message enters at time 0
     flight = enter(np.zeros(len(layer)), np.where(layers >= layer, fill.delay.T, 0.0),
                    fill.route.T, layer, l - 1)
-    order = np.argsort(l - 1 - layer, kind="stable")
-    flight = tuple(x.take(order, axis=1) for x in flight)
     # the pools' averages, then the masses of the messages in flight
     mass = np.zeros((3, h + len(layer)))
     mass[2, h:] = 1.0
@@ -417,17 +414,13 @@ def simulate_label_flow(cfg: SimConfig) -> LabelFlowResult:
         times, route = (np.concatenate(x, axis=1) for x in zip(*parts))
         size = times.shape[1]
         cur = np.arange(h, h + size)  # the mass table column of each message
-        if len(chunk.loop_mix) and l > 1:  # a loop joins its layer's queue
-            order = np.argsort(l - 1 - route[l], kind="stable")
-            times, route, cur = (x.take(order, axis=-1) for x in (times, route, cur))
         layer, last = route[l], route[l + 1]
         # dep[j, m]: m leaves layer j in this chunk; arr[j, m]: it arrives
         due = times[1:] <= end if chunk.stop == end else times[1:] < chunk.stop
         dep = due & (layers >= layer)
         arr = np.zeros_like(dep)
         arr[1:] = dep[:-1] & (layers[1:] <= last)
-        new = np.flatnonzero(cur >= h + arrived)
-        arr[layer.take(new), new] = True
+        arr[layer[arrived:], np.arange(arrived, size)] = True  # entering now
         arr_ev, dep_ev = np.flatnonzero(arr), np.flatnonzero(dep)
         events = np.concatenate((arr_ev, dep_ev))
         pool = route.ravel().take(events)
@@ -476,25 +469,18 @@ def simulate_label_flow(cfg: SimConfig) -> LabelFlowResult:
                 honest = ~is_corrupt.take(pool[na + d[j]:na + d[j + 1]])
                 leaving, out = leaving[honest], out[honest]
             cur[leaving] = out
-            if len(gone):
-                delivered += np.cumsum(mass.take(cur.take(gone), axis=1), axis=1)[:, -1]
+            delivered += mass.take(cur.take(gone), axis=1).sum(axis=1)
         if plan is None:  # only the counts move
             n += np.bincount(pool[:na], minlength=h) - np.bincount(pool[na:], minlength=h)
         layer += dep.sum(axis=0, dtype=small_int)
         keep = np.flatnonzero(layer <= last)
-        if l > 1:
-            keep = keep.take(np.argsort(l - 1 - layer.take(keep), kind="stable"))
         mass = mass.take(np.concatenate(kept + [cur.take(keep)]), axis=1)
         arrived = len(keep)
         flight = (times.take(keep, 1), route.take(keep, 1))
 
-    in_corrupt = np.zeros(3)
-    avg, route, mass = mass[:, :h], flight[1], mass[:, h:]
-    layer = route[l]
+    avg, route = mass[:, :h], flight[1]
     held = is_corrupt[np.take_along_axis(route, route[l:l + 1], 0)[0]]
-    for at in (np.flatnonzero(held & (layer == j)) for j in range(l)):
-        if len(at):
-            in_corrupt += np.cumsum(mass.take(at, axis=1), axis=1)[:, -1]
+    in_corrupt = mass[:, h:][:, held].sum(axis=1)
     n[is_corrupt] = 0
     candidates = [m for m in range(h - w, h) if not is_corrupt[m] and n[m] > 0]
     if not candidates:

@@ -11,9 +11,10 @@ code: an id or addr fits a packet's 31-byte name field, an addr is a
 host:port, a public key is not low-order (told by its encoding, with no
 group operation), and a token is 16 bytes. Topology refuses entries that
 do not form a network, including one whose client paths exceed a packet's
-hops. loads_directory reads only JSON shape and hex, and puts a malformed
-entry's location in its error. Each is a ValueError, and every Topology
-holds only entries a runtime can use.
+hops and one that lists two nodes at one address. loads_directory reads
+only JSON shape and hex, and puts a malformed entry's location in its
+error. Each is a ValueError, and every Topology holds only entries a
+runtime can use.
 """
 
 from __future__ import annotations
@@ -111,14 +112,23 @@ class Topology:
             raise ValueError("layers: at least one mix layer required")
         if len(self.layers) + 2 > MAX_HOPS:  # a client path: provider, layers, provider
             raise ValueError(f"layers: at most {MAX_HOPS - 2} layers fit the packet hop budget")
+        located = []
         for i, layer in enumerate(self.layers):
             if not layer:
                 raise ValueError(f"layers[{i}]: layer is empty")
-            for m in layer:
+            for j, m in enumerate(layer):
                 if m.layer != i:
                     raise ValueError(f"layers[{i}]: mix {m.id} carries layer {m.layer}")
+                located.append((f"layers[{i}][{j}]", m))
         if not self.providers:
             raise ValueError("providers: at least one provider required")
+        located += [(f"providers[{j}]", p) for j, p in enumerate(self.providers)]
+        addrs = set()  # as sockets and netsim tell nodes apart: by (host, port)
+        for loc, node in located:
+            addr = resolve_addr(node.addr)
+            if addr in addrs:
+                raise ValueError(f"{loc}: duplicate addr {node.addr!r}")
+            addrs.add(addr)
         index: dict[str, object] = {}
         for node in self.all_nodes():
             if node.id in index:

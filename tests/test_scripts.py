@@ -29,6 +29,26 @@ def test_gen_directory_writes_a_loadable_directory(tmp_path):
     assert len(topo.providers) == 2 and len(topo.clients) == 3
 
 
+def test_gen_directory_default_run_writes_the_example_files(tmp_path):
+    gen = load_script("gen_directory")
+    out, secrets = tmp_path / "dir.json", tmp_path / "secrets.json"
+    assert gen.main(["--out", str(out), "--secrets-out", str(secrets)]) == 0
+    data = SCRIPTS.parent / "tests" / "data"
+    assert out.read_bytes() == (data / "directory_example.json").read_bytes()
+    assert secrets.read_bytes() == (data / "secrets_example.json").read_bytes()
+
+
+def test_gen_directory_puts_the_providers_past_the_mixes_at_port_9200(tmp_path):
+    # 120 mixes take ports 9100 to 9219; prov-0 was written at 9200, mix-2-20's
+    gen = load_script("gen_directory")
+    out, secrets = tmp_path / "dir.json", tmp_path / "secrets.json"
+    argv = ["--layers", "3", "--per-layer", "40", "--providers", "2", "--clients", "2"]
+    assert gen.main(argv + ["--out", str(out), "--secrets-out", str(secrets)]) == 0
+    topo = load_directory(out)
+    assert topo.layers[-1][-1].addr == "127.0.0.1:9219"
+    assert [p.addr for p in topo.providers] == ["127.0.0.1:9220", "127.0.0.1:9221"]
+
+
 @pytest.mark.parametrize(
     "name, argv, message",
     [

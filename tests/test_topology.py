@@ -51,6 +51,19 @@ def test_duplicate_id_rejected(example_directory):
         loads_directory(json.dumps(doc))
 
 
+def test_duplicate_addr_rejected(example_directory):
+    # netsim and a socket both key a node by its (host, port): the second
+    # node at one took the first one's packets
+    doc = json.loads(json.dumps(example_directory))
+    doc["providers"][0]["addr"] = "127.0.0.1:9105"  # mix-2-1's
+    with pytest.raises(ValueError, match=r"^providers\[0\]: duplicate addr '127.0.0.1:9105'$"):
+        loads_directory(json.dumps(doc))
+    doc = json.loads(json.dumps(example_directory))
+    doc["layers"][1][0]["addr"] = "127.0.0.1:09100"  # mix-0-0's port
+    with pytest.raises(ValueError, match=r"^layers\[1\]\[0\]: duplicate addr '127.0.0.1:09100'$"):
+        loads_directory(json.dumps(doc))
+
+
 def test_unknown_provider_reference_rejected(example_directory):
     doc = json.loads(json.dumps(example_directory))
     doc["clients"][0]["provider_id"] = "prov-nope"
