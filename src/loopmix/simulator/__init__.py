@@ -1,4 +1,6 @@
-"""Seeded discrete-event experiments over the same pool the live node runs."""
+"""Seeded experiments: the live node's own pool run event by event (queues,
+entropy), the label flow solved in bulk (epsilon), and sampled latencies and
+transmission logs (latency, tracelog)."""
 
 from .queues import run_pool_experiment
 from .entropy import run_entropy_experiment

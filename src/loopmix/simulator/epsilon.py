@@ -21,8 +21,11 @@ c = N / (N + 1), while a departure carries avg away and leaves it as it is.
 So the run is cut into chunks of virtual time, whose events at every layer
 are known before any label is: one plan lays them out (_plan), then the
 layers run in order, each solving its pools' recurrences in vectorised
-blocks (_scan). A layer with no S0 or S1 in its pools or arrivals, as
-before burn_in, only has its counts moved; a solve would keep them at +0.0.
+blocks (_scan). Pools and messages carry only their S0 and S1 shares; the
+unlabeled share is what remains of 1, worked out once at the end. A layer
+with no S0 or S1 in its pools or arrivals, as before burn_in, is not
+solved: its departures read their pools' averages, which a solve would keep
+at +0.0.
 """
 
 from __future__ import annotations
@@ -120,20 +123,16 @@ _CHUNK_MESSAGES = 1250
 # a block is 0 or at least 1/2, so a block's running product of the nonzero
 # ones stays above 2**-256, far from underflow.
 _BLOCK = 256
-_LABELS = np.eye(3)  # the masses of an S0, an S1 and an unlabeled message
-_UNLABELED = _LABELS[:, 2:]
 
 
 class Fill(NamedTuple):
     """The messages in the pools at time 0, sorted by mix, one row each: the
-    mix, the departure from it, the mix and delay at every layer (unused
-    before its own), and whether it goes on."""
+    mix, and the mix and delay at every layer (its own mix at its own layer,
+    and a delay of 0 before it)."""
 
     mix: np.ndarray  # (n,) int
-    dep: np.ndarray  # (n,)
     route: np.ndarray  # (n, layers) int
     delay: np.ndarray  # (n, layers)
-    on: np.ndarray  # (n,) bool
 
 
 class Chunk(NamedTuple):
@@ -177,7 +176,8 @@ def stationary_fill(cfg: SimConfig, rng) -> Fill:
     Each mix sees the whole client volume spread over its layer plus its own
     loop stream, so its occupancy is Poisson(rate / mu) with Exp(mu)
     residual holding times (memoryless). Every filled message is unlabeled
-    and goes on through the layers after its own.
+    and goes on through the layers after its own. Its delays before its own
+    layer are 0, so that summed in order they put it there at time 0.
     """
     l, w = cfg.layers, cfg.nodes_per_layer
     rates = cfg.rates
@@ -187,7 +187,8 @@ def stationary_fill(cfg: SimConfig, rng) -> Fill:
     route, delay = _routes(rng, cfg, n)
     layer = mix // w
     route[np.arange(n), layer] = mix
-    return Fill(mix, delay[np.arange(n), layer], route, delay, layer < l - 1)
+    delay[np.arange(l) < layer[:, None]] = 0.0
+    return Fill(mix, route, delay)
 
 
 def draw_chunks(cfg: SimConfig, rng):
@@ -252,7 +253,7 @@ def _factors(a: np.ndarray) -> tuple:
 
 
 def _scan(f: tuple, b: np.ndarray) -> np.ndarray:
-    """Solve y[k] = a[k] * y[k-1] + b[k] for every k in place of b, (3, n)
+    """Solve y[k] = a[k] * y[k-1] + b[k] for every k in place of b, (rows, n)
     and >= 0, with f the factors (_factors) of a, n a whole number of
     blocks, each entry 0 or in [1/2, 1), a[0] == 0. Within a block,
     y = A * cumsum(b / A) with A the running product of a, and the rows from
@@ -260,14 +261,14 @@ def _scan(f: tuple, b: np.ndarray) -> np.ndarray:
     last y of the block before to its rows before its first reset, block by
     block: a block's whole product may be too small to divide by again."""
     prod, head, segments, scale, whole = f
-    y = b.reshape(3, -1, _BLOCK)
+    y = b.reshape(len(b), -1, _BLOCK)
     y /= prod
     np.cumsum(y, axis=2, out=y)
     for start, stop in reversed(segments):  # each reads a row the ones before change
         b[:, start:stop] -= b[:, start - 1:start]
     y *= prod
     if len(scale) > 1:  # block 0 starts with a reset
-        carry, end = [], [0.0, 0.0, 0.0]
+        carry, end = [], [0.0] * len(b)
         for y_end, s, no_reset in zip(y[:, :-1, -1].T.tolist(), scale, whole):
             end = [y + s * c for y, c in zip(y_end, end)] if no_reset else y_end
             carry.append(end)
@@ -290,7 +291,7 @@ class Rows(NamedTuple):
 def _plan(n, w: int, pool, t, na: int, first: int) -> List[Rows]:
     """Lay out one chunk's recurrence rows for the pools of every layer, w a
     layer, as the columns `first` on of a mass table whose first len(n) are
-    the pools' averages, and move their counts n. The events are na
+    the pools' averages, at counts n before the chunk. The events are na
     arrivals, then departures, each listed layer by layer, at times t in
     pools `pool`, indices into n. A layer's rows start at a block boundary
     with one row per pool, which sets y to its average, then its arrivals
@@ -333,7 +334,6 @@ def _plan(n, w: int, pool, t, na: int, first: int) -> List[Rows]:
     count_in[row.take(apos)] = met
     at = np.empty(len(order), np.int64)
     at[order] = row
-    n += a_cnt - d_cnt
     prod, head, segments, scale, whole = _factors((count_in - 1) / count_in)
     r = [0] + np.cumsum(size + pad).tolist()
     a = [0] + a_end[w - 1::w].tolist()
@@ -367,11 +367,11 @@ def simulate_label_flow(cfg: SimConfig) -> LabelFlowResult:
     burn_in on (_buffered). Events up to burn_in + run_time take part. The
     messages in flight are (times, route), a column each: the arrival at
     each layer, the last one the departure from the last; the mix at each
-    layer, then the layer it is at or enters and the one it leaves the
-    network from. The mass each arrived there with follows the pools'
-    averages in `mass`. They are in the order they entered the network:
-    those still in flight from the chunk before, then the chunk's emissions,
-    then its loops.
+    layer, then the layers it enters and leaves the network at. A chunk's
+    events are their times within it at the layers between. The S0 and S1
+    shares each arrived with follow the pools' averages in `mass`. They are
+    in the order they entered the network: those still in flight from the
+    chunk before, then the chunk's emissions, then its loops.
     """
     rng = default_rng(cfg.seed)
     l, w = cfg.layers, cfg.nodes_per_layer
@@ -395,15 +395,12 @@ def simulate_label_flow(cfg: SimConfig) -> LabelFlowResult:
 
     fill = stationary_fill(cfg, rng)
     emitted, taken = [0, 0, len(fill.mix)], [0, 0]
-    layer = fill.mix // w  # which a filled message enters at time 0
-    flight = enter(np.zeros(len(layer)), np.where(layers >= layer, fill.delay.T, 0.0),
-                   fill.route.T, layer, l - 1)
-    # the pools' averages, then the masses of the messages in flight
-    mass = np.zeros((3, h + len(layer)))
-    mass[2, h:] = 1.0
+    flight = enter(np.zeros(len(fill.mix)), fill.delay.T, fill.route.T, fill.mix // w, l - 1)
+    # the pools' averages, then the shares of the messages in flight
+    mass = np.zeros((2, h + len(fill.mix)))
     n = np.zeros(h, np.int64)
-    delivered = np.zeros(3)
-    arrived = 0  # of the messages in flight, those in a pool before the chunk
+    delivered, n_delivered = np.zeros(2), 0
+    start = 0.0
 
     for chunk in draw_chunks(cfg, rng):
         parts = [flight, enter(chunk.t, chunk.delay.T, chunk.route.T, 0, l - 1)]
@@ -414,14 +411,11 @@ def simulate_label_flow(cfg: SimConfig) -> LabelFlowResult:
         times, route = (np.concatenate(x, axis=1) for x in zip(*parts))
         size = times.shape[1]
         cur = np.arange(h, h + size)  # the mass table column of each message
-        layer, last = route[l], route[l + 1]
-        # dep[j, m]: m leaves layer j in this chunk; arr[j, m]: it arrives
-        due = times[1:] <= end if chunk.stop == end else times[1:] < chunk.stop
-        dep = due & (layers >= layer)
-        arr = np.zeros_like(dep)
-        arr[1:] = dep[:-1] & (layers[1:] <= last)
-        arr[layer[arrived:], np.arange(arrived, size)] = True  # entering now
-        arr_ev, dep_ev = np.flatnonzero(arr), np.flatnonzero(dep)
+        last = route[l + 1]
+        # arrivals at layer j at times[j], departures from it at times[j + 1]
+        now = (times >= start) & (times <= end if chunk.stop == end else times < chunk.stop)
+        passes = (layers >= route[l]) & (layers <= last)
+        arr_ev, dep_ev = np.flatnonzero(now[:-1] & passes), np.flatnonzero(now[1:] & passes)
         events = np.concatenate((arr_ev, dep_ev))
         pool = route.ravel().take(events)
         na = len(arr_ev)
@@ -429,11 +423,11 @@ def simulate_label_flow(cfg: SimConfig) -> LabelFlowResult:
         d = np.searchsorted(dep_ev, np.arange(l + 1) * size).tolist()
 
         # The mass table: the averages, the messages (the new ones enter
-        # unlabeled), an unlabeled mass and room for the solved rows.
-        unlabeled, flown = h + size, mass.shape[1]
-        table = np.empty((3, unlabeled + 1 + na + l * (w + _BLOCK)))
+        # with no label) and room for the solved rows.
+        flown, first = mass.shape[1], h + size
+        table = np.empty((2, first + na + l * (w + _BLOCK)))
         table[:, :flown] = mass
-        table[:, flown:unlabeled + 1] = _UNLABELED
+        table[:, flown:first] = 0.0
         mass = table
         emitted[2] += len(chunk.t) + len(chunk.loop_mix)  # less the labeled
         for i, sender in enumerate(cfg.challenge):
@@ -442,27 +436,27 @@ def simulate_label_flow(cfg: SimConfig) -> LabelFlowResult:
             payloads = sorted(zip(chunk.t[mine].tolist(), mine.tolist()))
             got, taken[i] = _buffered([t for t, _ in payloads], cfg, taken[i])
             labeled = [flown + m for (_, m), g in zip(payloads, got) if g]
-            mass[:, labeled] = _LABELS[:, i:i + 1]
+            mass[i, labeled] = 1.0
             emitted[i] += len(labeled)
             emitted[2] -= len(labeled)
 
-        plan, kept = None, []
+        plan, kept = None, np.arange(h)  # the column of each pool's average
         for j in range(l):
             arriving = cur.take(arr_ev[a[j]:a[j + 1]] - j * size)
             leaving = dep_ev[d[j]:d[j + 1]] - j * size
-            if mass[:2, j * w:(j + 1) * w].any() or mass[:2].take(arriving, axis=1).any():
+            out = pool[na + d[j]:na + d[j + 1]]  # the pools' averages
+            # a layer with no label keeps them at +0.0, and is not solved
+            if mass[:, j * w:(j + 1) * w].any() or mass.take(arriving, axis=1).any():
                 if plan is None:  # the first layer with a label lays out all
                     events[na:] += size  # a departure from j is at times[j + 1]
-                    plan = _plan(n, w, pool, times.ravel().take(events), na, unlabeled + 1)
+                    plan = _plan(n, w, pool, times.ravel().take(events), na, first)
                 rows = plan[j]
                 rows.src[rows.arrivals] = arriving
                 # every pool of the layer is solved; a corrupt one's average
                 # is never read, and its messages leave with their own masses
                 _solve_pools(mass, rows)
-                out, pooled = rows.departures, rows.last
-            else:  # a solve would keep the S0 and S1 rows at +0.0
-                out, pooled = np.full(len(leaving), unlabeled), np.full(w, unlabeled)
-            kept.append(pooled)
+                out = rows.departures
+                kept[j * w:(j + 1) * w] = rows.last
             # only a loop leaves the network before the last layer
             gone = leaving if j + 1 == l else leaving[last.take(leaving) == j]
             if corrupt_layer[j]:
@@ -470,17 +464,16 @@ def simulate_label_flow(cfg: SimConfig) -> LabelFlowResult:
                 leaving, out = leaving[honest], out[honest]
             cur[leaving] = out
             delivered += mass.take(cur.take(gone), axis=1).sum(axis=1)
-        if plan is None:  # only the counts move
-            n += np.bincount(pool[:na], minlength=h) - np.bincount(pool[na:], minlength=h)
-        layer += dep.sum(axis=0, dtype=small_int)
-        keep = np.flatnonzero(layer <= last)
-        mass = mass.take(np.concatenate(kept + [cur.take(keep)]), axis=1)
-        arrived = len(keep)
+            n_delivered += len(gone)
+        n += np.bincount(pool[:na], minlength=h) - np.bincount(pool[na:], minlength=h)
+        keep = np.flatnonzero(~now[last + 1, np.arange(size)])  # still in flight
+        mass = mass.take(np.concatenate((kept, cur.take(keep))), axis=1)
         flight = (times.take(keep, 1), route.take(keep, 1))
+        start = chunk.stop
 
-    avg, route = mass[:, :h], flight[1]
-    held = is_corrupt[np.take_along_axis(route, route[l:l + 1], 0)[0]]
-    in_corrupt = mass[:, h:][:, held].sum(axis=1)
+    avg, (times, route) = mass[:, :h], flight
+    at = (times[1:] <= end).sum(axis=0)  # the layer each message is held at
+    held = is_corrupt[route[at, np.arange(len(at))]]
     n[is_corrupt] = 0
     candidates = [m for m in range(h - w, h) if not is_corrupt[m] and n[m] > 0]
     if not candidates:
@@ -488,11 +481,17 @@ def simulate_label_flow(cfg: SimConfig) -> LabelFlowResult:
     else:
         final_mix = candidates[int(rng.integers(len(candidates)))]
         # a share of 1 may come out of the solve a few ulps above it
-        final_pool = LabelDistribution(*np.minimum(avg[:, final_mix], 1.0).tolist())
-        eps = epsilon_of(final_pool.p_S0, final_pool.p_S1)
-    masses = [tuple(row) for row in (n[:, None] * avg.T).tolist()]
+        p_S0, p_S1 = np.minimum(avg[:, final_mix], 1.0).tolist()
+        final_pool = LabelDistribution(p_S0, p_S1, max(0.0, 1.0 - p_S0 - p_S1))
+        eps = epsilon_of(p_S0, p_S1)
+
+    def shares(s0, s1, count) -> tuple:  # the unlabeled share is what remains
+        return s0, s1, count - s0 - s1
+
+    masses = [shares(*m, c) for m, c in zip((n[:, None] * avg.T).tolist(), n.tolist())]
+    in_corrupt = shares(*mass[:, h:][:, held].sum(axis=1).tolist(), int(held.sum()))
     return LabelFlowResult(eps, final_mix, final_pool, corrupt, tuple(emitted), masses, n.tolist(),
-                           tuple(in_corrupt.tolist()), tuple(delivered.tolist()))
+                           in_corrupt, shares(*delivered.tolist(), n_delivered))
 
 
 def run_epsilon_experiment(cfg: SimConfig) -> float:

@@ -336,14 +336,18 @@ async def _run_live_smoke() -> str:
     client_runtimes = [runtimes[d.id] for d in topology.clients]
     target = runtimes["mix-0-0"]
     target_mix = target.mix
-    handling_s = []
+    handling_s, handling_cpu_s = [], []
 
     # per-packet handling time: everything from deframed datagram to pooled
-    # packet and armed release timer
+    # packet and armed release timer. The thread's CPU time is read outside
+    # the wall-clock span, and tells a slow call the node worked through
+    # from one the host did not schedule.
     def timed(kind, body, source, handle=target.on_datagram):
+        cpu = time.thread_time()
         started = time.perf_counter()
         handle(kind, body, source)
         handling_s.append(time.perf_counter() - started)
+        handling_cpu_s.append(time.thread_time() - cpu)
 
     target.on_datagram = timed
     try:
@@ -411,8 +415,9 @@ async def _run_live_smoke() -> str:
         assert times.size >= window
         mean_ms = float(np.mean(times)) * 1e3
         p999_ms = float(np.quantile(times, 0.999)) * 1e3
+        cpu_p999_ms = float(np.quantile(handling_cpu_s, 0.999)) * 1e3
         assert mean_ms <= 5.0
-        assert p999_ms <= 5.0
+        assert p999_ms <= 5.0, f"p99.9 {p999_ms:.2f}ms of wall time, {cpu_p999_ms:.2f}ms of CPU"
 
         # the blast packets actually traverse the full path into prov-0
         absorbed = runtimes["prov-0"].provider.counters.get("dropped_cover", 0)
@@ -423,7 +428,7 @@ async def _run_live_smoke() -> str:
         return (
             f"mix-0-0 processed {window} packets in {elapsed:.1f}s "
             f"({rate:.0f}/s), 0 MAC failures, per-packet mean {mean_ms:.2f}ms "
-            f"p99.9 {p999_ms:.2f}ms"
+            f"p99.9 {p999_ms:.2f}ms (CPU {cpu_p999_ms:.2f}ms)"
         )
     finally:
         for rt in runtimes.values():

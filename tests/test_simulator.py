@@ -68,6 +68,21 @@ def test_label_mass_is_conserved():
             assert total == pytest.approx(result.emitted[i], rel=1e-12, abs=0)
 
 
+def test_stationary_fill_puts_each_message_at_its_own_layer_at_time_0():
+    # simulate_label_flow sums a filled message's delays from time 0, so its
+    # own mix must be on its route and its delays before its layer exactly
+    # +0.0: the chunk plan sorts event times by their bits.
+    cfg = small_cfg(layers=4, nodes_per_layer=3)
+    fill = epsilon.stationary_fill(cfg, np.random.default_rng(3))
+    layer = fill.mix // cfg.nodes_per_layer
+    assert set(layer.tolist()) == {0, 1, 2, 3}
+    np.testing.assert_array_equal(fill.route[np.arange(len(layer)), layer], fill.mix)
+    before = np.arange(cfg.layers) < layer[:, None]
+    assert before.any() and (fill.delay[before] == 0.0).all()
+    assert not np.signbit(fill.delay).any()
+    assert (fill.delay[~before] > 0.0).all()
+
+
 def heap_label_flow(cfg, rng):
     """The label flow event by event, over the event set simulate_label_flow
     draws: the corrupt set, the stationary fill and every chunk's draws come
@@ -106,10 +121,9 @@ def heap_label_flow(cfg, rng):
         heapq.heappush(heap, (dep, layer, 1, next(seq), DEPART,
                               (mix, layer, route, delay, held, on)))
 
-    for mix, dep, route, delay, on in zip(fill.mix.tolist(), fill.dep.tolist(),
-                                          fill.route.tolist(), fill.delay.tolist(),
-                                          fill.on.tolist()):
-        arrive(0.0, dep, mix, mix // w, route, delay, (0.0, 0.0, 1.0), on)
+    for mix, route, delay in zip(fill.mix.tolist(), fill.route.tolist(), fill.delay.tolist()):
+        layer = mix // w
+        arrive(0.0, delay[layer], mix, layer, route, delay, (0.0, 0.0, 1.0), layer < l - 1)
     for k in itertools.count():
         if k and cfg.burn_in + k >= end:
             break
@@ -493,6 +507,7 @@ def solve_pools(avg, n, arrivals, departures):
     mass = np.concatenate((avg.T, arr_mass.T, np.empty((3, rows.out.stop - h - na))), axis=1)
     epsilon._solve_pools(mass, rows)
     avg[:] = mass[:, rows.last].T
+    n += np.bincount(arr_pool, minlength=h) - np.bincount(dep_pool, minlength=h)
     return mass[:, rows.departures].T
 
 
@@ -674,7 +689,7 @@ def label_flow_grid():
 
 # SHA-256 of the reprs of the whole LabelFlowResult over label_flow_grid:
 # epsilon alone would let pool_masses, delivered or in_corrupt drift.
-LABEL_FLOW_GRID_SHA256 = "4f06b36226404d9d712968c0520ff5057dfab1ad97a1e87d21acc5ba0845b829"
+LABEL_FLOW_GRID_SHA256 = "142a9bf106e957e349724f155834ccad0194101948600d2835468458fa02022b"
 
 
 def test_every_result_field_is_the_same_bit_for_bit():
@@ -699,7 +714,7 @@ def edge_grid():
 
 
 # SHA-256 of the reprs of the whole LabelFlowResult over edge_grid.
-EDGE_GRID_SHA256 = "e3a4376a51ced8d9eceac1ace6b2ec2dacf9f2c5cadde338d8a661b01682fe7c"
+EDGE_GRID_SHA256 = "7971f52a7a290d07390eeb75699f2c1bc02d6fc21c6d3650f4b85d3454e676ea"
 
 
 def test_the_shapes_the_grid_lacks_are_the_same_bit_for_bit():
@@ -721,7 +736,7 @@ def grid_results(grid):
 # SHA-256 of the reprs of every LabelFlowResult over label_flow_grid, then
 # edge_grid, with delivered and in_corrupt left out: those two are sums
 # over many messages, whose last bits follow the order they are summed in.
-ORDER_FREE_SHA256 = "869103297830adcbc6b598478ce76fb90c0887cc66e155e105fc2135e40bc3c5"
+ORDER_FREE_SHA256 = "c2690ea8f0e0b02f7b7c2ddbaf5edec6ec6943b7b6da415adc26d64ecf35e14a"
 
 
 def test_every_field_but_the_sums_is_the_same_bit_for_bit():
@@ -729,6 +744,28 @@ def test_every_field_but_the_sums_is_the_same_bit_for_bit():
     for result in grid_results(label_flow_grid) + grid_results(edge_grid):
         digest.update(repr(dataclasses.replace(result, delivered=None, in_corrupt=None)).encode())
     assert digest.hexdigest() == ORDER_FREE_SHA256
+
+
+def labeled_shares(result):
+    """result without its four unlabeled components: the final pool's, each
+    pool's, the delivered and the corrupt-held."""
+    pool = result.final_pool and dataclasses.astuple(result.final_pool)[:2]
+    return dataclasses.replace(result, final_pool=pool,
+                               pool_masses=[mass[:2] for mass in result.pool_masses],
+                               in_corrupt=result.in_corrupt[:2], delivered=result.delivered[:2])
+
+
+# SHA-256 of the reprs of every LabelFlowResult over label_flow_grid, then
+# edge_grid, with the unlabeled components left out: each is what remains
+# of a count or a share of 1 after S0 and S1, rounded in its own way.
+LABELED_SHA256 = "95449e296d6a8ff76e69d991c5fc748bdae73153da0040a5a77ac22a8fc86374"
+
+
+def test_every_labeled_share_is_the_same_bit_for_bit():
+    digest = hashlib.sha256()
+    for result in grid_results(label_flow_grid) + grid_results(edge_grid):
+        digest.update(repr(labeled_shares(result)).encode())
+    assert digest.hexdigest() == LABELED_SHA256
 
 
 def plain_buffered(times, burn_in, run_time):
